@@ -194,12 +194,12 @@ def cmd_gain_cdf(args):
     books = [load_codebook(p) for p in args.codebooks]
     names = [_stem(p) for p in args.codebooks]
     kfactors = [float(v) for v in args.k_factors.split(",")]
-    columns, header = [], ["rank"]
+    gains = gain_cdf(books, args.N, kfactors, args.trials, args.seed)
+    header = ["rank"]
     for k in kfactors:
         ktag = "inf" if np.isinf(k) else _fmt(k).replace(".", "p")
-        for book, name in zip(books, names):
-            header.append(f"gain_{name}_K{ktag}")
-            columns.append(gain_cdf(book, args.N, k, args.trials, args.seed))
+        header += [f"gain_{name}_K{ktag}" for name in names]
+    columns = gains.reshape(-1, args.trials)
     rows = [[r + 1] + [col[r] for col in columns] for r in range(args.trials)]
     _write_csv(args.out, header, rows)
     _write_manifest(args, "gain-cdf", [args.out], t0)

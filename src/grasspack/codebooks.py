@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -409,12 +409,11 @@ def build_sparse_2M(m: int, size: int, cfg: OptimizerConfig = None) -> Codebook:
     ell = -(-size // npat)
     n_full = size - (ell - 1) * npat  # this many leading patterns carry L instances
     assignments = optimize_phases_2M(m, ell, cfg)
-    words, used = [], []
+    words = []
     for pi, pat in enumerate(patterns):
         count = ell if pi < n_full else ell - 1
         for inst in range(count):
             words.append(pair_codeword(pat, assignments[inst].thetas))
-            used.append(replace(assignments[inst], pattern_index=pi + 1))
     meta = {
         "method": "sparse2m",
         "T": 2 * m,

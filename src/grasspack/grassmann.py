@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotStiefel, TooFewCodewords
+from .errors import DimensionMismatch, InvalidRange, NotStiefel, TooFewCodewords
 from .linalg import as_cmatrix, fro_norm
 
 STIEFEL_TOL = 1e-8
@@ -89,6 +89,10 @@ class Codebook:
 
     def subset(self, indices, meta=None) -> "Codebook":
         """New codebook from 1-based codeword indices, order preserved."""
+        indices = list(indices)
+        bad = [i for i in indices if not 1 <= i <= len(self.codewords)]
+        if bad:
+            raise InvalidRange(f"codeword indices must lie in 1..{len(self.codewords)}, got {bad}")
         words = tuple(self.codewords[i - 1] for i in indices)
         new_meta = dict(self.meta) if meta is None else dict(meta)
         new_meta["subset_indices"] = [int(i) for i in indices]

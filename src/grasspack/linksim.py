@@ -5,6 +5,9 @@ paired Monte Carlo sweeps behind the rate and gain comparisons. Every trial
 draws its channel from a counter-based substream of the run seed, so results
 are reproducible bit-for-bit regardless of chunking or thread count, and all
 codebooks in one sweep see the same channel sequence (common random numbers).
+A gain sweep over several Rician factors draws each trial's angles and
+scattering block once and mixes them for every K, so every codebook and
+every K see the same per-trial draw.
 """
 
 from __future__ import annotations
@@ -14,12 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidK, TooFewCodewords
+from .errors import DimensionMismatch, InvalidConfig, InvalidK, TooFewCodewords
 from .grassmann import Codebook, Codeword
 from .linalg import as_cmatrix
 from .rng import substream
 
-_CHUNK = 2048
+_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -85,9 +88,9 @@ def sample_rayleigh(n: int, t: int, seed: int = 0, rng=None) -> ChannelRealizati
     return ChannelRealization(_rayleigh(n, t, rng), "rayleigh", None)
 
 
-def _steering(count, angle):
-    # half-wavelength uniform linear array response
-    return np.exp(1j * np.pi * np.sin(angle) * np.arange(count))
+def _steering(count, angles):
+    # half-wavelength uniform linear array response, one row per angle
+    return np.exp(1j * np.pi * np.sin(angles)[:, None] * np.arange(count))
 
 
 def _check_k(k: float) -> float:
@@ -97,17 +100,31 @@ def _check_k(k: float) -> float:
     return k
 
 
-def _rician(n, t, k, rng, normalize):
-    ar = _steering(n, rng.uniform(-np.pi / 2, np.pi / 2))
-    at = _steering(t, rng.uniform(-np.pi / 2, np.pi / 2))
-    los = np.outer(ar, at.conj())  # unit-modulus entries, ||los||_F^2 = N*T
-    if math.isinf(k):
-        h = los
-    else:
-        h = math.sqrt(k / (k + 1)) * los + math.sqrt(1 / (k + 1)) * _rayleigh(n, t, rng)
-    if normalize:
-        h = h / math.sqrt(n * t)
-    return h
+def _rician_chunk(rngs, n, t, ks, normalize):
+    """One (len(rngs), N, T) Rician channel stack per K factor in ``ks``.
+
+    Each generator yields its trial's arrival and departure angles and then,
+    if some K is finite, the real and imaginary scattering blocks; every K
+    mixes the same draws, so the draw order matches a single-channel draw.
+    """
+    scattered = any(not math.isinf(k) for k in ks)
+    angles = np.empty((len(rngs), 2))
+    re = np.empty((len(rngs), n, t))
+    im = np.empty((len(rngs), n, t))
+    for i, rng in enumerate(rngs):
+        angles[i] = rng.uniform(-np.pi / 2, np.pi / 2), rng.uniform(-np.pi / 2, np.pi / 2)
+        if scattered:
+            rng.standard_normal(out=re[i])
+            rng.standard_normal(out=im[i])
+    ar = _steering(n, angles[:, 0])
+    at = _steering(t, angles[:, 1])
+    los = ar[:, :, None] * at.conj()[:, None, :]  # unit-modulus entries, ||los||_F^2 = N*T
+    ray = (re + 1j * im) / math.sqrt(2.0) if scattered else None
+    out = []
+    for k in ks:
+        h = los if math.isinf(k) else math.sqrt(k / (k + 1)) * los + math.sqrt(1 / (k + 1)) * ray
+        out.append(h / math.sqrt(n * t) if normalize else h)
+    return out
 
 
 def sample_rician(n: int, t: int, k: float, seed: int = 0, normalize: bool = False, rng=None) -> ChannelRealization:
@@ -120,7 +137,8 @@ def sample_rician(n: int, t: int, k: float, seed: int = 0, normalize: bool = Fal
     """
     k = _check_k(k)
     rng = rng if rng is not None else substream(seed, 0)
-    return ChannelRealization(_rician(n, t, k, rng, normalize), "rician", k)
+    (h,) = _rician_chunk([rng], n, t, [k], normalize)
+    return ChannelRealization(h[0], "rician", k)
 
 
 def effective_gram(h, w, counter=None):
@@ -200,6 +218,17 @@ def select_index_gain(h, b: Codebook) -> int:
     return _first_within(gains)
 
 
+def _check_books(codebooks, trials):
+    books = list(codebooks)
+    if not books:
+        raise TooFewCodewords("need at least one codebook")
+    if trials < 1:
+        raise InvalidConfig(f"trials must be >= 1, got {trials}")
+    if any(b.T != books[0].T for b in books):
+        raise DimensionMismatch("all codebooks must share the antenna count T")
+    return books
+
+
 def rate_curve(codebooks, n: int, snr_db, trials: int, seed: int = 0, names=None) -> RateSweep:
     """Paired mean achievable rate over an SNR grid for several codebooks.
 
@@ -207,40 +236,33 @@ def rate_curve(codebooks, n: int, snr_db, trials: int, seed: int = 0, names=None
     selected (maximum) rate is averaged per SNR point, and each codebook
     pair gets the mean and standard error of its per-trial rate difference.
     """
-    books = list(codebooks)
-    if not books:
-        raise TooFewCodewords("need at least one codebook")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    books = _check_books(codebooks, trials)
     t = books[0].T
-    if any(b.T != t for b in books):
-        raise DimensionMismatch("all codebooks must share the antenna count T")
     names = list(names) if names else [f"codebook{i + 1}" for i in range(len(books))]
     snr_db = np.atleast_1d(np.asarray(snr_db, dtype=float))
     rho = 10.0 ** (snr_db / 10.0)
     stacks = [b.stack() for b in books]
     ncb, nsnr = len(books), snr_db.size
-    rate_sum = np.zeros((ncb, nsnr))
-    dsum = {}
-    d2sum = {}
+    # per-trial best rates, reduced once below so the sums do not depend on chunking
+    best = np.empty((trials, ncb, nsnr))
     for start in range(0, trials, _CHUNK):
         stop = min(start + _CHUNK, trials)
         hh = np.empty((stop - start, n, t), dtype=np.complex128)
         for i, trial in enumerate(range(start, stop)):
             hh[i] = _rayleigh(n, t, substream(seed, trial))
         g = np.einsum("bnt,bnu->btu", hh.conj(), hh)
-        best = np.empty((stop - start, ncb, nsnr))
         for c, stack in enumerate(stacks):
             lam = np.clip(np.linalg.eigvalsh(_codebook_grams(g, stack)), 0.0, None)
             for si in range(nsnr):
                 rates = np.sum(np.log2(1.0 + (rho[si] / books[c].M) * lam), axis=-1)
-                best[:, c, si] = rates.max(axis=1)
-        rate_sum += best.sum(axis=0)
-        for i in range(ncb):
-            for j in range(i + 1, ncb):
-                d = best[:, j, :] - best[:, i, :]
-                dsum[(i, j)] = dsum.get((i, j), 0.0) + d.sum(axis=0)
-                d2sum[(i, j)] = d2sum.get((i, j), 0.0) + (d**2).sum(axis=0)
+                best[start:stop, c, si] = rates.max(axis=1)
+    rate_sum = best.sum(axis=0)
+    dsum, d2sum = {}, {}
+    for i in range(ncb):
+        for j in range(i + 1, ncb):
+            d = best[:, j, :] - best[:, i, :]
+            dsum[(i, j)] = d.sum(axis=0)
+            d2sum[(i, j)] = (d**2).sum(axis=0)
     results = tuple(
         RateResult(
             name=names[c],
@@ -264,23 +286,35 @@ def rate_curve(codebooks, n: int, snr_db, trials: int, seed: int = 0, names=None
     return RateSweep(results, diff_mean, diff_se)
 
 
-def gain_cdf(b: Codebook, n: int, k: float, trials: int, seed: int = 0) -> np.ndarray:
+def gain_cdf(b, n: int, k, trials: int, seed: int = 0) -> np.ndarray:
     """Sorted per-trial best effective gains under normalized Rician fading.
 
-    The channel sequence depends only on (seed, trial, N, T, K), so calling
-    this with several codebooks and one seed yields paired samples.
+    ``b`` is a codebook or a sequence of codebooks sharing T, and ``k`` a
+    Rician factor or a sequence of them. The result has shape
+    (len(k), len(b), trials), without the axis of an argument given as a
+    single codebook or a scalar K; one book and a scalar K give a 1-D array.
+    Trial i draws its two LoS angles and its scattering block
+    from substream (seed, i) once, and every codebook and every K is scored
+    on that draw, so all columns are paired samples. The channel sequence
+    depends only on (seed, trial, N, T, K), so separate calls with the same
+    seed give the same samples as one batched call.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    k = _check_k(k)
-    stack = b.stack()
-    out = np.empty(trials)
+    books = _check_books([b] if isinstance(b, Codebook) else b, trials)
+    ks = [_check_k(v) for v in ([k] if np.ndim(k) == 0 else k)]
+    if not ks:
+        raise InvalidK("need at least one Rician factor")
+    t = books[0].T
+    stacks = [book.stack() for book in books]
+    out = np.empty((len(ks), len(books), trials))
     for start in range(0, trials, _CHUNK):
         stop = min(start + _CHUNK, trials)
-        hh = np.empty((stop - start, n, b.T), dtype=np.complex128)
-        for i, trial in enumerate(range(start, stop)):
-            hh[i] = _rician(n, b.T, k, substream(seed, trial), True)
-        g = np.einsum("bnt,bnu->btu", hh.conj(), hh)
-        gains = np.einsum("kti,btu,kui->bk", stack.conj(), g, stack).real
-        out[start:stop] = gains.max(axis=1)
-    return np.sort(out)
+        rngs = [substream(seed, trial) for trial in range(start, stop)]
+        for ki, hh in enumerate(_rician_chunk(rngs, n, t, ks, True)):
+            g = np.einsum("bnt,bnu->btu", hh.conj(), hh)
+            for c, stack in enumerate(stacks):
+                gains = np.einsum("kti,btu,kui->bk", stack.conj(), g, stack).real
+                out[ki, c, start:stop] = gains.max(axis=1)
+    out.sort(axis=-1)
+    if isinstance(b, Codebook):
+        out = out[:, 0]
+    return out[0] if np.ndim(k) == 0 else out

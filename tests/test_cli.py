@@ -49,6 +49,13 @@ class TestDesign:
         full = load_codebook(nr_full)
         assert np.array_equal(book[0].matrix, full[14].matrix)
 
+    @pytest.mark.parametrize("indices", ["0-2", "22-23"])
+    def test_indices_out_of_range_usage_error(self, tmp_path, capsys, indices):
+        out = tmp_path / "nr.json"
+        assert run(["design", "--method", "nr42", "--indices", indices, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "e.json"
         run(["design", "--method", "expmap", "-T", 4, "-M", 2, "--size", 4, "--out", out])
@@ -104,6 +111,12 @@ class TestRate:
         run(args + ["--out", o2])
         assert o1.read_bytes() == o2.read_bytes()
 
+    def test_zero_trials_usage_error(self, tmp_path, capsys):
+        prop = tmp_path / "p.json"
+        run(["design", "--method", "prop42", "--out", prop])
+        assert run(["rate", "--codebooks", prop, "--trials", 0, "--out", tmp_path / "r.csv"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestGainCdf:
     def test_duplicate_codebook_identical_columns(self, tmp_path):
@@ -117,6 +130,20 @@ class TestGainCdf:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         for row in rows:
             assert row[1] == row[2] and row[3] == row[4]
+
+    def test_zero_trials_usage_error(self, tmp_path, capsys):
+        prop = tmp_path / "p.json"
+        run(["design", "--method", "prop42", "--out", prop])
+        assert run(["gain-cdf", "--codebooks", prop, "--trials", 0, "--out", tmp_path / "g.csv"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_mixed_antenna_counts_usage_error(self, tmp_path, capsys):
+        prop, sp = tmp_path / "p.json", tmp_path / "s.json"
+        run(["design", "--method", "prop42", "--out", prop])
+        run(["design", "--method", "sparse2m", "-M", 3, "--size", 5, "--grid", "quarter", "--out", sp])
+        capsys.readouterr()
+        assert run(["gain-cdf", "--codebooks", prop, sp, "--trials", 10, "--out", tmp_path / "g.csv"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestPapr:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from grasspack.codebooks import nr_codebook_4_2, proposed_codebook_4_2
-from grasspack.errors import DimensionMismatch, NotStiefel, TooFewCodewords
+from grasspack.errors import DimensionMismatch, InvalidRange, NotStiefel, TooFewCodewords
 from grasspack.grassmann import (
     Codebook,
     Codeword,
@@ -159,3 +159,8 @@ class TestCodebookType:
         sub = nr.subset([15, 16])
         assert np.array_equal(sub[0].matrix, nr[14].matrix)
         assert len(sub) == 2
+
+    @pytest.mark.parametrize("indices", [[0], [-1], [1, 23]])
+    def test_subset_out_of_range(self, indices):
+        with pytest.raises(InvalidRange):
+            nr_codebook_4_2().subset(indices)

@@ -3,7 +3,8 @@ import pytest
 from scipy import stats
 
 from grasspack.codebooks import nr_codebook_4_2, proposed_codebook_4_2
-from grasspack.errors import DimensionMismatch, InvalidK
+from grasspack import linksim
+from grasspack.errors import DimensionMismatch, InvalidConfig, InvalidK, TooFewCodewords
 from grasspack.grassmann import Codebook, Codeword
 from grasspack.linalg import random_stiefel
 from grasspack.linksim import (
@@ -170,6 +171,10 @@ class TestRateCurve:
         assert s1.results[0].mean_rates == s2.results[0].mean_rates
         assert s1.diff_mean == s2.diff_mean and s1.diff_se == s2.diff_se
 
+    def test_zero_trials_rejected(self):
+        with pytest.raises(InvalidConfig):
+            rate_curve([proposed_codebook_4_2()], 8, [0.0], trials=0)
+
     def test_rates_nondecreasing_in_snr(self):
         sweep = rate_curve([proposed_codebook_4_2()], 8, [0, 5, 10, 15], trials=100, seed=4)
         rates = sweep.results[0].mean_rates
@@ -198,3 +203,52 @@ class TestGainCdf:
         prop = gain_cdf(proposed_codebook_4_2(), 16, 0.0, trials=4000, seed=8)
         nr = gain_cdf(nr_codebook_4_2(), 16, 0.0, trials=4000, seed=8)
         assert np.median(prop) >= np.median(nr)
+
+    def test_batched_equals_stacked_single_calls(self):
+        books = [nr_codebook_4_2(), proposed_codebook_4_2()]
+        ks = [0.0, 1.0, float("inf")]
+        batched = gain_cdf(books, 8, ks, trials=300, seed=9)
+        assert batched.shape == (3, 2, 300)
+        single = np.stack([np.stack([gain_cdf(b, 8, k, trials=300, seed=9) for b in books]) for k in ks])
+        assert np.array_equal(batched, single)
+        assert np.array_equal(gain_cdf(books, 8, 1.0, trials=300, seed=9), single[1])
+        assert np.array_equal(gain_cdf(books[1], 8, ks, trials=300, seed=9), single[:, 1])
+
+    def test_invalid_arguments(self):
+        book = proposed_codebook_4_2()
+        with pytest.raises(InvalidConfig):
+            gain_cdf(book, 4, 0.0, trials=0)
+        with pytest.raises(TooFewCodewords):
+            gain_cdf([], 4, 0.0, trials=10)
+        with pytest.raises(DimensionMismatch):
+            gain_cdf([book, Codebook((e_cols(3, [0, 1]),))], 4, 0.0, trials=10)
+        with pytest.raises(InvalidK):
+            gain_cdf(book, 4, [], trials=10)
+        with pytest.raises(InvalidK):
+            gain_cdf(book, 4, [1.0, -1.0], trials=10)
+
+
+class TestChunkIndependence:
+    @pytest.fixture(scope="class")
+    def outputs(self):
+        books = [nr_codebook_4_2(), proposed_codebook_4_2()]
+        runs = {}
+        with pytest.MonkeyPatch.context() as mp:
+            for chunk in (2048, 512, 7):
+                mp.setattr(linksim, "_CHUNK", chunk)
+                runs[chunk] = (
+                    rate_curve(books, 8, [0.0, 10.0, 20.0], trials=600, seed=10),
+                    gain_cdf(books, 8, [0.0, 1.0, float("inf")], trials=600, seed=11),
+                )
+        return runs
+
+    @pytest.mark.parametrize("chunk", [512, 7])
+    def test_rate_curve(self, outputs, chunk):
+        ref, got = outputs[2048][0], outputs[chunk][0]
+        assert got.results == ref.results
+        assert got.diff_mean == ref.diff_mean
+        assert got.diff_se == ref.diff_se
+
+    @pytest.mark.parametrize("chunk", [512, 7])
+    def test_gain_cdf(self, outputs, chunk):
+        assert np.array_equal(outputs[chunk][1], outputs[2048][1])
