@@ -32,7 +32,7 @@ from .codebooks import (
     proposed_codebook_4_2,
     save_codebook,
 )
-from .errors import GrasspackError
+from .errors import GrasspackError, ParseError
 from .grassmann import min_chordal_distance
 from .linksim import gain_cdf, rate_curve
 from .wavesim import (
@@ -75,32 +75,47 @@ def _write_manifest(args, command, outputs, t0):
     return path
 
 
+def _parse_floats(text, what):
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ParseError(f"{what} must be comma-separated numbers, got {text!r}") from None
+
+
 def _parse_grid(text):
     if text in (None, "", "none"):
         return None
     if text == "quarter":
         return QUARTER_GRID
-    return tuple(float(v) for v in text.split(","))
+    return tuple(_parse_floats(text, "--grid"))
 
 
 def _parse_indices(text):
     out = []
-    for part in text.split(","):
-        if "-" in part:
-            a, b = part.split("-")
-            out.extend(range(int(a), int(b) + 1))
-        else:
-            out.append(int(part))
+    try:
+        for part in text.split(","):
+            if "-" in part:
+                a, b = part.split("-")
+                out.extend(range(int(a), int(b) + 1))
+            else:
+                out.append(int(part))
+    except ValueError:
+        raise ParseError(f"--indices must be 1-based entries or ranges like '15-22', got {text!r}") from None
     return out
 
 
 def _parse_axis(text):
     """start:stop:step (inclusive) or a comma list."""
-    if ":" in text:
+    if ":" not in text:
+        return _parse_floats(text, "axis")
+    try:
         start, stop, step = (float(v) for v in text.split(":"))
         n = int(round((stop - start) / step)) + 1
-        return [start + i * step for i in range(n)]
-    return [float(v) for v in text.split(",")]
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ParseError(f"axis must be start:stop:step with a nonzero finite step, got {text!r}") from None
+    if n < 1:
+        raise ParseError(f"axis {text!r} holds no point: the step points away from stop")
+    return [start + i * step for i in range(n)]
 
 
 def _stem(path):
@@ -110,6 +125,7 @@ def _stem(path):
 
 def cmd_design(args):
     t0 = time.time()
+    indices = _parse_indices(args.indices) if args.indices else None
     cfg = OptimizerConfig(
         seed=args.seed,
         phase_grid=_parse_grid(args.grid),
@@ -137,8 +153,8 @@ def cmd_design(args):
         book = nr_codebook_4_2()
     else:
         book = proposed_codebook_4_2()
-    if args.indices:
-        book = book.subset(_parse_indices(args.indices))
+    if indices:
+        book = book.subset(indices)
     out = args.out or f"{args.method}.json"
     save_codebook(book, out)
     if len(book) >= 2:
@@ -193,7 +209,7 @@ def cmd_gain_cdf(args):
     t0 = time.time()
     books = [load_codebook(p) for p in args.codebooks]
     names = [_stem(p) for p in args.codebooks]
-    kfactors = [float(v) for v in args.k_factors.split(",")]
+    kfactors = _parse_floats(args.k_factors, "--k-factors")
     gains = gain_cdf(books, args.N, kfactors, args.trials, args.seed)
     header = ["rank"]
     for k in kfactors:
@@ -212,8 +228,11 @@ def _papr_schemes(args):
     for path in args.codebooks or []:
         schemes.append((_stem(path), load_codebook(path)))
     for spec in args.row_sparse or []:
-        t, m, ell = (int(v) for v in spec.split(","))
-        thetas = [float(v) for v in args.thetas.split(",")] if args.thetas else None
+        try:
+            t, m, ell = (int(v) for v in spec.split(","))
+        except ValueError:
+            raise ParseError(f"--row-sparse takes T,M,ELL integers, got {spec!r}") from None
+        thetas = _parse_floats(args.thetas, "--thetas") if args.thetas else None
         w = row_sparse_precoder(t, m, ell, thetas=thetas, seed=args.seed)
         schemes.append((f"rows_T{t}M{m}l{ell}", w))
     if not schemes:

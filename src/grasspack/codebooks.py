@@ -62,42 +62,38 @@ class PhaseAssignment:
         )
 
 
+#: smoothing continuation of the log-sum-exp surrogate, strictly decreasing
+EPS_SCHEDULE = (1.0, 0.3, 0.1, 0.03, 0.01)
+_STEP_INIT = 1.0
+_BACKTRACK = 0.5
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Knobs shared by all iterative constructors.
 
-    ``eps_schedule`` is the smoothing continuation for the log-sum-exp
-    surrogate; it must be strictly decreasing and positive. ``phase_grid``
-    switches the phase searches to a discrete alphabet.
+    ``max_iters`` caps the accepted steps per smoothing stage of the descent
+    (see :func:`_descend`) and ``restarts`` the random initializations, whose
+    substreams derive from ``seed``. ``phase_grid`` switches the phase
+    searches to a discrete alphabet; ``expmap_scale`` spreads the QAM blocks
+    of :func:`build_expmap`. The smoothing schedule (``EPS_SCHEDULE``) and
+    the line-search constants are fixed.
     """
 
-    eps_schedule: tuple = (1.0, 0.3, 0.1, 0.03, 0.01)
     max_iters: int = 300
-    step_init: float = 1.0
-    backtrack: float = 0.5
     restarts: int = 4
     seed: int = 0
     phase_grid: tuple | None = None
     expmap_scale: float = 0.5
 
     def __post_init__(self):
-        eps = tuple(float(e) for e in self.eps_schedule)
-        if not eps or any(e <= 0 for e in eps):
-            raise InvalidConfig("eps_schedule must be nonempty and positive")
-        if any(later >= earlier for earlier, later in zip(eps, eps[1:])):
-            raise InvalidConfig("eps_schedule must be strictly decreasing")
-        if self.max_iters < 1 or self.restarts < 1:
-            raise InvalidConfig("max_iters and restarts must be >= 1")
-        if not 0 < self.backtrack < 1:
-            raise InvalidConfig("backtrack factor must lie in (0, 1)")
-        if self.step_init <= 0 or self.expmap_scale <= 0:
-            raise InvalidConfig("step_init and expmap_scale must be positive")
+        if self.max_iters < 1 or self.restarts < 1 or self.expmap_scale <= 0:
+            raise InvalidConfig("max_iters and restarts must be >= 1, expmap_scale positive")
         grid = self.phase_grid
         if grid is not None:
             grid = tuple(float(g) for g in _wrap_phase(tuple(grid)))
             if len(set(grid)) != len(grid) or not grid:
                 raise InvalidConfig("phase_grid must be nonempty without repeats")
-        object.__setattr__(self, "eps_schedule", eps)
         object.__setattr__(self, "phase_grid", grid)
 
 
@@ -105,33 +101,12 @@ DEFAULT_CONFIG = OptimizerConfig()
 
 
 # ---------------------------------------------------------------------------
-# smooth surrogate for the minimum chordal distance
+# smooth surrogate for the minimum chordal distance and its descent
 # ---------------------------------------------------------------------------
 
-def _lse(z):
-    m = float(np.max(z))
-    return m + float(np.log(np.sum(np.exp(z - m))))
-
-
-def smooth_mcd_objective(b: Codebook, epsilon: float) -> float:
-    """log sum_{i<j} exp(-||Wi Wi^H - Wj Wj^H||_F / epsilon), stabilized."""
-    if len(b) < 2:
-        raise TooFewCodewords("surrogate needs at least two codewords")
-    if epsilon <= 0:
-        raise InvalidConfig("epsilon must be positive")
-    stack = b.stack()
-    s = pairwise_gram_sq(stack)
-    iu, ju = np.triu_indices(len(b), k=1)
-    d = np.sqrt(np.clip(2.0 * (b.M - s[iu, ju]), 0.0, None))
-    return _lse(-d / epsilon)
-
-
-def _surrogate_state(stack, eps):
-    """Value, pair weights and distances of the surrogate at a Stiefel stack."""
-    k, _, m = stack.shape
-    gram = np.einsum("itm,jtn->ijmn", stack.conj(), stack)
-    s = np.sum(np.abs(gram) ** 2, axis=(-2, -1))
-    d = np.sqrt(np.clip(2.0 * (m - s), 0.0, None))
+def _lse_pairs(d, eps):
+    """log sum_{i<j} exp(-d_ij / eps), stabilized, and its symmetric softmax pair weights."""
+    k = d.shape[0]
     iu, ju = np.triu_indices(k, 1)
     z = -d[iu, ju] / eps
     zmax = z.max()
@@ -140,26 +115,90 @@ def _surrogate_state(stack, eps):
     weights = np.zeros((k, k))
     weights[iu, ju] = expz / expz.sum()
     weights += weights.T
-    return value, weights, d, gram, s
+    return value, weights
 
 
-def _manopt_grad(stack, eps):
-    """Surrogate value and Riemannian gradient on the product manifold."""
-    value, weights, d, gram, s = _surrogate_state(stack, eps)
+def _surrogate_egrad(stack, eps):
+    """Surrogate value, Euclidean gradient and Gram norms ||W_i^H W_j||_F^2 of a stack.
+
+    The Wirtinger gradient is -(1/eps) sum_j w_kj / d_kj * (W_k - W_j (W_j^H W_k)).
+    """
+    m = stack.shape[2]
+    gram = np.einsum("itm,jtn->ijmn", stack.conj(), stack)
+    s = np.sum(np.abs(gram) ** 2, axis=(-2, -1))
+    d = np.sqrt(np.clip(2.0 * (m - s), 0.0, None))
+    value, weights = _lse_pairs(d, eps)
     coef = weights / (eps * np.maximum(d, 1e-12))
     np.fill_diagonal(coef, 0.0)
     rowsum = coef.sum(axis=1)
-    # euclidean Wirtinger gradient: -(1/eps) sum_j w/d * (W_k - W_j (W_j^H W_k))
     term = np.einsum("kj,jtm,jkmn->ktn", coef, stack, gram)
     egrad = term - stack * rowsum[:, None, None]
+    return value, egrad, s
+
+
+def smooth_mcd_objective(b: Codebook, epsilon: float) -> float:
+    """log sum_{i<j} exp(-||Wi Wi^H - Wj Wj^H||_F / epsilon), stabilized."""
+    if len(b) < 2:
+        raise TooFewCodewords("surrogate needs at least two codewords")
+    if epsilon <= 0:
+        raise InvalidConfig("epsilon must be positive")
+    return float(_surrogate_egrad(b.stack(), epsilon)[0])
+
+
+def _descend(value_grad, x, cfg, retract=None, on_accept=None, stall_limit=None):
+    """Armijo descent through the smoothing schedule; returns the last iterate.
+
+    ``value_grad(x, eps)`` returns (value, gradient, aux). Per eps of
+    ``EPS_SCHEDULE`` the step starts at 1 and halves until the candidate
+    x - step * gradient (through ``retract`` if given) lowers the value by
+    1e-4 * step * ||gradient||^2; after each accepted step ``on_accept(x,
+    aux)`` sees the new iterate and the step grows 1.5x, capped at 100. A
+    stage ends at the first of:
+
+    * vanishing gradient: ||gradient||^2 < 1e-24;
+    * failed line search: the step falls to 1e-14 with no candidate accepted;
+    * ``cfg.max_iters`` accepted steps;
+    * stall: ``stall_limit`` accepted steps in a row each lowering the value
+      by less than 1e-13 (never, when ``stall_limit`` is None).
+    """
+    for eps in EPS_SCHEDULE:
+        step = _STEP_INIT
+        value, grad, _ = value_grad(x, eps)
+        stall = 0
+        for _ in range(cfg.max_iters):
+            gnorm2 = float(np.sum(np.abs(grad) ** 2))
+            if gnorm2 < 1e-24:
+                break
+            while step > 1e-14:
+                cand = x - step * grad
+                if retract is not None:
+                    cand = retract(cand)
+                cand_value, cand_grad, aux = value_grad(cand, eps)
+                if cand_value <= value - 1e-4 * step * gnorm2:
+                    break
+                step *= _BACKTRACK
+            else:  # no candidate accepted
+                break
+            stall = stall + 1 if value - cand_value < 1e-13 else 0
+            x, value, grad = cand, cand_value, cand_grad
+            if on_accept is not None:
+                on_accept(x, aux)
+            step = min(step * 1.5, 100.0)
+            if stall_limit is not None and stall >= stall_limit:
+                break
+    return x
+
+
+def _manopt_grad(stack, eps):
+    """Surrogate value, Riemannian gradient and Gram norms on the product manifold."""
+    value, egrad, s = _surrogate_egrad(stack, eps)
     inner = np.einsum("ktm,ktn->kmn", stack.conj(), egrad)
     rgrad = egrad - np.einsum("ktm,kmn->ktn", stack, inner)
     return value, rgrad, s
 
 
 def _mcd_from_gram_sq(s, m):
-    k = s.shape[0]
-    iu, ju = np.triu_indices(k, 1)
+    iu, ju = np.triu_indices(s.shape[0], 1)
     return float(np.sqrt(max(0.0, m - float(s[iu, ju].max()))))
 
 
@@ -174,41 +213,20 @@ def optimize_manopt(t: int, m: int, size: int, cfg: OptimizerConfig = None) -> C
     cfg = cfg or DEFAULT_CONFIG
     if size < 2 or not 1 <= m < t:
         raise InvalidConfig(f"need size >= 2 and 1 <= M < T, got {(t, m, size)}")
-    best_mcd, best_stack = -1.0, None
+    best_mcd, best_stack = -1.0, None  # best iterate over all restarts
+
+    def keep_best(stack, s):
+        nonlocal best_mcd, best_stack
+        mcd = _mcd_from_gram_sq(s, m)
+        if mcd > best_mcd:
+            best_mcd, best_stack = mcd, stack
+
     for r in range(cfg.restarts):
         rng = substream(cfg.seed, 0xA11, r)
         g = rng.standard_normal((size, t, m)) + 1j * rng.standard_normal((size, t, m))
         stack = _qr_positive(g)
-        _, _, s = _manopt_grad(stack, cfg.eps_schedule[0])
-        mcd = _mcd_from_gram_sq(s, m)
-        if mcd > best_mcd:
-            best_mcd, best_stack = mcd, stack.copy()
-        for eps in cfg.eps_schedule:
-            step = cfg.step_init
-            value, rgrad, _ = _manopt_grad(stack, eps)
-            stall = 0
-            for _ in range(cfg.max_iters):
-                gnorm2 = float(np.sum(np.abs(rgrad) ** 2))
-                if gnorm2 < 1e-24:
-                    break
-                accepted = False
-                while step > 1e-14:
-                    cand = _qr_positive(stack - step * rgrad)
-                    cand_value, cand_rgrad, cand_s = _manopt_grad(cand, eps)
-                    if cand_value <= value - 1e-4 * step * gnorm2:
-                        accepted = True
-                        break
-                    step *= cfg.backtrack
-                if not accepted:
-                    break
-                stall = stall + 1 if value - cand_value < 1e-13 else 0
-                stack, value, rgrad = cand, cand_value, cand_rgrad
-                mcd = _mcd_from_gram_sq(cand_s, m)
-                if mcd > best_mcd:
-                    best_mcd, best_stack = mcd, stack.copy()
-                step = min(step * 1.5, 100.0)
-                if stall >= 3:
-                    break
+        keep_best(stack, _surrogate_egrad(stack, EPS_SCHEDULE[0])[2])
+        _descend(_manopt_grad, stack, cfg, retract=_qr_positive, on_accept=keep_best, stall_limit=3)
     meta = {
         "method": "manopt",
         "T": t,
@@ -216,7 +234,7 @@ def optimize_manopt(t: int, m: int, size: int, cfg: OptimizerConfig = None) -> C
         "size": size,
         "seed": cfg.seed,
         "restarts": cfg.restarts,
-        "eps_schedule": list(cfg.eps_schedule),
+        "eps_schedule": list(EPS_SCHEDULE),
         "mcd": best_mcd,
     }
     return Codebook(tuple(Codeword(w) for w in best_stack), meta)
@@ -232,11 +250,13 @@ def _phase_objective(th):
     return np.sum(np.sin(diff / 2.0) ** 2, axis=-1), diff
 
 
-def _phase_min(th):
-    f, _ = _phase_objective(th)
-    k = th.shape[0]
-    iu, ju = np.triu_indices(k, 1)
-    return float(f[iu, ju].min())
+def _phase_value_grad(th, eps):
+    """Phase surrogate value and gradient, with the first (gauge) row pinned."""
+    f, diff = _phase_objective(th)
+    value, weights = _lse_pairs(f, eps)
+    grad = -(0.5 / eps) * np.einsum("ij,ijm->im", weights, np.sin(diff))
+    grad[0] = 0.0
+    return value, grad, None
 
 
 def _optimize_phases_continuous(m, ell, cfg):
@@ -245,49 +265,16 @@ def _optimize_phases_continuous(m, ell, cfg):
         rng = substream(cfg.seed, 0xBEE, r)
         th = rng.uniform(-np.pi, np.pi, size=(ell, m))
         th[0] = 0.0  # gauge: first instance pinned, distances use differences only
-        for eps in cfg.eps_schedule:
-            step = cfg.step_init
-            for _ in range(cfg.max_iters):
-                f, diff = _phase_objective(th)
-                iu, ju = np.triu_indices(ell, 1)
-                z = -f[iu, ju] / eps
-                zmax = z.max()
-                expz = np.exp(z - zmax)
-                value = zmax + np.log(expz.sum())
-                weights = np.zeros((ell, ell))
-                weights[iu, ju] = expz / expz.sum()
-                weights += weights.T
-                grad = -(0.5 / eps) * np.einsum("ij,ijm->im", weights, np.sin(diff))
-                grad[0] = 0.0
-                gnorm2 = float(np.sum(grad**2))
-                if gnorm2 < 1e-24:
-                    break
-                accepted = False
-                while step > 1e-14:
-                    cand = th - step * grad
-                    cand[0] = 0.0
-                    fc, _ = _phase_objective(cand)
-                    zc = -fc[iu, ju] / eps
-                    zcm = zc.max()
-                    cand_value = zcm + np.log(np.sum(np.exp(zc - zcm)))
-                    if cand_value <= value - 1e-4 * step * gnorm2:
-                        accepted = True
-                        break
-                    step *= cfg.backtrack
-                if not accepted:
-                    break
-                th = cand
-                step = min(step * 1.5, 100.0)
-        val = _phase_min(th)
+        th = _descend(_phase_value_grad, th, cfg)
+        val = _subset_min(_phase_objective(th)[0], range(ell))
         if val > best_val + 1e-15:
-            best_val, best_th = val, th.copy()
+            best_val, best_th = val, th
     return best_th
 
 
 def _grid_points(grid, m):
     pts = np.array(list(itertools.product(grid, repeat=m)))
-    f = np.sum(np.sin((pts[:, None, :] - pts[None, :, :]) / 2.0) ** 2, axis=-1)
-    return pts, f
+    return pts, _phase_objective(pts)[0]
 
 
 def _is_cyclic_grid(grid):
@@ -315,8 +302,6 @@ def _subset_min(f, idx):
 
 def _clique_of_size(adj, ell, fix_zero):
     """Lexicographically first clique of size ell, as a sorted index list."""
-    n = len(adj)
-    full = (1 << n) - 1
 
     def extend(chosen, cand):
         if len(chosen) == ell:
@@ -333,9 +318,7 @@ def _clique_of_size(adj, ell, fix_zero):
                 return got
         return None
 
-    if fix_zero:
-        return extend([0], adj[0])
-    return extend([], full)
+    return extend([0], adj[0]) if fix_zero else extend([], (1 << len(adj)) - 1)
 
 
 def _optimize_phases_discrete(m, ell, cfg):
@@ -344,17 +327,13 @@ def _optimize_phases_discrete(m, ell, cfg):
     n = pts.shape[0]
     if ell > n:
         raise InvalidConfig(f"{ell} instances need more than the {n} grid points")
-    if ell == 1:
-        zero = np.nonzero(np.all(np.abs(pts) < 1e-12, axis=1))[0]
-        return pts[zero[0] : zero[0] + 1] if zero.size else pts[:1]
     # exhaustive when the subset count is small, otherwise exact maximin via
     # descending-threshold clique search (greedy seeding gives a lower bound)
     if math.comb(n, ell) <= 300_000:
         iu, ju = np.triu_indices(ell, 1)
         best_val, best = -1.0, None
         for combo in itertools.combinations(range(n), ell):
-            sub = f[np.ix_(combo, combo)]
-            val = float(sub[iu, ju].min())
+            val = float(f[np.ix_(combo, combo)][iu, ju].min())
             if val > best_val + 1e-12:
                 best_val, best = val, combo
         return pts[list(best)]
@@ -435,8 +414,7 @@ def _general_stack(layout, phases):
     """Assemble the (size, T, M) stack for a phase matrix (size, s)."""
     size, t, m = len(layout["pattern"]), layout["T"], layout["M"]
     stack = np.zeros((size, t, m), dtype=np.complex128)
-    vals = layout["amps"] * np.exp(1j * phases)
-    stack[layout["widx"], layout["ridx"], layout["cidx"]] = vals
+    stack[layout["widx"], layout["ridx"], layout["cidx"]] = layout["amps"] * np.exp(1j * phases)
     return stack
 
 
@@ -467,23 +445,6 @@ def _general_layout(t, m, s, size, patterns):
         "amps": np.array(amps).reshape(size, s),
         "free": np.array(free, dtype=float).reshape(size, s),
     }
-
-
-def _general_phase_grad(layout, phases, eps):
-    stack = _general_stack(layout, phases)
-    value, weights, d, gram, s = _surrogate_state(stack, eps)
-    coef = weights / (eps * np.maximum(d, 1e-12))
-    np.fill_diagonal(coef, 0.0)
-    rowsum = coef.sum(axis=1)
-    term = np.einsum("kj,jtm,jkmn->ktn", coef, stack, gram)
-    egrad = term - stack * rowsum[:, None, None]
-    # d/dtheta of F for W = amp * exp(j theta): -2 Im(conj(egrad) * W)
-    gw = -2.0 * np.imag(
-        egrad[layout["widx"], layout["ridx"], layout["cidx"]].conj()
-        * stack[layout["widx"], layout["ridx"], layout["cidx"]]
-    )
-    gw = gw * layout["free"]
-    return value, gw, s
 
 
 def build_general_sparse(
@@ -517,32 +478,22 @@ def build_general_sparse(
         stack = _general_stack(layout, phases)
         return _mcd_from_gram_sq(pairwise_gram_sq(stack), m)
 
+    idx = layout["widx"], layout["ridx"], layout["cidx"]
+
+    def value_grad(phases, eps):
+        stack = _general_stack(layout, phases)
+        value, egrad, _ = _surrogate_egrad(stack, eps)
+        # d/dtheta of F for W = amp * exp(j theta): -2 Im(conj(egrad) * W)
+        return value, -2.0 * np.imag(egrad[idx].conj() * stack[idx]) * free, None
+
     best_val, best_ph = -1.0, np.zeros((size, s))
     for r in range(cfg.restarts):
         rng = substream(cfg.seed, 0xF0B, r)
         ph = rng.uniform(-np.pi, np.pi, size=(size, s)) * free if r else np.zeros((size, s))
-        for eps in cfg.eps_schedule:
-            step = cfg.step_init
-            value, grad, _ = _general_phase_grad(layout, ph, eps)
-            for _ in range(cfg.max_iters):
-                gnorm2 = float(np.sum(grad**2))
-                if gnorm2 < 1e-24:
-                    break
-                accepted = False
-                while step > 1e-14:
-                    cand = ph - step * grad
-                    cand_value, cand_grad, _ = _general_phase_grad(layout, cand, eps)
-                    if cand_value <= value - 1e-4 * step * gnorm2:
-                        accepted = True
-                        break
-                    step *= cfg.backtrack
-                if not accepted:
-                    break
-                ph, value, grad = cand, cand_value, cand_grad
-                step = min(step * 1.5, 100.0)
+        ph = _descend(value_grad, ph, cfg)
         val = exact_mcd(ph)
         if val > best_val + 1e-15:
-            best_val, best_ph = val, ph.copy()
+            best_val, best_ph = val, ph
     if cfg.phase_grid is not None:
         best_ph = _snap_to_grid(best_ph, cfg.phase_grid, free, exact_mcd)
         best_val = exact_mcd(best_ph)
@@ -770,11 +721,19 @@ def load_codebook(path) -> Codebook:
     t, m = doc["T"], doc["M"]
     if not (isinstance(t, int) and isinstance(m, int)):
         raise ParseError(f"{path}: T and M must be integers")
+    if not isinstance(doc["codewords"], list):
+        raise ParseError(f"{path}: codewords must be a list")
     words = []
     for i, flat in enumerate(doc["codewords"]):
+        if not isinstance(flat, list) or not all(
+            isinstance(pair, list) and all(type(v) in (int, float) for v in pair) for pair in flat
+        ):
+            raise ParseError(f"{path}: codeword {i + 1} must be a list of [re, im] number pairs")
         if len(flat) != t * m or any(len(pair) != 2 for pair in flat):
             raise DimensionMismatch(f"codeword {i + 1} does not hold {t}x{m} entries")
         arr = np.array([complex(re, im) for re, im in flat]).reshape(t, m)
+        if not np.all(np.isfinite(arr)):
+            raise ParseError(f"{path}: codeword {i + 1} has a non-finite entry")
         w = Codeword(arr)
         if not validate_stiefel(w):
             raise NotStiefel(f"codeword {i + 1} fails orthonormality at 1e-8")

@@ -177,7 +177,7 @@ def _rate_from_gram(gram, rho, m):
 def achievable_rate(h, w, rho: float) -> float:
     """log2 det(I + (rho/M) W^H H^H H W) via the Gram-matrix eigenvalues."""
     if rho < 0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
+        raise InvalidConfig(f"rho must be nonnegative, got {rho}")
     wm = _mat(w)
     gram = effective_gram(h, wm)
     return _rate_from_gram(gram, rho, wm.shape[1])
@@ -218,10 +218,12 @@ def select_index_gain(h, b: Codebook) -> int:
     return _first_within(gains)
 
 
-def _check_books(codebooks, trials):
+def _check_books(codebooks, n, trials):
     books = list(codebooks)
     if not books:
         raise TooFewCodewords("need at least one codebook")
+    if n < 1:
+        raise InvalidConfig(f"receive antenna count N must be >= 1, got {n}")
     if trials < 1:
         raise InvalidConfig(f"trials must be >= 1, got {trials}")
     if any(b.T != books[0].T for b in books):
@@ -236,7 +238,7 @@ def rate_curve(codebooks, n: int, snr_db, trials: int, seed: int = 0, names=None
     selected (maximum) rate is averaged per SNR point, and each codebook
     pair gets the mean and standard error of its per-trial rate difference.
     """
-    books = _check_books(codebooks, trials)
+    books = _check_books(codebooks, n, trials)
     t = books[0].T
     names = list(names) if names else [f"codebook{i + 1}" for i in range(len(books))]
     snr_db = np.atleast_1d(np.asarray(snr_db, dtype=float))
@@ -299,7 +301,7 @@ def gain_cdf(b, n: int, k, trials: int, seed: int = 0) -> np.ndarray:
     depends only on (seed, trial, N, T, K), so separate calls with the same
     seed give the same samples as one batched call.
     """
-    books = _check_books([b] if isinstance(b, Codebook) else b, trials)
+    books = _check_books([b] if isinstance(b, Codebook) else b, n, trials)
     ks = [_check_k(v) for v in ([k] if np.ndim(k) == 0 else k)]
     if not ks:
         raise InvalidK("need at least one Rician factor")

@@ -178,6 +178,34 @@ class TestPapr:
         assert all(b <= a for a, b in zip(probs, probs[1:]))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gain-cdf", "--k-factors", "abc"],
+        ["gain-cdf", "-N", "-1"],
+        ["gain-cdf", "-N", "0"],
+        ["rate", "-N", "0"],
+        ["rate", "--snr-db", "0:10:0"],
+        ["rate", "--snr-db", "a:b:c"],
+        ["design", "--method", "nr42", "--indices", "x"],
+        ["design", "--method", "sparse2m", "-M", "2", "--size", "4", "--grid", "x"],
+        ["papr", "--row-sparse", "4,2"],
+        ["papr", "--row-sparse", "4,2,1", "--thetas", "a,b"],
+    ],
+    ids=" ".join,
+)
+def test_bad_argument_exits_2_without_traceback(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    if argv[0] != "design":
+        prop = tmp_path / "p.json"
+        run(["design", "--method", "prop42", "--out", prop])
+        argv = argv + ["--codebooks", prop, "--trials", 5]
+    assert run(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 class TestAudit:
     def test_json_report(self, tmp_path):
         out = tmp_path / "audit.json"

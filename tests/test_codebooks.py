@@ -1,12 +1,16 @@
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from grasspack.audit import real_variable_count
 from grasspack.codebooks import (
+    EPS_SCHEDULE,
     QUARTER_GRID,
     OptimizerConfig,
+    _descend,
     build_expmap,
     build_general_sparse,
     build_sparse_2M,
@@ -40,6 +44,7 @@ from grasspack.rng import substream
 from grasspack.schubert import matching_patterns, pair_codeword
 
 FAST = OptimizerConfig(restarts=2, max_iters=120, seed=0)
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def phase_objective(a, b):
@@ -107,7 +112,41 @@ class TestOptimizeManopt:
         with pytest.raises(InvalidConfig):
             optimize_manopt(4, 2, 1, FAST)
         with pytest.raises(InvalidConfig):
-            OptimizerConfig(eps_schedule=(0.1, 0.1))
+            OptimizerConfig(max_iters=0)
+
+
+def _quadratic(x, eps):
+    return float(np.sum(x**2)), 2.0 * x, None
+
+
+def _accepted_steps(value_grad, cfg, stall_limit=None):
+    seen = []
+    _descend(value_grad, np.ones(3), cfg, on_accept=lambda x, aux: seen.append(x), stall_limit=stall_limit)
+    return len(seen)
+
+
+class TestDescend:
+    def test_vanishing_gradient_stops_at_the_minimum(self):
+        # step 1 overshoots to -x and is refused; step 1/2 lands on 0 exactly
+        x = _descend(_quadratic, np.ones(3), FAST)
+        assert np.array_equal(x, np.zeros(3))
+        assert _accepted_steps(_quadratic, FAST) == 1
+
+    def test_failed_line_search_keeps_the_iterate(self):
+        def uphill(x, eps):  # the "gradient" points up, so no step lowers the value
+            return float(np.sum(x)), -np.ones_like(x), None
+
+        assert np.array_equal(_descend(uphill, np.ones(3), FAST), np.ones(3))
+        assert _accepted_steps(uphill, FAST) == 0
+
+    def test_max_iters_and_stall_end_a_stage(self):
+        def tiny(x, eps):
+            return 1e-12 * float(np.sum(x**2)), 2e-12 * x, None
+
+        cfg = OptimizerConfig(max_iters=7)
+        assert _accepted_steps(tiny, cfg) == 7 * len(EPS_SCHEDULE)
+        # every step lowers the value by less than 1e-13, so the stall rule ends each stage
+        assert _accepted_steps(tiny, cfg, stall_limit=3) == 3 * len(EPS_SCHEDULE)
 
 
 class TestOptimizePhases:
@@ -212,6 +251,19 @@ class TestBuildSparse2M:
             build_sparse_2M(2, 0, FAST)
         with pytest.raises(InvalidConfig):
             build_sparse_2M(1, 4, FAST)
+
+
+@pytest.mark.parametrize(
+    "fixture, build",
+    [
+        ("sparse2m_3_11_fast.json", lambda: build_sparse_2M(3, 11, FAST)),
+        ("sparse_general_6_2_4_8_fast.json", lambda: build_general_sparse(6, 2, 4, 8, FAST)),
+    ],
+    ids=["sparse2m", "sparse-general"],
+)
+def test_sparse_descents_match_golden_books(fixture, build):
+    golden = load_codebook(FIXTURES / fixture)
+    np.testing.assert_allclose(build().stack(), golden.stack(), rtol=0, atol=1e-9)
 
 
 class TestBuildGeneralSparse:
@@ -361,4 +413,15 @@ class TestPersistence:
         doc = {"T": 4, "M": 2, "codewords": [[[1.0, 0.0]] * 6], "meta": {}}
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DimensionMismatch):
+            load_codebook(path)
+
+    @pytest.mark.parametrize(
+        "codewords",
+        [5, [5], [[5, 6]], [[["a", 0.0]] * 8], [[[float("nan"), 0.0]] + [[0.0, 0.0]] * 7]],
+        ids=["not-a-list", "entry-not-a-list", "entries-not-pairs", "non-numeric", "non-finite"],
+    )
+    def test_malformed_codewords_rejected(self, tmp_path, codewords):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"T": 4, "M": 2, "codewords": codewords}), encoding="utf-8")
+        with pytest.raises(ParseError):
             load_codebook(path)

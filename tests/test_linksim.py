@@ -106,6 +106,10 @@ class TestAchievableRate:
         with pytest.raises(DimensionMismatch):
             achievable_rate(np.zeros((4, 5)), e_cols(4, [0, 1]), 1.0)
 
+    def test_negative_rho_rejected(self):
+        with pytest.raises(InvalidConfig):
+            achievable_rate(np.eye(2), np.eye(2)[:, :1], -1.0)
+
 
 class TestSelection:
     def test_zeroed_columns(self):
@@ -175,6 +179,11 @@ class TestRateCurve:
         with pytest.raises(InvalidConfig):
             rate_curve([proposed_codebook_4_2()], 8, [0.0], trials=0)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_receive_antenna_rejected(self, n):
+        with pytest.raises(InvalidConfig):
+            rate_curve([proposed_codebook_4_2()], n, [0.0], trials=10)
+
     def test_rates_nondecreasing_in_snr(self):
         sweep = rate_curve([proposed_codebook_4_2()], 8, [0, 5, 10, 15], trials=100, seed=4)
         rates = sweep.results[0].mean_rates
@@ -218,6 +227,9 @@ class TestGainCdf:
         book = proposed_codebook_4_2()
         with pytest.raises(InvalidConfig):
             gain_cdf(book, 4, 0.0, trials=0)
+        for n in (0, -1):
+            with pytest.raises(InvalidConfig):
+                gain_cdf(book, n, 0.0, trials=10)
         with pytest.raises(TooFewCodewords):
             gain_cdf([], 4, 0.0, trials=10)
         with pytest.raises(DimensionMismatch):
