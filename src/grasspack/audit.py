@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InstrumentationDisabled, InvalidForMethod
+from .errors import InstrumentationDisabled, InvalidConfig, InvalidForMethod
 
 
 @dataclass
@@ -25,7 +25,7 @@ class MultCounter:
 
 def _check_dims(*dims):
     if any(d < 1 for d in dims):
-        raise ValueError(f"dimensions must be positive, got {dims}")
+        raise InvalidConfig(f"dimensions must be positive, got {dims}")
 
 
 def gram_mult_count(t: int, m: int, n: int, sparse: bool) -> int:
@@ -50,7 +50,7 @@ def storage_count(t: int, m: int, size: int, sparse: bool) -> int:
     (value, column-index) record per row in the ELLPACK-style layout."""
     _check_dims(t, m)
     if size < 0:
-        raise ValueError("size must be nonnegative")
+        raise InvalidConfig("size must be nonnegative")
     return size * t if sparse else size * t * m
 
 
@@ -58,7 +58,7 @@ def real_variable_count(method: str, t: int, m: int, size: int) -> int:
     """Free real scalars each design method optimizes for a codebook."""
     _check_dims(t, m)
     if size < 0:
-        raise ValueError("size must be nonnegative")
+        raise InvalidConfig("size must be nonnegative")
     name = method.lower()
     if name == "manopt":
         return 2 * size * m * (t - m)

@@ -15,6 +15,7 @@ Three families live here:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -104,10 +105,19 @@ DEFAULT_CONFIG = OptimizerConfig()
 # smooth surrogate for the minimum chordal distance and its descent
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=16)
+def _triu(k):
+    """Read-only strict upper-triangle indices of a k x k matrix, built once per k."""
+    pair = np.triu_indices(k, 1)
+    for a in pair:
+        a.flags.writeable = False
+    return pair
+
+
 def _lse_pairs(d, eps):
     """log sum_{i<j} exp(-d_ij / eps), stabilized, and its symmetric softmax pair weights."""
     k = d.shape[0]
-    iu, ju = np.triu_indices(k, 1)
+    iu, ju = _triu(k)
     z = -d[iu, ju] / eps
     zmax = z.max()
     expz = np.exp(z - zmax)
@@ -122,16 +132,23 @@ def _surrogate_egrad(stack, eps):
     """Surrogate value, Euclidean gradient and Gram norms ||W_i^H W_j||_F^2 of a stack.
 
     The Wirtinger gradient is -(1/eps) sum_j w_kj / d_kj * (W_k - W_j (W_j^H W_k)).
+    Both sums run as matrix products over the K codewords (T x M each): the
+    Gram blocks W_i^H W_j as one (KM x T)(T x KM) GEMM, and the gradient term
+    sum_j c_kj W_j W_j^H W_k as the (K x K)(K x T^2) product of the weights
+    with the flattened projectors W_j W_j^H, applied to each W_k. That is
+    about 8 K^2 T (M^2 + T) real flops per call.
     """
-    m = stack.shape[2]
-    gram = np.einsum("itm,jtn->ijmn", stack.conj(), stack)
-    s = np.sum(np.abs(gram) ** 2, axis=(-2, -1))
+    k, t, m = stack.shape
+    f = stack.transpose(1, 0, 2).reshape(t, k * m)
+    gram = (f.conj().T @ f).reshape(k, m, k, m)
+    s = np.sum(np.abs(gram) ** 2, axis=(1, 3))
     d = np.sqrt(np.clip(2.0 * (m - s), 0.0, None))
     value, weights = _lse_pairs(d, eps)
     coef = weights / (eps * np.maximum(d, 1e-12))
     np.fill_diagonal(coef, 0.0)
     rowsum = coef.sum(axis=1)
-    term = np.einsum("kj,jtm,jkmn->ktn", coef, stack, gram)
+    proj = (stack @ stack.conj().transpose(0, 2, 1)).reshape(k, t * t)
+    term = (coef @ proj).reshape(k, t, t) @ stack
     egrad = term - stack * rowsum[:, None, None]
     return value, egrad, s
 
@@ -192,13 +209,12 @@ def _descend(value_grad, x, cfg, retract=None, on_accept=None, stall_limit=None)
 def _manopt_grad(stack, eps):
     """Surrogate value, Riemannian gradient and Gram norms on the product manifold."""
     value, egrad, s = _surrogate_egrad(stack, eps)
-    inner = np.einsum("ktm,ktn->kmn", stack.conj(), egrad)
-    rgrad = egrad - np.einsum("ktm,kmn->ktn", stack, inner)
+    rgrad = egrad - (stack @ stack.conj().transpose(0, 2, 1)) @ egrad
     return value, rgrad, s
 
 
 def _mcd_from_gram_sq(s, m):
-    iu, ju = np.triu_indices(s.shape[0], 1)
+    iu, ju = _triu(s.shape[0])
     return float(np.sqrt(max(0.0, m - float(s[iu, ju].max()))))
 
 

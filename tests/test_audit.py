@@ -10,7 +10,7 @@ from grasspack.audit import (
     real_variable_count,
     storage_count,
 )
-from grasspack.errors import InstrumentationDisabled, InvalidForMethod
+from grasspack.errors import InstrumentationDisabled, InvalidConfig, InvalidForMethod
 from grasspack.linksim import effective_gram
 from grasspack.wavesim import row_sparse_precoder
 
@@ -43,6 +43,23 @@ class TestFormulas:
             real_variable_count("proposed2m", 6, 2, 8)
         with pytest.raises(InvalidForMethod):
             real_variable_count("newton", 4, 2, 8)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: gram_mult_count(4, 0, 32, sparse=False),
+            lambda: gram_mult_count(4, 2, 0, sparse=True),
+            lambda: precode_mult_count(0, 2, sparse=False),
+            lambda: storage_count(4, -1, 22, sparse=True),
+            lambda: storage_count(4, 2, -1, sparse=False),
+            lambda: real_variable_count("manopt", 0, 0, 22),
+            lambda: real_variable_count("manopt", 4, 2, -1),
+        ],
+        ids=["gram-m", "gram-n", "precode-t", "storage-m", "storage-size", "vars-dims", "vars-size"],
+    )
+    def test_bad_sizes_raise_invalid_config(self, call):
+        with pytest.raises(InvalidConfig):
+            call()
 
     def test_sparse_strictly_cheaper_for_m_ge_2(self):
         rng = np.random.default_rng(0)

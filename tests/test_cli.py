@@ -191,12 +191,14 @@ class TestPapr:
         ["design", "--method", "sparse2m", "-M", "2", "--size", "4", "--grid", "x"],
         ["papr", "--row-sparse", "4,2"],
         ["papr", "--row-sparse", "4,2,1", "--thetas", "a,b"],
+        ["audit", "-T", "0", "-M", "0"],
+        ["audit", "-T", "4", "-M", "2", "--size", "-1"],
     ],
     ids=" ".join,
 )
 def test_bad_argument_exits_2_without_traceback(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
-    if argv[0] != "design":
+    if argv[0] not in ("design", "audit"):
         prop = tmp_path / "p.json"
         run(["design", "--method", "prop42", "--out", prop])
         argv = argv + ["--codebooks", prop, "--trials", 5]

@@ -1,5 +1,8 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,10 @@ from grasspack.codebooks import (
     QUARTER_GRID,
     OptimizerConfig,
     _descend,
+    _general_layout,
+    _general_stack,
+    _manopt_grad,
+    _surrogate_egrad,
     build_expmap,
     build_general_sparse,
     build_sparse_2M,
@@ -41,10 +48,11 @@ from grasspack.grassmann import (
 )
 from grasspack.linalg import _qr_positive, random_stiefel
 from grasspack.rng import substream
-from grasspack.schubert import matching_patterns, pair_codeword
+from grasspack.schubert import enumerate_patterns, matching_patterns, pair_codeword
 
 FAST = OptimizerConfig(restarts=2, max_iters=120, seed=0)
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def phase_objective(a, b):
@@ -78,6 +86,95 @@ class TestSmoothObjective:
     def test_too_few(self):
         with pytest.raises(TooFewCodewords):
             smooth_mcd_objective(Codebook((Codeword(np.eye(4)[:, :2]),)), 1.0)
+
+
+def _einsum_surrogate(stack, eps):
+    """Reference surrogate: value, Euclidean and Riemannian gradients and Gram
+    norms, written as the plain einsums of the definitions."""
+    k, _, m = stack.shape
+    gram = np.einsum("itm,jtn->ijmn", stack.conj(), stack)
+    s = np.sum(np.abs(gram) ** 2, axis=(-2, -1))
+    d = np.sqrt(np.clip(2.0 * (m - s), 0.0, None))
+    iu, ju = np.triu_indices(k, 1)
+    z = -d[iu, ju] / eps
+    value = z.max() + np.log(np.sum(np.exp(z - z.max())))
+    weights = np.zeros((k, k))
+    weights[iu, ju] = np.exp(z - z.max()) / np.sum(np.exp(z - z.max()))
+    weights += weights.T
+    coef = weights / (eps * np.maximum(d, 1e-12))
+    np.fill_diagonal(coef, 0.0)
+    term = np.einsum("kj,jtm,jkmn->ktn", coef, stack, gram)
+    egrad = term - stack * coef.sum(axis=1)[:, None, None]
+    inner = np.einsum("ktm,ktn->kmn", stack.conj(), egrad)
+    rgrad = egrad - np.einsum("ktm,kmn->ktn", stack, inner)
+    return value, egrad, rgrad, s
+
+
+def _random_stack(k, t, m, seed):
+    rng = np.random.default_rng(seed)
+    return np.stack([random_stiefel(t, m, rng) for _ in range(k)])
+
+
+def _sparse_general_stack(seed):
+    layout = _general_layout(6, 2, 4, 8, enumerate_patterns(6, 2, 4))
+    phases = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(8, 4)) * layout["free"]
+    return _general_stack(layout, phases)
+
+
+_KERNEL_STACKS = {
+    "dense-22x4x2": lambda: _random_stack(22, 4, 2, 1),
+    "dense-32x6x3": lambda: _random_stack(32, 6, 3, 2),
+    "dense-5x3x1": lambda: _random_stack(5, 3, 1, 3),
+    "sparse-general-8x6x2": lambda: _sparse_general_stack(4),
+}
+
+
+class TestSurrogateKernel:
+    @pytest.mark.parametrize("eps", [1.0, 0.01])
+    @pytest.mark.parametrize("name", list(_KERNEL_STACKS))
+    def test_matches_einsum_reference(self, name, eps):
+        stack = _KERNEL_STACKS[name]()
+        value, egrad, rgrad, s = _einsum_surrogate(stack, eps)
+        got_value, got_egrad, got_s = _surrogate_egrad(stack, eps)
+        assert got_value == pytest.approx(value, rel=1e-13)
+        np.testing.assert_allclose(got_s, s, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_egrad, egrad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_manopt_grad(stack, eps)[1], rgrad, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("eps", [1.0, 0.1])
+    def test_riemannian_gradient_is_the_directional_derivative(self, eps):
+        stack = _random_stack(6, 4, 2, 5)
+        _, rgrad, _ = _manopt_grad(stack, eps)
+        assert np.max(np.abs(stack.conj().transpose(0, 2, 1) @ rgrad)) <= 1e-12
+        rng = np.random.default_rng(6)
+        raw = rng.standard_normal(stack.shape) + 1j * rng.standard_normal(stack.shape)
+        delta = raw - stack @ (stack.conj().transpose(0, 2, 1) @ raw)  # tangent at the stack
+        h = 1e-6
+        plus = _surrogate_egrad(_qr_positive(stack + h * delta), eps)[0]
+        minus = _surrogate_egrad(_qr_positive(stack - h * delta), eps)[0]
+        slope = 2.0 * np.vdot(rgrad, delta).real
+        assert (plus - minus) / (2 * h) == pytest.approx(slope, rel=1e-6)
+
+
+_THREADED_BUILD = """
+import hashlib
+from grasspack.codebooks import OptimizerConfig, build_general_sparse, optimize_manopt
+fast = OptimizerConfig(restarts=2, max_iters=120, seed=0)
+for book in (optimize_manopt(4, 2, 8, fast), build_general_sparse(6, 2, 4, 8, fast)):
+    print(hashlib.sha256(book.stack().tobytes()).hexdigest())
+"""
+
+
+def test_books_do_not_depend_on_blas_threads():
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+        run = subprocess.run(
+            [sys.executable, "-c", _THREADED_BUILD], env=env, capture_output=True, text=True, check=True
+        )
+        digests.append(run.stdout.split())
+    assert len(digests[0]) == 2 and digests[0] == digests[1]
 
 
 class TestOptimizeManopt:
