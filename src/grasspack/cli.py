@@ -1,10 +1,11 @@
 """Batch command-line front end.
 
 Subcommands design codebooks, measure their minimum chordal distance, and
-run the link-level and waveform benchmarks, emitting plot-ready CSV plus a
-JSON manifest per run. Every command is deterministic given its seed; reruns
-produce byte-identical CSV. BLAS threading (OMP_NUM_THREADS) only affects
-speed, never results.
+run the link-level and waveform benchmarks, emitting plot-ready CSV. Each
+command returns the paths it wrote, and ``main`` writes one JSON manifest
+per run next to the first of them. Every command is deterministic given its
+seed; reruns produce byte-identical CSV. BLAS threading (OMP_NUM_THREADS)
+only affects speed, never results.
 """
 
 from __future__ import annotations
@@ -60,10 +61,10 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_manifest(args, command, outputs, t0):
+def _write_manifest(args, outputs, t0):
     params = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
-        "command": command,
+        "command": args.command,
         "parameters": {k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()},
         "seed": getattr(args, "seed", None),
         "version": __version__,
@@ -124,7 +125,6 @@ def _stem(path):
 
 
 def cmd_design(args):
-    t0 = time.time()
     indices = _parse_indices(args.indices) if args.indices else None
     cfg = OptimizerConfig(
         seed=args.seed,
@@ -162,12 +162,10 @@ def cmd_design(args):
         print(f"wrote {out}: size={len(book)} mcd={mcd:.12f} pair=({pair[0]},{pair[1]})")
     else:
         print(f"wrote {out}: size={len(book)} mcd=nan (need >= 2 codewords)")
-    _write_manifest(args, "design", [out], t0)
-    return 0
+    return [out]
 
 
 def cmd_mcd(args):
-    t0 = time.time()
     rows = []
     for path in args.files:
         book = load_codebook(path)
@@ -176,16 +174,14 @@ def cmd_mcd(args):
     header = ["file", "size", "mcd", "argmin_i", "argmin_j"]
     if args.out:
         _write_csv(args.out, header, rows)
-        _write_manifest(args, "mcd", [args.out], t0)
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(_fmt(v) for v in row))
-    return 0
+        return [args.out]
+    print(",".join(header))
+    for row in rows:
+        print(",".join(_fmt(v) for v in row))
+    return []
 
 
 def cmd_rate(args):
-    t0 = time.time()
     books = [load_codebook(p) for p in args.codebooks]
     names = [_stem(p) for p in args.codebooks]
     snr_db = _parse_axis(args.snr_db)
@@ -200,13 +196,11 @@ def cmd_rate(args):
             row += [sweep.diff_mean[(0, j)][si], sweep.diff_se[(0, j)][si]]
         rows.append(row)
     _write_csv(args.out, header, rows)
-    _write_manifest(args, "rate", [args.out], t0)
     print(f"wrote {args.out}: {len(rows)} SNR points, {args.trials} paired trials")
-    return 0
+    return [args.out]
 
 
 def cmd_gain_cdf(args):
-    t0 = time.time()
     books = [load_codebook(p) for p in args.codebooks]
     names = [_stem(p) for p in args.codebooks]
     kfactors = _parse_floats(args.k_factors, "--k-factors")
@@ -218,9 +212,8 @@ def cmd_gain_cdf(args):
     columns = gains.reshape(-1, args.trials)
     rows = [[r + 1] + [col[r] for col in columns] for r in range(args.trials)]
     _write_csv(args.out, header, rows)
-    _write_manifest(args, "gain-cdf", [args.out], t0)
     print(f"wrote {args.out}: {args.trials} sorted gains per column")
-    return 0
+    return [args.out]
 
 
 def _papr_schemes(args):
@@ -241,13 +234,11 @@ def _papr_schemes(args):
 
 
 def cmd_papr(args):
-    t0 = time.time()
     schemes = _papr_schemes(args)
     waveforms = ["ofdm", "dft-s-ofdm"] if args.waveform == "both" else [args.waveform]
     thresholds = _parse_axis(args.thresholds)
     header = ["threshold_db"]
     curves = []
-    outputs = []
     for wf in waveforms:
         cfg = WaveformConfig(
             n_used=args.subcarriers,
@@ -263,7 +254,7 @@ def cmd_papr(args):
             curves.append(ccdf(samples, thresholds)[:, 1])
     rows = [[thr] + [c[i] for c in curves] for i, thr in enumerate(thresholds)]
     _write_csv(args.out, header, rows)
-    outputs.append(args.out)
+    outputs = [args.out]
     if args.scatter:
         name, source = schemes[0]
         cfg = WaveformConfig(
@@ -275,13 +266,11 @@ def cmd_papr(args):
         pts = constellation_samples(source, cfg, args.scatter_frames, args.seed)
         _write_csv(args.scatter, ["re", "im"], [[z.real, z.imag] for z in pts])
         outputs.append(args.scatter)
-    _write_manifest(args, "papr", outputs, t0)
     print(f"wrote {args.out}: {len(curves)} CCDF curves, {args.trials} frames each")
-    return 0
+    return outputs
 
 
 def cmd_audit(args):
-    t0 = time.time()
     if args.sweep:
         sizes = [int(v) for v in _parse_axis(args.sweep)]
         header = ["size", "manopt_real_vars", "proposed2m_real_vars"]
@@ -298,9 +287,8 @@ def cmd_audit(args):
         report = complexity_report(args.T, args.M, args.N, args.size)
         text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
         Path(args.out).write_text(text, encoding="utf-8")
-    _write_manifest(args, "audit", [args.out], t0)
     print(f"wrote {args.out}")
-    return 0
+    return [args.out]
 
 
 def _build_parser():
@@ -381,14 +369,15 @@ def _build_parser():
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    t0 = time.time()
     try:
-        return args.func(args)
-    except GrasspackError as exc:
+        outputs = args.func(args)
+        if outputs:
+            _write_manifest(args, outputs, t0)
+    except (GrasspackError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return 0
 
 
 if __name__ == "__main__":

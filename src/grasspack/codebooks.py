@@ -343,20 +343,13 @@ def _optimize_phases_discrete(m, ell, cfg):
     n = pts.shape[0]
     if ell > n:
         raise InvalidConfig(f"{ell} instances need more than the {n} grid points")
-    # exhaustive when the subset count is small, otherwise exact maximin via
-    # descending-threshold clique search (greedy seeding gives a lower bound)
-    if math.comb(n, ell) <= 300_000:
-        iu, ju = np.triu_indices(ell, 1)
-        best_val, best = -1.0, None
-        for combo in itertools.combinations(range(n), ell):
-            val = float(f[np.ix_(combo, combo)][iu, ju].min())
-            if val > best_val + 1e-12:
-                best_val, best = val, combo
-        return pts[list(best)]
+    # exact maximin at every size: greedy seeding gives a lower bound, then a
+    # clique search over descending distance thresholds tries to beat it
     best = _greedy_subset(f, ell, 0)
     best_val = _subset_min(f, best)
     fix_zero = _is_cyclic_grid(grid) and bool(np.all(np.abs(pts[0]) < 1e-12))
-    values = np.unique(np.round(f[np.triu_indices(n, 1)], 12))[::-1]
+    # distinct distances, largest first; np.unique would pull in numpy.ma
+    values = sorted(set(np.round(f[np.triu_indices(n, 1)], 12).tolist()), reverse=True)
     for t in values:
         if t <= best_val + 1e-12:
             break
@@ -730,13 +723,16 @@ def load_codebook(path) -> Codebook:
     and Stiefel membership at tolerance 1e-8."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer over json's digit limit
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict) or not {"T", "M", "codewords"} <= set(doc):
         raise ParseError(f"{path}: missing required fields")
     t, m = doc["T"], doc["M"]
-    if not (isinstance(t, int) and isinstance(m, int)):
-        raise ParseError(f"{path}: T and M must be integers")
+    if type(t) is not int or type(m) is not int or t < 1 or m < 1:
+        raise ParseError(f"{path}: T and M must be positive integers")
+    meta = doc.get("meta") or {}
+    if not isinstance(meta, dict):
+        raise ParseError(f"{path}: meta must be a JSON object")
     if not isinstance(doc["codewords"], list):
         raise ParseError(f"{path}: codewords must be a list")
     words = []
@@ -747,11 +743,14 @@ def load_codebook(path) -> Codebook:
             raise ParseError(f"{path}: codeword {i + 1} must be a list of [re, im] number pairs")
         if len(flat) != t * m or any(len(pair) != 2 for pair in flat):
             raise DimensionMismatch(f"codeword {i + 1} does not hold {t}x{m} entries")
-        arr = np.array([complex(re, im) for re, im in flat]).reshape(t, m)
+        try:
+            arr = np.array([complex(re, im) for re, im in flat]).reshape(t, m)
+        except OverflowError:
+            raise ParseError(f"{path}: codeword {i + 1} has an entry too large for a double") from None
         if not np.all(np.isfinite(arr)):
             raise ParseError(f"{path}: codeword {i + 1} has a non-finite entry")
         w = Codeword(arr)
         if not validate_stiefel(w):
             raise NotStiefel(f"codeword {i + 1} fails orthonormality at 1e-8")
         words.append(w)
-    return Codebook(tuple(words), dict(doc.get("meta") or {}))
+    return Codebook(tuple(words), meta)

@@ -5,6 +5,10 @@ class GrasspackError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvalidArgument(GrasspackError, ValueError):
+    """An argument value or shape a function rejects; also a ValueError for callers that catch one."""
+
+
 # linear algebra layer
 class NotSkewHermitian(GrasspackError):
     pass

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidRange, NotStiefel, TooFewCodewords
+from .errors import DimensionMismatch, InvalidArgument, InvalidRange, NotStiefel, TooFewCodewords
 from .linalg import as_cmatrix, fro_norm
 
 STIEFEL_TOL = 1e-8
@@ -34,7 +34,7 @@ class Codeword:
         if not 1 <= k < t:
             raise DimensionMismatch(f"need 1 <= M < T, got T={t}, M={k}")
         if not np.all(np.isfinite(m)):
-            raise ValueError("codeword entries must be finite")
+            raise InvalidArgument("codeword entries must be finite")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

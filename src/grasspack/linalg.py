@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonPowerOfTwoLength, NotSkewHermitian, RankDeficient
+from .errors import InvalidArgument, NonPowerOfTwoLength, NotSkewHermitian, RankDeficient
 
 
 def as_cmatrix(a) -> np.ndarray:
     """Coerce input to a 2-D complex128 array."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got shape {m.shape}")
+        raise InvalidArgument(f"expected a 2-D array, got shape {m.shape}")
     return m
 
 
@@ -37,7 +37,7 @@ def fft(x, inverse: bool = False) -> np.ndarray:
     """
     v = np.asarray(x, dtype=np.complex128)
     if v.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
+        raise InvalidArgument(f"expected a 1-D vector, got shape {v.shape}")
     if not is_power_of_two(v.size):
         raise NonPowerOfTwoLength(f"length {v.size} is not a power of two")
     if inverse:
@@ -53,7 +53,7 @@ def matexp_skew_hermitian(a, tol: float = 1e-10) -> np.ndarray:
     """
     m = as_cmatrix(a)
     if m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        raise InvalidArgument(f"expected a square matrix, got shape {m.shape}")
     if fro_norm(m + m.conj().T) > tol:
         raise NotSkewHermitian(f"A + A^H exceeds tolerance {tol}")
     herm = -1j * m
@@ -82,7 +82,7 @@ def qr_orthonormalize(a, rank_tol: float = 1e-12) -> np.ndarray:
     m = as_cmatrix(a)
     t, k = m.shape
     if t < k:
-        raise ValueError(f"expected T >= M, got shape {m.shape}")
+        raise InvalidArgument(f"expected T >= M, got shape {m.shape}")
     smin = np.linalg.svd(m, compute_uv=False)[-1]
     if smin <= rank_tol:
         raise RankDeficient(f"smallest singular value {smin:.3e} <= {rank_tol}")

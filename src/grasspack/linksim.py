@@ -7,18 +7,21 @@ are reproducible bit-for-bit regardless of chunking or thread count, and all
 codebooks in one sweep see the same channel sequence (common random numbers).
 A gain sweep over several Rician factors draws each trial's angles and
 scattering block once and mixes them for every K, so every codebook and
-every K see the same per-trial draw.
+every K see the same per-trial draw. The single-trial functions score one
+channel as a batch of one through the same rate and gain kernels as the
+sweeps.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig, InvalidK, TooFewCodewords
-from .grassmann import Codebook, Codeword
+from .errors import DimensionMismatch, InvalidArgument, InvalidConfig, InvalidK, TooFewCodewords
+from .grassmann import Codebook, _mat
 from .linalg import as_cmatrix
 from .rng import substream
 
@@ -72,10 +75,6 @@ def _chan(h) -> np.ndarray:
     if isinstance(h, ChannelRealization):
         return h.H
     return as_cmatrix(h)
-
-
-def _mat(w) -> np.ndarray:
-    return w.matrix if isinstance(w, Codeword) else as_cmatrix(w)
 
 
 def _rayleigh(n, t, rng):
@@ -169,31 +168,50 @@ def effective_gram(h, w, counter=None):
     return y.conj().T @ y
 
 
-def _rate_from_gram(gram, rho, m):
-    lam = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
-    return float(np.sum(np.log2(1.0 + (rho / m) * lam)))
+def _grams(hh):
+    # channel Grams H^H H of a (batch, N, T) stack
+    return np.einsum("bnt,bnu->btu", hh.conj(), hh)
+
+
+def _rates(g, stack, rho):
+    """Rates log2 det(I + (rho/M) W_k^H G W_k) as (len(rho), batch, K), for
+    channel Grams g (batch, T, T), codewords (K, T, M) and a 1-D rho array."""
+    grams = np.einsum("kti,btu,kum->bkim", stack.conj(), g, stack)
+    lam = np.clip(np.linalg.eigvalsh(grams), 0.0, None)
+    # in place: a fresh multi-MB temporary per step page-faults on every chunk
+    x = rho[:, None, None, None] / stack.shape[2] * lam
+    x += 1.0
+    return np.sum(np.log2(x, out=x), axis=-1)
+
+
+def _gains(g, stack):
+    """Effective gains ||H W_k||_F^2 = tr(W_k^H G W_k), shape (batch, K)."""
+    return np.einsum("kti,btu,kui->bk", stack.conj(), g, stack).real
+
+
+def _trial_scores(h, stack, rho=None):
+    """Per-codeword scores of one channel: rates at ``rho``, or gains without it."""
+    hm = _chan(h)
+    if hm.shape[1] != stack.shape[1]:
+        raise DimensionMismatch(f"channel {hm.shape} incompatible with codewords of T={stack.shape[1]}")
+    if not np.all(np.isfinite(hm)):
+        raise InvalidArgument("channel entries must be finite")
+    g = _grams(hm[None])
+    if rho is None:
+        return _gains(g, stack)[0]
+    if not rho >= 0:
+        raise InvalidConfig(f"rho must be nonnegative, got {rho}")
+    return _rates(g, stack, np.array([rho]))[0, 0]
 
 
 def achievable_rate(h, w, rho: float) -> float:
     """log2 det(I + (rho/M) W^H H^H H W) via the Gram-matrix eigenvalues."""
-    if rho < 0:
-        raise InvalidConfig(f"rho must be nonnegative, got {rho}")
-    wm = _mat(w)
-    gram = effective_gram(h, wm)
-    return _rate_from_gram(gram, rho, wm.shape[1])
+    return float(_trial_scores(h, _mat(w)[None], rho)[0])
 
 
 def effective_gain(h, w) -> float:
     """Effective channel gain ||H W||_F^2."""
-    hm, wm = _chan(h), _mat(w)
-    if hm.shape[1] != wm.shape[0]:
-        raise DimensionMismatch(f"channel {hm.shape} incompatible with codeword {wm.shape}")
-    return float(np.linalg.norm(hm @ wm) ** 2)
-
-
-def _codebook_grams(g, stack):
-    # S_k = W_k^H (H^H H) W_k for every codeword, g is (..., T, T)
-    return np.einsum("kti,...tu,kum->...kim", stack.conj(), g, stack)
+    return float(_trial_scores(h, _mat(w)[None])[0])
 
 
 def _first_within(scores, tol=1e-12):
@@ -202,20 +220,19 @@ def _first_within(scores, tol=1e-12):
 
 def select_index(h, b: Codebook, rho: float) -> int:
     """1-based index of the rate-maximizing codeword (smallest on ties)."""
-    hm = _chan(h)
-    g = hm.conj().T @ hm
-    grams = _codebook_grams(g, b.stack())
-    lam = np.clip(np.linalg.eigvalsh(grams), 0.0, None)
-    rates = np.sum(np.log2(1.0 + (rho / b.M) * lam), axis=-1)
-    return _first_within(rates)
+    return _first_within(_trial_scores(h, b.stack(), rho))
 
 
 def select_index_gain(h, b: Codebook) -> int:
     """1-based index of the gain-maximizing codeword (smallest on ties)."""
-    hm = _chan(h)
-    g = hm.conj().T @ hm
-    gains = np.einsum("kti,tu,kui->k", b.stack().conj(), g, b.stack()).real
-    return _first_within(gains)
+    return _first_within(_trial_scores(h, b.stack()))
+
+
+def _chunks(trials, seed):
+    """(trial slice, per-trial substreams) for each block of at most _CHUNK trials."""
+    for start in range(0, trials, _CHUNK):
+        stop = min(start + _CHUNK, trials)
+        yield slice(start, stop), [substream(seed, trial) for trial in range(start, stop)]
 
 
 def _check_books(codebooks, n, trials):
@@ -244,27 +261,14 @@ def rate_curve(codebooks, n: int, snr_db, trials: int, seed: int = 0, names=None
     snr_db = np.atleast_1d(np.asarray(snr_db, dtype=float))
     rho = 10.0 ** (snr_db / 10.0)
     stacks = [b.stack() for b in books]
-    ncb, nsnr = len(books), snr_db.size
+    ncb = len(books)
     # per-trial best rates, reduced once below so the sums do not depend on chunking
-    best = np.empty((trials, ncb, nsnr))
-    for start in range(0, trials, _CHUNK):
-        stop = min(start + _CHUNK, trials)
-        hh = np.empty((stop - start, n, t), dtype=np.complex128)
-        for i, trial in enumerate(range(start, stop)):
-            hh[i] = _rayleigh(n, t, substream(seed, trial))
-        g = np.einsum("bnt,bnu->btu", hh.conj(), hh)
+    best = np.empty((trials, ncb, snr_db.size))
+    for rows, rngs in _chunks(trials, seed):
+        g = _grams(np.stack([_rayleigh(n, t, rng) for rng in rngs]))
         for c, stack in enumerate(stacks):
-            lam = np.clip(np.linalg.eigvalsh(_codebook_grams(g, stack)), 0.0, None)
-            for si in range(nsnr):
-                rates = np.sum(np.log2(1.0 + (rho[si] / books[c].M) * lam), axis=-1)
-                best[start:stop, c, si] = rates.max(axis=1)
+            best[rows, c] = _rates(g, stack, rho).max(axis=-1).T
     rate_sum = best.sum(axis=0)
-    dsum, d2sum = {}, {}
-    for i in range(ncb):
-        for j in range(i + 1, ncb):
-            d = best[:, j, :] - best[:, i, :]
-            dsum[(i, j)] = d.sum(axis=0)
-            d2sum[(i, j)] = (d**2).sum(axis=0)
     results = tuple(
         RateResult(
             name=names[c],
@@ -276,15 +280,16 @@ def rate_curve(codebooks, n: int, snr_db, trials: int, seed: int = 0, names=None
         for c in range(ncb)
     )
     diff_mean, diff_se = {}, {}
-    for key, sd in dsum.items():
-        mean = sd / trials
+    for i, j in itertools.combinations(range(ncb), 2):
+        d = best[:, j, :] - best[:, i, :]
+        mean = d.sum(axis=0) / trials
         if trials > 1:
-            var = np.maximum(d2sum[key] - trials * mean**2, 0.0) / (trials - 1)
+            var = np.maximum((d**2).sum(axis=0) - trials * mean**2, 0.0) / (trials - 1)
             se = np.sqrt(var / trials)
         else:
             se = np.full_like(mean, np.inf)
-        diff_mean[key] = tuple(mean)
-        diff_se[key] = tuple(se)
+        diff_mean[(i, j)] = tuple(mean)
+        diff_se[(i, j)] = tuple(se)
     return RateSweep(results, diff_mean, diff_se)
 
 
@@ -308,14 +313,11 @@ def gain_cdf(b, n: int, k, trials: int, seed: int = 0) -> np.ndarray:
     t = books[0].T
     stacks = [book.stack() for book in books]
     out = np.empty((len(ks), len(books), trials))
-    for start in range(0, trials, _CHUNK):
-        stop = min(start + _CHUNK, trials)
-        rngs = [substream(seed, trial) for trial in range(start, stop)]
+    for rows, rngs in _chunks(trials, seed):
         for ki, hh in enumerate(_rician_chunk(rngs, n, t, ks, True)):
-            g = np.einsum("bnt,bnu->btu", hh.conj(), hh)
+            g = _grams(hh)
             for c, stack in enumerate(stacks):
-                gains = np.einsum("kti,btu,kui->bk", stack.conj(), g, stack).real
-                out[ki, c, start:stop] = gains.max(axis=1)
+                out[ki, c, rows] = _gains(g, stack).max(axis=1)
     out.sort(axis=-1)
     if isinstance(b, Codebook):
         out = out[:, 0]

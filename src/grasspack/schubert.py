@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidM, InvalidRange, ShapeMismatch, SizeLimit, ZeroColumn
+from .errors import InvalidArgument, InvalidM, InvalidRange, ShapeMismatch, SizeLimit, ZeroColumn
 from .grassmann import Codeword
 
 ENUMERATION_CAP = 10**6
@@ -186,7 +186,7 @@ def pattern_to_codeword(pattern, phases, amplitudes=None) -> Codeword:
             if a.size != len(sup):
                 raise ShapeMismatch("amplitude list does not match support size")
             if np.any(a < 0):
-                raise ValueError("amplitudes must be nonnegative")
+                raise InvalidArgument("amplitudes must be nonnegative")
     w = np.zeros((pattern.T, pattern.M), dtype=np.complex128)
     pos = 0
     for col, (sup, a) in enumerate(zip(pattern.supports, amps)):

@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, InvalidEll, ShapeMismatch, ZeroSignal
-from .grassmann import Codebook, Codeword
+from .errors import ConfigError, DimensionMismatch, InvalidArgument, InvalidEll, ShapeMismatch, ZeroSignal
+from .grassmann import Codebook, _mat
 from .linalg import as_cmatrix, is_power_of_two
 from .rng import substream
 
@@ -67,7 +67,7 @@ class PaprSamples:
 def modulate(count: int, modulation: str = "4qam", seed: int = 0, rng=None) -> np.ndarray:
     """Unit-average-power Gray-mapped symbols, i.i.d. uniform."""
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise InvalidArgument("count must be >= 1")
     if modulation not in _MODULATIONS:
         raise ConfigError(f"modulation must be one of {_MODULATIONS}")
     rng = rng if rng is not None else substream(seed, 0)
@@ -79,13 +79,13 @@ def dft_spread(x) -> np.ndarray:
     """Unitary DFT of one symbol block (any length)."""
     v = np.asarray(x, dtype=np.complex128)
     if v.ndim != 1 or v.size < 1:
-        raise ValueError("expected a nonempty 1-D vector")
+        raise InvalidArgument("expected a nonempty 1-D vector")
     return np.fft.fft(v, norm="ortho")
 
 
 def precode_grid(w, streams) -> np.ndarray:
     """Apply one wideband precoder to every subcarrier: column k -> W s_k."""
-    wm = w.matrix if isinstance(w, Codeword) else as_cmatrix(w)
+    wm = _mat(w)
     s = as_cmatrix(streams)
     if s.shape[0] != wm.shape[1]:
         raise DimensionMismatch(f"precoder {wm.shape} incompatible with streams {s.shape}")
@@ -124,12 +124,16 @@ def papr(x) -> float:
     return float(p.max() / mean)
 
 
-def ccdf(samples, thresholds_db) -> np.ndarray:
-    """Empirical Pr(PAPR > threshold) per threshold, as (threshold, prob) rows."""
+def _papr_values(samples) -> np.ndarray:
     vals = samples.samples if isinstance(samples, PaprSamples) else np.asarray(samples, dtype=float)
     if vals.size < 1:
-        raise ValueError("need at least one PAPR sample")
-    db = 10.0 * np.log10(vals)
+        raise InvalidArgument("need at least one PAPR sample")
+    return vals
+
+
+def ccdf(samples, thresholds_db) -> np.ndarray:
+    """Empirical Pr(PAPR > threshold) per threshold, as (threshold, prob) rows."""
+    db = 10.0 * np.log10(_papr_values(samples))
     thr = np.atleast_1d(np.asarray(thresholds_db, dtype=float))
     probs = np.array([(db > t).mean() for t in thr])
     return np.column_stack([thr, probs])
@@ -137,10 +141,9 @@ def ccdf(samples, thresholds_db) -> np.ndarray:
 
 def ccdf_threshold_db(samples, prob: float) -> float:
     """PAPR threshold (dB) the samples exceed with the given probability."""
-    vals = samples.samples if isinstance(samples, PaprSamples) else np.asarray(samples, dtype=float)
     if not 0 < prob < 1:
-        raise ValueError("prob must lie in (0, 1)")
-    return float(np.quantile(10.0 * np.log10(vals), 1.0 - prob))
+        raise InvalidArgument("prob must lie in (0, 1)")
+    return float(np.quantile(10.0 * np.log10(_papr_values(samples)), 1.0 - prob))
 
 
 def row_sparse_precoder(t: int, m: int, ell: int, thetas=None, seed: int = 0) -> np.ndarray:
@@ -192,7 +195,7 @@ def papr_experiment(source, cfg: WaveformConfig, trials: int, seed: int = 0, ant
         stack = source.stack()
     else:
         stack = None
-        w_fixed = source.matrix if isinstance(source, Codeword) else as_cmatrix(source)
+        w_fixed = _mat(source)
     out = []
     for frame in range(trials):
         rng = substream(seed, frame)
@@ -217,7 +220,7 @@ def constellation_samples(source, cfg: WaveformConfig, frames: int, seed: int = 
     if frames < 1:
         raise ConfigError("frames must be >= 1")
     nyquist = replace(cfg, oversample=1)
-    w = source.matrix if isinstance(source, Codeword) else as_cmatrix(source)
+    w = _mat(source)
     out = np.empty((frames, nyquist.n_fft), dtype=np.complex128)
     for frame in range(frames):
         out[frame] = _frame_signals(w, nyquist, substream(seed, frame))[0]

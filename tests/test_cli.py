@@ -193,16 +193,21 @@ class TestPapr:
         ["papr", "--row-sparse", "4,2,1", "--thetas", "a,b"],
         ["audit", "-T", "0", "-M", "0"],
         ["audit", "-T", "4", "-M", "2", "--size", "-1"],
+        ["mcd", "DIR"],
+        ["design", "--method", "nr42", "--out", "DIR"],
     ],
     ids=" ".join,
 )
 def test_bad_argument_exits_2_without_traceback(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
-    if argv[0] not in ("design", "audit"):
+    argv = [tmp_path if a == "DIR" else a for a in argv]
+    if argv[0] in ("rate", "gain-cdf", "papr"):
         prop = tmp_path / "p.json"
         run(["design", "--method", "prop42", "--out", prop])
         argv = argv + ["--codebooks", prop, "--trials", 5]
-    assert run(argv + ["--out", out]) == 2
+    if "--out" not in argv:
+        argv = argv + ["--out", out]
+    assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()

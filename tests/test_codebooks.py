@@ -3,10 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grasspack.audit import real_variable_count
 from grasspack.codebooks import (
@@ -33,6 +36,7 @@ from grasspack.codebooks import (
 from grasspack.errors import (
     AlphabetExhausted,
     DimensionMismatch,
+    GrasspackError,
     InvalidConfig,
     NotStiefel,
     ParseError,
@@ -53,6 +57,22 @@ from grasspack.schubert import enumerate_patterns, matching_patterns, pair_codew
 FAST = OptimizerConfig(restarts=2, max_iters=120, seed=0)
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+_ENTRY = st.lists(st.integers() | st.floats() | st.text(max_size=2), max_size=3)
+_JSON_DOCS = _JSON | st.fixed_dictionaries(
+    {
+        "T": st.integers(-2, 5),
+        "M": st.integers(-2, 3),
+        "codewords": st.lists(st.lists(_ENTRY, max_size=9), max_size=3),
+        "meta": _JSON,
+    }
+)
 
 
 def phase_objective(a, b):
@@ -264,17 +284,27 @@ class TestOptimizePhases:
         ]
         assert min(vals) == pytest.approx(1.0, abs=1e-12)
 
-    def test_discrete_matches_exhaustive_oracle(self):
-        grid = QUARTER_GRID
+    @pytest.mark.parametrize(
+        "grid, m, ell",
+        [
+            (QUARTER_GRID, 2, 3),
+            ((0.0, 1.0, 2.5), 2, 4),  # not cyclic, so no instance is pinned
+            ((0.0, np.pi), 3, 4),
+            (QUARTER_GRID, 2, 8),
+        ],
+        ids=["quarter-M2-L3", "noncyclic-M2-L4", "binary-M3-L4", "quarter-M2-L8"],
+    )
+    def test_discrete_matches_exhaustive_oracle(self, grid, m, ell):
         cfg = OptimizerConfig(phase_grid=grid, seed=0)
-        got = optimize_phases_2M(2, 3, cfg)
+        got = optimize_phases_2M(m, ell, cfg)
         achieved = min(
             phase_objective(a.thetas, b.thetas) for a, b in itertools.combinations(got, 2)
         )
-        points = list(itertools.product(grid, repeat=2))
+        points = list(itertools.product(grid, repeat=m))
+        f = np.array([[phase_objective(a, b) for b in points] for a in points])
         best = max(
-            min(phase_objective(a, b) for a, b in itertools.combinations(combo, 2))
-            for combo in itertools.combinations(points, 3)
+            min(f[i, j] for i, j in itertools.combinations(combo, 2))
+            for combo in itertools.combinations(range(len(points)), ell)
         )
         assert achieved == pytest.approx(best, abs=1e-12)
 
@@ -522,3 +552,41 @@ class TestPersistence:
         path.write_text(json.dumps({"T": 4, "M": 2, "codewords": codewords}), encoding="utf-8")
         with pytest.raises(ParseError):
             load_codebook(path)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"\xff\xfe\x00",
+            b'{"T": 4, "M": 2, "codewords": [], "meta": 5}',
+            b'{"T": 4, "M": 2, "codewords": [], "meta": [[1]]}',
+            b'{"T": -1, "M": 0, "codewords": [[]]}',
+            b'{"T": 2, "M": true, "codewords": [[[1, 0], [0, 0]]]}',
+            b'{"T": 2, "M": 1, "codewords": [[[1' + b"0" * 400 + b', 0], [0, 0]]]}',
+        ],
+        ids=["not-utf8", "meta-int", "meta-list", "nonpositive-dims", "bool-dims", "huge-int"],
+    )
+    def test_malformed_file_raises_parse_error(self, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(ParseError):
+            load_codebook(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.binary(max_size=64))
+    def test_fuzz_bytes_raise_only_package_errors(self, data):
+        _load_or_package_error(data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=_JSON_DOCS)
+    def test_fuzz_json_raises_only_package_errors(self, doc):
+        _load_or_package_error(json.dumps(doc).encode())
+
+
+def _load_or_package_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_bytes(data)
+        try:
+            load_codebook(path)
+        except GrasspackError:
+            pass

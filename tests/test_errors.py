@@ -1,0 +1,42 @@
+import ast
+from pathlib import Path
+
+import grasspack
+
+SRC = Path(grasspack.__file__).resolve().parent
+
+# json.dumps requires its ``default`` hook to raise TypeError
+EXEMPT = {("codebooks.py", "_json_safe")}
+
+
+def _builtin_raises(path):
+    """(function, line) of every ``raise ValueError``/``raise TypeError`` in a module."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id in ("ValueError", "TypeError"):
+                    found.append((func, child.lineno))
+            visit(child, func)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_package_raises_only_its_own_errors():
+    raw = [
+        f"{path.name}:{line} in {func}"
+        for path in sorted(SRC.glob("*.py"))
+        for func, line in _builtin_raises(path)
+        if (path.name, func) not in EXEMPT
+    ]
+    assert raw == []
+
+
+def test_scan_sees_the_exempt_raise():
+    assert [func for func, _ in _builtin_raises(SRC / "codebooks.py")] == ["_json_safe"]

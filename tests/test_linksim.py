@@ -4,9 +4,10 @@ from scipy import stats
 
 from grasspack.codebooks import nr_codebook_4_2, proposed_codebook_4_2
 from grasspack import linksim
-from grasspack.errors import DimensionMismatch, InvalidConfig, InvalidK, TooFewCodewords
+from grasspack.errors import DimensionMismatch, InvalidArgument, InvalidConfig, InvalidK, TooFewCodewords
 from grasspack.grassmann import Codebook, Codeword
 from grasspack.linalg import random_stiefel
+from grasspack.rng import substream
 from grasspack.linksim import (
     achievable_rate,
     effective_gain,
@@ -110,6 +111,10 @@ class TestAchievableRate:
         with pytest.raises(InvalidConfig):
             achievable_rate(np.eye(2), np.eye(2)[:, :1], -1.0)
 
+    def test_nan_rho_rejected(self):
+        with pytest.raises(InvalidConfig):
+            achievable_rate(np.eye(2), np.eye(2)[:, :1], float("nan"))
+
 
 class TestSelection:
     def test_zeroed_columns(self):
@@ -132,6 +137,30 @@ class TestSelection:
             idx = select_index(h, book, 2.0)
             rates = [achievable_rate(h, w, 2.0) for w in book.codewords]
             assert rates[idx - 1] >= max(rates) - 1e-12
+
+    @pytest.mark.parametrize("rho", [-1.0, float("nan")])
+    def test_bad_rho_rejected(self, rho):
+        with pytest.raises(InvalidConfig):
+            select_index(np.ones((3, 4)), proposed_codebook_4_2(), rho)
+
+    def test_channel_t_mismatch(self):
+        book = proposed_codebook_4_2()
+        with pytest.raises(DimensionMismatch):
+            select_index(np.ones((3, 5)), book, 1.0)
+        with pytest.raises(DimensionMismatch):
+            select_index_gain(np.ones((3, 5)), book)
+        with pytest.raises(DimensionMismatch):
+            effective_gain(np.ones((3, 5)), book[0])
+
+    def test_non_finite_channel_rejected(self):
+        book = proposed_codebook_4_2()
+        h = np.full((3, 4), np.nan)
+        with pytest.raises(InvalidArgument):
+            select_index(h, book, 1.0)
+        with pytest.raises(InvalidArgument):
+            select_index_gain(h, book)
+        with pytest.raises(InvalidArgument):
+            achievable_rate(h, book[0], 1.0)
 
     def test_gain_selection_diag(self):
         book = Codebook((e_cols(4, [0, 1]), e_cols(4, [2, 3])))
@@ -238,6 +267,29 @@ class TestGainCdf:
             gain_cdf(book, 4, [], trials=10)
         with pytest.raises(InvalidK):
             gain_cdf(book, 4, [1.0, -1.0], trials=10)
+
+
+class TestSweepsMatchSingleTrials:
+    BOOKS = (nr_codebook_4_2(), proposed_codebook_4_2())
+
+    def test_rate_curve(self):
+        n, snr_db, trials, seed = 3, [0.0, 10.0], 30, 12
+        sweep = rate_curve(self.BOOKS, n, snr_db, trials, seed)
+        channels = [sample_rayleigh(n, 4, rng=substream(seed, i)) for i in range(trials)]
+        for book, res in zip(self.BOOKS, sweep.results):
+            for si, snr in enumerate(snr_db):
+                rho = 10.0 ** (snr / 10.0)
+                best = [max(achievable_rate(h, w, rho) for w in book.codewords) for h in channels]
+                assert res.mean_rates[si] == pytest.approx(np.mean(best), abs=1e-12)
+
+    def test_gain_cdf(self):
+        n, ks, trials, seed = 5, [0.0, 1.0, float("inf")], 30, 13
+        got = gain_cdf(list(self.BOOKS), n, ks, trials, seed)
+        for ki, k in enumerate(ks):
+            channels = [sample_rician(n, 4, k, normalize=True, rng=substream(seed, i)) for i in range(trials)]
+            for c, book in enumerate(self.BOOKS):
+                best = sorted(max(effective_gain(h, w) for w in book.codewords) for h in channels)
+                np.testing.assert_allclose(got[ki, c], best, rtol=0, atol=1e-12)
 
 
 class TestChunkIndependence:

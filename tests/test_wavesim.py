@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from grasspack.codebooks import proposed_codebook_4_2
-from grasspack.errors import ConfigError, InvalidEll, ShapeMismatch, ZeroSignal
+from grasspack.errors import ConfigError, InvalidArgument, InvalidEll, ShapeMismatch, ZeroSignal
 from grasspack.rng import substream
 from grasspack.wavesim import (
     PaprSamples,
@@ -152,6 +152,12 @@ class TestCcdf:
         samples = 1.0 + rng.exponential(2.0, size=1000)
         probs = ccdf(samples, np.linspace(0, 12, 40))[:, 1]
         assert np.all(np.diff(probs) <= 0)
+
+    def test_empty_samples_rejected(self):
+        with pytest.raises(InvalidArgument):
+            ccdf([], [3.0])
+        with pytest.raises(InvalidArgument):
+            ccdf_threshold_db([], 0.5)
 
 
 class TestRowSparsePrecoder:
