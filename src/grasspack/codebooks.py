@@ -15,7 +15,6 @@ Three families live here:
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -32,7 +31,16 @@ from .errors import (
     ParseError,
     TooFewCodewords,
 )
-from .grassmann import Codebook, Codeword, pairwise_gram_sq, validate_stiefel
+from .grassmann import (
+    Codebook,
+    Codeword,
+    _chordal_from_gram_sq,
+    _closest_pair,
+    _triu,
+    pairwise_chordal,
+    pairwise_gram_sq,
+    validate_stiefel,
+)
 from .linalg import _qr_positive, matexp_skew_hermitian
 from .rng import substream
 from .schubert import enumerate_patterns, matching_patterns, pair_codeword
@@ -105,15 +113,6 @@ DEFAULT_CONFIG = OptimizerConfig()
 # smooth surrogate for the minimum chordal distance and its descent
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=16)
-def _triu(k):
-    """Read-only strict upper-triangle indices of a k x k matrix, built once per k."""
-    pair = np.triu_indices(k, 1)
-    for a in pair:
-        a.flags.writeable = False
-    return pair
-
-
 def _lse_pairs(d, eps):
     """log sum_{i<j} exp(-d_ij / eps), stabilized, and its symmetric softmax pair weights."""
     k = d.shape[0]
@@ -133,15 +132,13 @@ def _surrogate_egrad(stack, eps):
 
     The Wirtinger gradient is -(1/eps) sum_j w_kj / d_kj * (W_k - W_j (W_j^H W_k)).
     Both sums run as matrix products over the K codewords (T x M each): the
-    Gram blocks W_i^H W_j as one (KM x T)(T x KM) GEMM, and the gradient term
+    Gram norms from :func:`pairwise_gram_sq`, and the gradient term
     sum_j c_kj W_j W_j^H W_k as the (K x K)(K x T^2) product of the weights
     with the flattened projectors W_j W_j^H, applied to each W_k. That is
     about 8 K^2 T (M^2 + T) real flops per call.
     """
     k, t, m = stack.shape
-    f = stack.transpose(1, 0, 2).reshape(t, k * m)
-    gram = (f.conj().T @ f).reshape(k, m, k, m)
-    s = np.sum(np.abs(gram) ** 2, axis=(1, 3))
+    s = pairwise_gram_sq(stack)
     d = np.sqrt(np.clip(2.0 * (m - s), 0.0, None))
     value, weights = _lse_pairs(d, eps)
     coef = weights / (eps * np.maximum(d, 1e-12))
@@ -213,11 +210,6 @@ def _manopt_grad(stack, eps):
     return value, rgrad, s
 
 
-def _mcd_from_gram_sq(s, m):
-    iu, ju = _triu(s.shape[0])
-    return float(np.sqrt(max(0.0, m - float(s[iu, ju].max()))))
-
-
 def optimize_manopt(t: int, m: int, size: int, cfg: OptimizerConfig = None) -> Codebook:
     """Riemannian descent of the smooth MCD surrogate on G(T, M)^size.
 
@@ -233,7 +225,7 @@ def optimize_manopt(t: int, m: int, size: int, cfg: OptimizerConfig = None) -> C
 
     def keep_best(stack, s):
         nonlocal best_mcd, best_stack
-        mcd = _mcd_from_gram_sq(s, m)
+        mcd = _closest_pair(_chordal_from_gram_sq(stack, s))[0]
         if mcd > best_mcd:
             best_mcd, best_stack = mcd, stack
 
@@ -241,7 +233,7 @@ def optimize_manopt(t: int, m: int, size: int, cfg: OptimizerConfig = None) -> C
         rng = substream(cfg.seed, 0xA11, r)
         g = rng.standard_normal((size, t, m)) + 1j * rng.standard_normal((size, t, m))
         stack = _qr_positive(g)
-        keep_best(stack, _surrogate_egrad(stack, EPS_SCHEDULE[0])[2])
+        keep_best(stack, pairwise_gram_sq(stack))
         _descend(_manopt_grad, stack, cfg, retract=_qr_positive, on_accept=keep_best, stall_limit=3)
     meta = {
         "method": "manopt",
@@ -366,9 +358,12 @@ def _optimize_phases_discrete(m, ell, cfg):
 def optimize_phases_2M(m: int, ell: int, cfg: OptimizerConfig = None) -> list:
     """Phase instances maximizing the minimum intra-pattern separation.
 
-    Returns ``ell`` assignments of M phases each; the first instance is the
-    all-zero gauge choice. Cross-pattern distances are phase-independent, so
-    one optimized set serves every pattern.
+    Returns ``ell`` assignments of M phases each. A single instance, and the
+    first instance of the continuous search, is the all-zero gauge choice.
+    On a ``phase_grid`` the first instance is the chosen point with the
+    lowest index in ``itertools.product(grid, repeat=M)``: (-pi/2, -pi/2) on
+    ``QUARTER_GRID`` with M = 2, L = 3. Cross-pattern distances are
+    phase-independent, so one optimized set serves every pattern.
     """
     cfg = cfg or DEFAULT_CONFIG
     if m < 2 or ell < 1:
@@ -484,8 +479,7 @@ def build_general_sparse(
     free = layout["free"]
 
     def exact_mcd(phases):
-        stack = _general_stack(layout, phases)
-        return _mcd_from_gram_sq(pairwise_gram_sq(stack), m)
+        return _closest_pair(pairwise_chordal(_general_stack(layout, phases)))[0]
 
     idx = layout["widx"], layout["ridx"], layout["cidx"]
 
@@ -581,12 +575,8 @@ def build_expmap(t: int, m: int, size: int, cfg: OptimizerConfig = None) -> Code
         im = 1.0 - 2.0 * (q // 2)
         theta = cfg.expmap_scale * (re + 1j * im) / np.sqrt(2.0)
         cand = expmap_codeword(theta)
-        dup = any(
-            np.sqrt(max(0.0, m - np.sum(np.abs(w.matrix.conj().T @ cand.matrix) ** 2)))
-            < _DUPLICATE_TOL
-            for w in words
-        )
-        if not dup:
+        d = pairwise_chordal(np.stack([w.matrix for w in words] + [cand.matrix]))
+        if not np.any(d[-1, :-1] < _DUPLICATE_TOL):
             words.append(cand)
     meta = {
         "method": "expmap",

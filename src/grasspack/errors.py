@@ -14,10 +14,6 @@ class NotSkewHermitian(GrasspackError):
     pass
 
 
-class NonPowerOfTwoLength(GrasspackError):
-    pass
-
-
 class RankDeficient(GrasspackError):
     pass
 

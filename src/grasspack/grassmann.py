@@ -3,10 +3,27 @@
 Points on G(T, M) are represented by T x M matrices with orthonormal columns
 (Stiefel representatives). Two representatives are the same Grassmann point
 iff they span the same column space, i.e. have equal projectors W W^H.
+
+Every chordal distance and minimum chordal distance (MCD) in the package
+comes from one kernel. :func:`pairwise_gram_sq` forms the Gram norms
+s_ij = ||W_i^H W_j||_F^2 of a (K, T, M) stack with one (KM x T)(T x KM)
+matrix product, and :func:`pairwise_chordal` turns them into
+d_ij = sqrt(max(0, M - s_ij)). A roundoff of a few ulps of M in s_ij becomes
+an error of about M eps / d_ij in d_ij, which grows to 1e-8 as the pair
+coincides. So pairs with M - s_ij < 1e-8, that is d_ij < 1e-4, are recomputed
+from the projectors P = W W^H as ||P_i - P_j||_F / sqrt(2): exactly zero for
+identical codewords and within a few ulps of the projector form. Above that
+guard the square-root form stays within about 2e-11 of the projector form
+(tested to 1e-10; a guard at 1e-10 let the error reach 1.4e-10 at d = 1e-5).
+The smooth MCD surrogate in ``codebooks`` takes the same Gram norms but keeps
+its distance unguarded, since it must stay differentiable.
+:func:`projector_distance` and :func:`subspace_equal` are independent of this
+kernel and serve as its oracle.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,6 +127,12 @@ def validate_stiefel(w, tol: float = STIEFEL_TOL) -> bool:
     return fro_norm(gram - np.eye(m.shape[1])) <= tol
 
 
+def _check_stiefel(*words):
+    for w in words:
+        if not validate_stiefel(w):
+            raise NotStiefel("codeword is not orthonormal at tolerance 1e-8")
+
+
 def _check_pair(wi, wj):
     a, b = _mat(wi), _mat(wj)
     if a.shape != b.shape:
@@ -120,25 +143,15 @@ def _check_pair(wi, wj):
 def chordal_distance(wi, wj) -> float:
     """Chordal distance sqrt(M - ||Wi^H Wj||_F^2) between two subspaces.
 
-    The radicand is clamped at zero so roundoff cannot produce NaN, and
-    nearly coincident pairs are measured through the projector difference,
-    which stays accurate where the analytic form cancels. Both arguments
+    The pair goes through :func:`pairwise_chordal`, so nearly coincident
+    subspaces are measured through the projector difference. Both arguments
     must be Stiefel-valid at the default tolerance.
     """
     a, b = _check_pair(wi, wj)
-    for w in (a, b):
-        if not validate_stiefel(w):
-            raise NotStiefel("codeword is not orthonormal at tolerance 1e-8")
+    _check_stiefel(a, b)
     if a.tobytes() > b.tobytes():
         a, b = b, a  # canonical orientation: d(A, B) == d(B, A) bitwise
-    m = a.shape[1]
-    s = float(np.sum(np.abs(a.conj().T @ b) ** 2))
-    d2 = max(0.0, m - s)
-    if d2 < 1e-10:
-        # near-coincident subspaces: sqrt(M - s) loses half the digits to
-        # cancellation, the projector difference does not
-        return projector_distance(a, b) / np.sqrt(2.0)
-    return float(np.sqrt(d2))
+    return float(pairwise_chordal(np.stack((a, b)))[0, 1])
 
 
 def projector_distance(wi, wj) -> float:
@@ -158,29 +171,62 @@ def subspace_equal(wi, wj, tol: float = 1e-9) -> bool:
 
 
 def pairwise_gram_sq(stack: np.ndarray) -> np.ndarray:
-    """Matrix of ||Wi^H Wj||_F^2 for a (size, T, M) stack."""
-    g = np.einsum("itm,jtn->ijmn", stack.conj(), stack)
-    return np.sum(np.abs(g) ** 2, axis=(-2, -1))
+    """Matrix of ||Wi^H Wj||_F^2 for a (size, T, M) stack.
+
+    All Gram blocks Wi^H Wj come from one (KM x T)(T x KM) matrix product.
+    """
+    k, t, m = stack.shape
+    f = stack.transpose(1, 0, 2).reshape(t, k * m)
+    gram = (f.conj().T @ f).reshape(k, m, k, m)
+    return np.sum(np.abs(gram) ** 2, axis=(1, 3))
+
+
+def _chordal_from_gram_sq(stack, s):
+    """Chordal distances of a stack from its Gram norms ``s``, guarded near coincidence."""
+    r = stack.shape[2] - s
+    np.fill_diagonal(r, np.inf)  # keeps each codeword's own pair out of the guard
+    d = np.sqrt(np.maximum(r, 0.0))
+    np.fill_diagonal(d, 0.0)
+    i, j = np.nonzero(r < 1e-8)
+    if i.size:
+        wi, wj = stack[i], stack[j]
+        diff = wi @ wi.conj().transpose(0, 2, 1) - wj @ wj.conj().transpose(0, 2, 1)
+        d[i, j] = np.linalg.norm(diff, axis=(1, 2)) / np.sqrt(2.0)
+    return d
 
 
 def pairwise_chordal(stack: np.ndarray) -> np.ndarray:
     """Matrix of chordal distances for a (size, T, M) stack."""
-    m = stack.shape[2]
-    return np.sqrt(np.clip(m - pairwise_gram_sq(stack), 0.0, None))
+    return _chordal_from_gram_sq(stack, pairwise_gram_sq(stack))
+
+
+@functools.lru_cache(maxsize=16)
+def _triu(k):
+    """Read-only strict upper-triangle indices of a k x k matrix, built once per k."""
+    pair = np.triu_indices(k, 1)
+    for a in pair:
+        a.flags.writeable = False
+    return pair
+
+
+def _closest_pair(d):
+    """Minimum of a distance matrix over i < j, with the lexicographically first
+    1-based pair within 1e-12 of it."""
+    iu, ju = _triu(d.shape[0])
+    vals = d[iu, ju]
+    dmin = float(vals.min())
+    hit = int(np.argmax(vals <= dmin + 1e-12))
+    return dmin, (int(iu[hit]) + 1, int(ju[hit]) + 1)
 
 
 def min_chordal_distance(b: Codebook):
     """Exhaustive minimum pairwise chordal distance of a codebook.
 
     Returns (value, (i, j)) with 1-based indices; the pair is the
-    lexicographically smallest one within 1e-12 of the minimum.
+    lexicographically smallest one within 1e-12 of the minimum. Every
+    codeword must be Stiefel-valid at the default tolerance.
     """
     if len(b) < 2:
         raise TooFewCodewords("need at least two codewords for a distance")
-    d = pairwise_chordal(b.stack())
-    n = len(b)
-    iu, ju = np.triu_indices(n, k=1)
-    vals = d[iu, ju]
-    dmin = float(vals.min())
-    hit = np.nonzero(vals <= dmin + 1e-12)[0][0]
-    return dmin, (int(iu[hit]) + 1, int(ju[hit]) + 1)
+    _check_stiefel(*b.codewords)
+    return _closest_pair(pairwise_chordal(b.stack()))

@@ -1,4 +1,4 @@
-"""Complex dense linear algebra, matrix exponential, and FFT primitives.
+"""Complex dense linear algebra and the matrix exponential.
 
 Matrices and vectors are plain numpy arrays with dtype complex128. All
 tolerances in this package assume double precision. Every function here is
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgument, NonPowerOfTwoLength, NotSkewHermitian, RankDeficient
+from .errors import InvalidArgument, NotSkewHermitian, RankDeficient
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -27,22 +27,6 @@ def fro_norm(a) -> float:
 
 def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
-
-
-def fft(x, inverse: bool = False) -> np.ndarray:
-    """Unitary FFT of a power-of-two-length vector.
-
-    Both directions are scaled by 1/sqrt(N), so Parseval holds exactly:
-    ``norm(x) == norm(fft(x))`` up to roundoff.
-    """
-    v = np.asarray(x, dtype=np.complex128)
-    if v.ndim != 1:
-        raise InvalidArgument(f"expected a 1-D vector, got shape {v.shape}")
-    if not is_power_of_two(v.size):
-        raise NonPowerOfTwoLength(f"length {v.size} is not a power of two")
-    if inverse:
-        return np.fft.ifft(v, norm="ortho")
-    return np.fft.fft(v, norm="ortho")
 
 
 def matexp_skew_hermitian(a, tol: float = 1e-10) -> np.ndarray:

@@ -259,6 +259,8 @@ def rate_curve(codebooks, n: int, snr_db, trials: int, seed: int = 0, names=None
     t = books[0].T
     names = list(names) if names else [f"codebook{i + 1}" for i in range(len(books))]
     snr_db = np.atleast_1d(np.asarray(snr_db, dtype=float))
+    if not np.all(np.isfinite(snr_db)):
+        raise InvalidConfig(f"SNR points must be finite, got {snr_db.tolist()}")
     rho = 10.0 ** (snr_db / 10.0)
     stacks = [b.stack() for b in books]
     ncb = len(books)

@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, InvalidArgument, InvalidEll, ShapeMismatch, ZeroSignal
+from .errors import ConfigError, InvalidArgument, InvalidEll, ShapeMismatch, ZeroSignal
 from .grassmann import Codebook, _mat
-from .linalg import as_cmatrix, is_power_of_two
+from .linalg import is_power_of_two
 from .rng import substream
 
 _MODULATIONS = ("4qam", "qpsk")
@@ -75,28 +75,11 @@ def modulate(count: int, modulation: str = "4qam", seed: int = 0, rng=None) -> n
     return ((1.0 - 2.0 * bits[:, 0]) + 1j * (1.0 - 2.0 * bits[:, 1])) / np.sqrt(2.0)
 
 
-def dft_spread(x) -> np.ndarray:
-    """Unitary DFT of one symbol block (any length)."""
-    v = np.asarray(x, dtype=np.complex128)
-    if v.ndim != 1 or v.size < 1:
-        raise InvalidArgument("expected a nonempty 1-D vector")
-    return np.fft.fft(v, norm="ortho")
-
-
-def precode_grid(w, streams) -> np.ndarray:
-    """Apply one wideband precoder to every subcarrier: column k -> W s_k."""
-    wm = _mat(w)
-    s = as_cmatrix(streams)
-    if s.shape[0] != wm.shape[1]:
-        raise DimensionMismatch(f"precoder {wm.shape} incompatible with streams {s.shape}")
-    return wm @ s
-
-
 def _synthesize(grid: np.ndarray, cfg: WaveformConfig) -> np.ndarray:
     """Rows of used-subcarrier symbols -> oversampled time signals.
 
     Localized DC-centered mapping, spectrum zero-padded at the edges to
-    oversample * n_fft, unitary inverse FFT (same convention as linalg.fft).
+    oversample * n_fft, unitary inverse FFT.
     """
     if grid.shape[-1] != cfg.n_used:
         raise ConfigError(f"expected {cfg.n_used} used subcarriers, got {grid.shape[-1]}")
@@ -105,14 +88,6 @@ def _synthesize(grid: np.ndarray, cfg: WaveformConfig) -> np.ndarray:
     start = qn // 2 - cfg.n_used // 2
     spec[..., start : start + cfg.n_used] = grid
     return np.fft.ifft(np.fft.ifftshift(spec, axes=-1), axis=-1, norm="ortho")
-
-
-def to_time_domain(row, cfg: WaveformConfig) -> np.ndarray:
-    """Time-domain signal (length oversample * n_fft) of one antenna row."""
-    v = np.asarray(row, dtype=np.complex128)
-    if v.ndim != 1:
-        raise ConfigError("expected a 1-D vector of used-subcarrier symbols")
-    return _synthesize(v[None, :], cfg)[0]
 
 
 def papr(x) -> float:

@@ -187,6 +187,7 @@ class TestPapr:
         ["rate", "-N", "0"],
         ["rate", "--snr-db", "0:10:0"],
         ["rate", "--snr-db", "a:b:c"],
+        ["rate", "--snr-db", "nan,inf"],
         ["design", "--method", "nr42", "--indices", "x"],
         ["design", "--method", "sparse2m", "-M", "2", "--size", "4", "--grid", "x"],
         ["papr", "--row-sparse", "4,2"],

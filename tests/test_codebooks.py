@@ -178,10 +178,12 @@ class TestSurrogateKernel:
 
 _THREADED_BUILD = """
 import hashlib
-from grasspack.codebooks import OptimizerConfig, build_general_sparse, optimize_manopt
+from grasspack.codebooks import OptimizerConfig, build_expmap, build_general_sparse, optimize_manopt
+from grasspack.grassmann import min_chordal_distance
 fast = OptimizerConfig(restarts=2, max_iters=120, seed=0)
 for book in (optimize_manopt(4, 2, 8, fast), build_general_sparse(6, 2, 4, 8, fast)):
     print(hashlib.sha256(book.stack().tobytes()).hexdigest())
+print(repr(min_chordal_distance(build_expmap(6, 3, 32, fast))))
 """
 
 
@@ -193,8 +195,8 @@ def test_books_do_not_depend_on_blas_threads():
         run = subprocess.run(
             [sys.executable, "-c", _THREADED_BUILD], env=env, capture_output=True, text=True, check=True
         )
-        digests.append(run.stdout.split())
-    assert len(digests[0]) == 2 and digests[0] == digests[1]
+        digests.append(run.stdout.splitlines())
+    assert len(digests[0]) == 3 and digests[0] == digests[1]
 
 
 class TestOptimizeManopt:
@@ -271,6 +273,14 @@ class TestOptimizePhases:
         for m in (2, 3, 5):
             (only,) = optimize_phases_2M(m, 1)
             assert only.thetas == tuple([0.0] * m)
+
+    def test_first_instance(self):
+        assert optimize_phases_2M(2, 3, FAST)[0].thetas == (0.0, 0.0)
+        cfg = OptimizerConfig(phase_grid=QUARTER_GRID, seed=0)
+        got = optimize_phases_2M(2, 3, cfg)
+        order = list(itertools.product(cfg.phase_grid, repeat=2))
+        idx = [order.index(a.thetas) for a in got]
+        assert got[0].thetas == (-np.pi / 2, -np.pi / 2) and idx[0] == min(idx)
 
     def test_two_instances_reach_two(self):
         got = optimize_phases_2M(2, 2, FAST)

@@ -9,6 +9,10 @@ SRC = Path(grasspack.__file__).resolve().parent
 EXEMPT = {("codebooks.py", "_json_safe")}
 
 
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
 def _builtin_raises(path):
     """(function, line) of every ``raise ValueError``/``raise TypeError`` in a module."""
     found = []
@@ -24,7 +28,7 @@ def _builtin_raises(path):
                     found.append((func, child.lineno))
             visit(child, func)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    visit(_tree(path), None)
     return found
 
 
@@ -40,3 +44,24 @@ def test_package_raises_only_its_own_errors():
 
 def test_scan_sees_the_exempt_raise():
     assert [func for func, _ in _builtin_raises(SRC / "codebooks.py")] == ["_json_safe"]
+
+
+def test_every_private_function_is_referenced():
+    trees = {path.name: _tree(path) for path in sorted(SRC.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    private = [
+        (name, node.name)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+    ]
+    assert ("grassmann.py", "_closest_pair") in private  # the scan sees top-level helpers
+    assert [f"{name}:{func}" for name, func in private if func not in used] == []

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grasspack.codebooks import nr_codebook_4_2, proposed_codebook_4_2
 from grasspack.errors import DimensionMismatch, InvalidRange, NotStiefel, TooFewCodewords
@@ -8,11 +12,12 @@ from grasspack.grassmann import (
     Codeword,
     chordal_distance,
     min_chordal_distance,
+    pairwise_chordal,
     projector_distance,
     subspace_equal,
     validate_stiefel,
 )
-from grasspack.linalg import random_stiefel
+from grasspack.linalg import _qr_positive, random_stiefel
 
 
 def e_cols(t, cols):
@@ -115,6 +120,46 @@ class TestMinChordalDistance:
     def test_too_few(self):
         with pytest.raises(TooFewCodewords):
             min_chordal_distance(Codebook((e_cols(4, [0, 1]),)))
+
+    def test_not_stiefel(self):
+        bad = Codeword(np.array([[1, 0], [1, 0], [0, 1], [0, 0]], dtype=complex))
+        with pytest.raises(NotStiefel):
+            min_chordal_distance(Codebook((bad, e_cols(4, [0, 1]))))
+
+
+@st.composite
+def near_copy_stacks(draw):
+    """Random (K, T, M) stack whose last codeword is a QR-perturbed copy of the first."""
+    t = draw(st.integers(2, 8))
+    m = draw(st.integers(1, t - 1))
+    k = draw(st.integers(2, 6))
+    scale = 10.0 ** draw(st.floats(-15, -2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = _qr_positive(rng.standard_normal((k, t, m)) + 1j * rng.standard_normal((k, t, m)))
+    noise = rng.standard_normal((t, m)) + 1j * rng.standard_normal((t, m))
+    stack[-1] = _qr_positive(stack[0] + scale * noise)
+    return stack
+
+
+class TestNearCoincidence:
+    def test_near_pair_matches_projector_form(self):
+        rng = np.random.default_rng(10)
+        w = random_stiefel(6, 3, rng)
+        v = _qr_positive(w + 1e-10 * (rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))))
+        ref = projector_distance(w, v) / np.sqrt(2)
+        assert 1e-11 < ref < 1e-9
+        assert abs(chordal_distance(w, v) - ref) <= 1e-15
+        dmin, pair = min_chordal_distance(Codebook((w, v)))
+        assert abs(dmin - ref) <= 1e-15 and pair == (1, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_copy_stacks())
+    def test_pairwise_matches_projector_form(self, stack):
+        d = pairwise_chordal(stack)
+        for i, j in itertools.product(range(len(stack)), repeat=2):
+            proj = projector_distance(stack[i], stack[j])
+            tol = 1e-15 if proj < 1e-5 else 1e-10
+            assert abs(d[i, j] - proj / np.sqrt(2)) <= tol
 
 
 class TestSubspaceEqual:

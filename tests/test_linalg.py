@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from grasspack.errors import NonPowerOfTwoLength, NotSkewHermitian, RankDeficient
+from grasspack.errors import NotSkewHermitian, RankDeficient
 from grasspack.linalg import (
-    fft,
     fro_norm,
     matexp_skew_hermitian,
     qr_orthonormalize,
@@ -55,33 +52,6 @@ class TestMatexp:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             matexp_skew_hermitian(np.zeros((2, 3)))
-
-
-class TestFft:
-    def test_delta_to_flat(self):
-        out = fft(np.array([1.0, 0, 0, 0]))
-        np.testing.assert_allclose(out, np.full(4, 0.5), atol=1e-15)
-
-    def test_ones_to_scaled_delta(self):
-        out = fft(np.ones(4))
-        np.testing.assert_allclose(out, [2, 0, 0, 0], atol=1e-15)
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(NonPowerOfTwoLength):
-            fft(np.ones(3))
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.integers(min_value=0, max_value=6),
-        st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_roundtrip_and_parseval(self, log_n, seed):
-        n = 2**log_n
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        y = fft(x)
-        np.testing.assert_allclose(fft(y, inverse=True), x, atol=1e-10)
-        assert abs(np.linalg.norm(x) - np.linalg.norm(y)) <= 1e-10 * max(np.linalg.norm(x), 1)
 
 
 class TestQrOrthonormalize:

@@ -213,6 +213,11 @@ class TestRateCurve:
         with pytest.raises(InvalidConfig):
             rate_curve([proposed_codebook_4_2()], n, [0.0], trials=10)
 
+    @pytest.mark.parametrize("snr_db", [[np.nan], [np.inf], [0.0, -np.inf]])
+    def test_non_finite_snr_rejected(self, snr_db):
+        with pytest.raises(InvalidConfig):
+            rate_curve([proposed_codebook_4_2()], 4, snr_db, trials=5)
+
     def test_rates_nondecreasing_in_snr(self):
         sweep = rate_curve([proposed_codebook_4_2()], 8, [0, 5, 10, 15], trials=100, seed=4)
         rates = sweep.results[0].mean_rates

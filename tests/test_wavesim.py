@@ -8,19 +8,32 @@ from grasspack.rng import substream
 from grasspack.wavesim import (
     PaprSamples,
     WaveformConfig,
+    _frame_signals,
+    _synthesize,
     ccdf,
     ccdf_threshold_db,
     constellation_samples,
-    dft_spread,
     modulate,
     papr,
     papr_experiment,
-    precode_grid,
     row_sparse_precoder,
-    to_time_domain,
 )
 
 FIG_THETAS = [1.91, -2.21, -1.71, 0.636]
+
+
+def reference_synthesis(rows, cfg):
+    """Oracle for the engine's synthesis: the used subcarriers centred in a
+    zero-padded spectrum of oversample * n_fft bins, ifftshift, unitary IFFT."""
+    qn = cfg.oversample * cfg.n_fft
+    spec = np.zeros(rows.shape[:-1] + (qn,), dtype=complex)
+    start = qn // 2 - cfg.n_used // 2
+    spec[..., start : start + cfg.n_used] = rows
+    return np.fft.ifft(np.fft.ifftshift(spec, axes=-1), axis=-1, norm="ortho")
+
+
+def time_signal(row, cfg):
+    return _synthesize(np.asarray(row, dtype=complex)[None, :], cfg)[0]
 
 
 class TestConfig:
@@ -63,37 +76,44 @@ class TestModulate:
 
 
 class TestDftSpread:
-    def test_constant_block(self):
-        np.testing.assert_allclose(dft_spread(np.ones(4)), [2, 0, 0, 0], atol=1e-12)
-
     def test_parseval(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal(624) + 1j * rng.standard_normal(624)
-        assert np.linalg.norm(dft_spread(x)) == pytest.approx(np.linalg.norm(x), abs=1e-10)
+        # spreading and synthesis are unitary: each antenna of a truncated
+        # identity precoder carries its stream's symbol energy
+        cfg = WaveformConfig(n_used=624, n_fft=1024, oversample=2, waveform="dft-s-ofdm")
+        signals = _frame_signals(np.eye(4, dtype=complex)[:, :2], cfg, substream(3, 0))
+        symbols = modulate(2 * 624, rng=substream(3, 0)).reshape(2, 624)
+        np.testing.assert_allclose(np.linalg.norm(signals[:2], axis=1), np.linalg.norm(symbols, axis=1), atol=1e-10)
 
 
 class TestPrecodeGrid:
+    """The frame engine applies one wideband precoder to every subcarrier."""
+
+    @staticmethod
+    def frame(w, seed, n_used):
+        cfg = WaveformConfig(n_used=n_used, n_fft=2 * n_used, oversample=2)
+        streams = modulate(w.shape[1] * n_used, rng=substream(seed, 0)).reshape(w.shape[1], n_used)
+        return _frame_signals(w, cfg, substream(seed, 0)), streams, cfg
+
     def test_truncated_identity_routes_streams(self):
-        streams = modulate(2 * 16, seed=4).reshape(2, 16)
-        grid = precode_grid(np.eye(4, dtype=complex)[:, :2], streams)
-        assert np.array_equal(grid[0], streams[0])
-        assert np.array_equal(grid[1], streams[1])
-        assert np.all(grid[2:] == 0)
+        signals, streams, cfg = self.frame(np.eye(4, dtype=complex)[:, :2], 4, 16)
+        np.testing.assert_allclose(signals[:2], reference_synthesis(streams, cfg), atol=1e-15)
+        assert np.all(signals[2:] == 0)
 
     def test_one_row_sparse_is_phase_rotation(self):
         w = row_sparse_precoder(4, 2, 1, thetas=FIG_THETAS)
-        streams = modulate(2 * 8, seed=5).reshape(2, 8)
-        grid = precode_grid(w, streams)
+        signals, streams, cfg = self.frame(w, 5, 8)
         scale = np.sqrt(2 / (1 * 4))
-        np.testing.assert_allclose(grid[0], scale * np.exp(1j * FIG_THETAS[0]) * streams[0], atol=1e-15)
+        expected = scale * np.exp(1j * FIG_THETAS[0]) * reference_synthesis(streams[0], cfg)
+        np.testing.assert_allclose(signals[0], expected, atol=1e-15)
 
     def test_per_subcarrier_energy_oracle(self):
         rng = np.random.default_rng(6)
         w = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        streams = modulate(2 * 8, seed=7).reshape(2, 8)
-        grid = precode_grid(w, streams)
+        signals, streams, cfg = self.frame(w, 7, 8)
+        grid = np.empty((4, 8), dtype=complex)
         for k in range(8):
-            np.testing.assert_allclose(grid[:, k], w @ streams[:, k], atol=1e-15)
+            grid[:, k] = w @ streams[:, k]
+        np.testing.assert_allclose(signals, reference_synthesis(grid, cfg), atol=1e-15)
 
 
 class TestTimeDomain:
@@ -101,24 +121,24 @@ class TestTimeDomain:
         cfg = WaveformConfig(n_used=64, n_fft=64, oversample=4)
         row = np.zeros(64, dtype=complex)
         row[13] = 1.0
-        assert papr(to_time_domain(row, cfg)) == pytest.approx(1.0, abs=1e-9)
+        assert papr(time_signal(row, cfg)) == pytest.approx(1.0, abs=1e-9)
 
     def test_two_tone_papr_two(self):
         cfg = WaveformConfig(n_used=64, n_fft=64, oversample=4)
         row = np.zeros(64, dtype=complex)
         row[10] = row[20] = 1.0
-        assert papr(to_time_domain(row, cfg)) == pytest.approx(2.0, abs=1e-6)
+        assert papr(time_signal(row, cfg)) == pytest.approx(2.0, abs=1e-6)
 
     def test_zero_grid_zero_signal(self):
         cfg = WaveformConfig(n_used=16, n_fft=32, oversample=2)
-        assert np.all(to_time_domain(np.zeros(16, dtype=complex), cfg) == 0)
+        assert np.all(time_signal(np.zeros(16, dtype=complex), cfg) == 0)
 
     def test_oversampling_never_lowers_peak(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             row = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-            p1 = papr(to_time_domain(row, WaveformConfig(n_used=64, n_fft=64, oversample=1)))
-            p8 = papr(to_time_domain(row, WaveformConfig(n_used=64, n_fft=64, oversample=8)))
+            p1 = papr(time_signal(row, WaveformConfig(n_used=64, n_fft=64, oversample=1)))
+            p8 = papr(time_signal(row, WaveformConfig(n_used=64, n_fft=64, oversample=8)))
             assert p8 >= p1 - 1e-9
 
 
@@ -206,7 +226,7 @@ class TestPaprExperiment:
         for frame in range(60):
             rng = substream(13, frame)
             symbols = modulate(4 * 128, rng=rng).reshape(4, 128)
-            time = to_time_domain(np.fft.fft(symbols[0], norm="ortho"), cfg)
+            time = reference_synthesis(np.fft.fft(symbols[0], norm="ortho"), cfg)
             unprecoded.append(papr(time))
         unique_precoded = np.unique(np.round(precoded.samples, 12))
         unique_ref = np.unique(np.round(unprecoded, 12))
@@ -218,8 +238,8 @@ class TestPaprExperiment:
         w = row_sparse_precoder(4, 2, 2, thetas=FIG_THETAS)
         samples = []
         for frame in range(400):
-            signals = precode_grid(w, modulate(2 * 256, rng=substream(14, frame)).reshape(2, 256))
-            samples.append(to_time_domain(signals[0], cfg))
+            signals = w @ modulate(2 * 256, rng=substream(14, frame)).reshape(2, 256)
+            samples.append(reference_synthesis(signals[0], cfg))
         x = np.concatenate(samples)  # ~1e5 samples
         assert stats.kurtosis(x.real, fisher=False) == pytest.approx(3.0, abs=0.2)
         assert stats.kurtosis(x.imag, fisher=False) == pytest.approx(3.0, abs=0.2)
