@@ -11,7 +11,6 @@ from .grassmann import (
 )
 from .codebooks import (
     OptimizerConfig,
-    PhaseAssignment,
     QUARTER_GRID,
     build_expmap,
     build_general_sparse,
@@ -41,7 +40,6 @@ __all__ = [
     "Codeword",
     "OptimizerConfig",
     "PairPattern",
-    "PhaseAssignment",
     "QUARTER_GRID",
     "SparsityPattern",
     "build_expmap",

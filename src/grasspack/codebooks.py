@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,7 +42,7 @@ from .grassmann import (
 )
 from .linalg import _qr_positive, matexp_skew_hermitian
 from .rng import substream
-from .schubert import enumerate_patterns, matching_patterns, pair_codeword
+from .schubert import _fill, _layout, enumerate_patterns, matching_patterns, pair_codeword
 
 #: phase quantization used by the standards-compatible discrete designs
 QUARTER_GRID = (-np.pi / 2, 0.0, np.pi / 2, np.pi)
@@ -56,19 +55,6 @@ def _wrap_phase(theta):
     th = np.asarray(theta, dtype=np.float64)
     w = th - 2 * np.pi * np.round(th / (2 * np.pi))
     return np.where(w <= -np.pi, np.pi, w)
-
-
-@dataclass(frozen=True)
-class PhaseAssignment:
-    """One phase instance of a T = 2M sparsity pattern."""
-
-    pattern_index: int
-    thetas: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "thetas", tuple(float(t) for t in _wrap_phase(self.thetas))
-        )
 
 
 #: smoothing continuation of the log-sum-exp surrogate, strictly decreasing
@@ -128,7 +114,7 @@ def _lse_pairs(d, eps):
 
 
 def _surrogate_egrad(stack, eps):
-    """Surrogate value, Euclidean gradient and Gram norms ||W_i^H W_j||_F^2 of a stack.
+    """Surrogate value, Euclidean gradient, Gram norms ||W_i^H W_j||_F^2 and projectors W_k W_k^H of a stack.
 
     The Wirtinger gradient is -(1/eps) sum_j w_kj / d_kj * (W_k - W_j (W_j^H W_k)).
     Both sums run as matrix products over the K codewords (T x M each): the
@@ -144,10 +130,10 @@ def _surrogate_egrad(stack, eps):
     coef = weights / (eps * np.maximum(d, 1e-12))
     np.fill_diagonal(coef, 0.0)
     rowsum = coef.sum(axis=1)
-    proj = (stack @ stack.conj().transpose(0, 2, 1)).reshape(k, t * t)
-    term = (coef @ proj).reshape(k, t, t) @ stack
+    proj = stack @ stack.conj().transpose(0, 2, 1)
+    term = (coef @ proj.reshape(k, t * t)).reshape(k, t, t) @ stack
     egrad = term - stack * rowsum[:, None, None]
-    return value, egrad, s
+    return value, egrad, s, proj
 
 
 def smooth_mcd_objective(b: Codebook, epsilon: float) -> float:
@@ -205,9 +191,8 @@ def _descend(value_grad, x, cfg, retract=None, on_accept=None, stall_limit=None)
 
 def _manopt_grad(stack, eps):
     """Surrogate value, Riemannian gradient and Gram norms on the product manifold."""
-    value, egrad, s = _surrogate_egrad(stack, eps)
-    rgrad = egrad - (stack @ stack.conj().transpose(0, 2, 1)) @ egrad
-    return value, rgrad, s
+    value, egrad, s, proj = _surrogate_egrad(stack, eps)
+    return value, egrad - proj @ egrad, s
 
 
 def optimize_manopt(t: int, m: int, size: int, cfg: OptimizerConfig = None) -> Codebook:
@@ -355,26 +340,29 @@ def _optimize_phases_discrete(m, ell, cfg):
     return pts[list(best)]
 
 
-def optimize_phases_2M(m: int, ell: int, cfg: OptimizerConfig = None) -> list:
+def optimize_phases_2M(m: int, ell: int, cfg: OptimizerConfig = None) -> np.ndarray:
     """Phase instances maximizing the minimum intra-pattern separation.
 
-    Returns ``ell`` assignments of M phases each. A single instance, and the
-    first instance of the continuous search, is the all-zero gauge choice.
-    On a ``phase_grid`` the first instance is the chosen point with the
-    lowest index in ``itertools.product(grid, repeat=M)``: (-pi/2, -pi/2) on
-    ``QUARTER_GRID`` with M = 2, L = 3. Cross-pattern distances are
-    phase-independent, so one optimized set serves every pattern.
+    Returns an (ell, M) array of phases wrapped into (-pi, pi]. A single
+    instance is the all-zero gauge choice, snapped coordinate-wise to the
+    grid phase nearest 0 on a ``phase_grid`` without 0. The first instance
+    of the continuous search is all-zero; on a ``phase_grid`` it is the
+    chosen point with the lowest index in ``itertools.product(grid,
+    repeat=M)``: (-pi/2, -pi/2) on ``QUARTER_GRID`` with M = 2, L = 3.
+    Cross-pattern distances are phase-independent, so one optimized set
+    serves every pattern.
     """
     cfg = cfg or DEFAULT_CONFIG
     if m < 2 or ell < 1:
         raise InvalidConfig(f"need M >= 2 and L >= 1, got M={m}, L={ell}")
     if ell == 1:
-        th = np.zeros((1, m))
+        grid = np.asarray(cfg.phase_grid or (0.0,))
+        th = np.full((1, m), grid[np.argmin(np.abs(grid))])
     elif cfg.phase_grid is not None:
         th = _optimize_phases_discrete(m, ell, cfg)
     else:
         th = _optimize_phases_continuous(m, ell, cfg)
-    return [PhaseAssignment(0, tuple(row)) for row in th]
+    return _wrap_phase(th)
 
 
 def build_sparse_2M(m: int, size: int, cfg: OptimizerConfig = None) -> Codebook:
@@ -391,12 +379,12 @@ def build_sparse_2M(m: int, size: int, cfg: OptimizerConfig = None) -> Codebook:
     npat = len(patterns)
     ell = -(-size // npat)
     n_full = size - (ell - 1) * npat  # this many leading patterns carry L instances
-    assignments = optimize_phases_2M(m, ell, cfg)
+    phases = optimize_phases_2M(m, ell, cfg)
     words = []
     for pi, pat in enumerate(patterns):
         count = ell if pi < n_full else ell - 1
         for inst in range(count):
-            words.append(pair_codeword(pat, assignments[inst].thetas))
+            words.append(pair_codeword(pat, phases[inst]))
     meta = {
         "method": "sparse2m",
         "T": 2 * m,
@@ -405,7 +393,7 @@ def build_sparse_2M(m: int, size: int, cfg: OptimizerConfig = None) -> Codebook:
         "instances_per_pattern": ell,
         "seed": cfg.seed,
         "phase_grid": list(cfg.phase_grid) if cfg.phase_grid else None,
-        "phases": [list(a.thetas) for a in assignments],
+        "phases": phases.tolist(),
     }
     return Codebook(tuple(words), meta)
 
@@ -414,41 +402,13 @@ def build_sparse_2M(m: int, size: int, cfg: OptimizerConfig = None) -> Codebook:
 # general sparse construction (any T > M > 1)
 # ---------------------------------------------------------------------------
 
-def _general_stack(layout, phases):
-    """Assemble the (size, T, M) stack for a phase matrix (size, s)."""
-    size, t, m = len(layout["pattern"]), layout["T"], layout["M"]
-    stack = np.zeros((size, t, m), dtype=np.complex128)
-    stack[layout["widx"], layout["ridx"], layout["cidx"]] = layout["amps"] * np.exp(1j * phases)
-    return stack
-
-
-def _general_layout(t, m, s, size, patterns):
+def _general_layout(size, patterns):
+    """``size`` patterns taken round-robin, most balanced column supports first."""
     order = sorted(
         patterns,
         key=lambda p: (max(len(u) for u in p.supports) - min(len(u) for u in p.supports), p.supports),
     )
-    chosen = [order[c % len(order)] for c in range(size)]
-    widx, ridx, cidx, amps, free = [], [], [], [], []
-    for w, pat in enumerate(chosen):
-        for col, sup in enumerate(pat.supports):
-            a = 1.0 / math.sqrt(len(sup))
-            for k, row in enumerate(sup):
-                widx.append(w)
-                ridx.append(row - 1)
-                cidx.append(col)
-                amps.append(a)
-                free.append(k > 0)  # pivot phases stay at the zero gauge
-    # every pattern has exactly s entries, so the flat lists fold to (size, s)
-    return {
-        "T": t,
-        "M": m,
-        "pattern": chosen,
-        "widx": np.array(widx).reshape(size, s),
-        "ridx": np.array(ridx).reshape(size, s),
-        "cidx": np.array(cidx).reshape(size, s),
-        "amps": np.array(amps).reshape(size, s),
-        "free": np.array(free, dtype=float).reshape(size, s),
-    }
+    return [order[c % len(order)] for c in range(size)]
 
 
 def build_general_sparse(
@@ -475,17 +435,17 @@ def build_general_sparse(
         patterns = [p.to_sparsity() if hasattr(p, "to_sparsity") else p for p in patterns]
         if any(p.size != s or p.T != t or p.M != m for p in patterns):
             raise InvalidConfig("explicit patterns must match (T, M, s)")
-    layout = _general_layout(t, m, s, size, patterns)
-    free = layout["free"]
+    layout = _layout(_general_layout(size, patterns))
+    free = layout[4] != np.arange(s)  # pivot phases stay at the zero gauge
 
     def exact_mcd(phases):
-        return _closest_pair(pairwise_chordal(_general_stack(layout, phases)))[0]
+        return _closest_pair(pairwise_chordal(_fill(layout, phases, t, m)))[0]
 
-    idx = layout["widx"], layout["ridx"], layout["cidx"]
+    idx = layout[:3]
 
     def value_grad(phases, eps):
-        stack = _general_stack(layout, phases)
-        value, egrad, _ = _surrogate_egrad(stack, eps)
+        stack = _fill(layout, phases, t, m)
+        value, egrad, _, _ = _surrogate_egrad(stack, eps)
         # d/dtheta of F for W = amp * exp(j theta): -2 Im(conj(egrad) * W)
         return value, -2.0 * np.imag(egrad[idx].conj() * stack[idx]) * free, None
 
@@ -500,7 +460,7 @@ def build_general_sparse(
     if cfg.phase_grid is not None:
         best_ph = _snap_to_grid(best_ph, cfg.phase_grid, free, exact_mcd)
         best_val = exact_mcd(best_ph)
-    stack = _general_stack(layout, best_ph)
+    stack = _fill(layout, best_ph, t, m)
     meta = {
         "method": "sparse-general",
         "T": t,

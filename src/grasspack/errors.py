@@ -48,10 +48,6 @@ class ShapeMismatch(GrasspackError):
     pass
 
 
-class ZeroColumn(GrasspackError):
-    pass
-
-
 # codebook construction
 class InvalidConfig(GrasspackError):
     pass
@@ -76,10 +72,6 @@ class InvalidEll(GrasspackError):
 
 
 class ZeroSignal(GrasspackError):
-    pass
-
-
-class ConfigError(GrasspackError):
     pass
 
 

@@ -9,6 +9,13 @@ identity is canonical and testable.
 For T = 2M every admissible pattern is a perfect matching of the 2M rows, and
 a round-robin 1-factorization of K_{2M} yields 2M - 1 patterns that share no
 row pair.
+
+Every sparse codeword in the package comes from one vectorised kernel:
+:func:`_layout` lists the nonzero positions of a batch of equal-size
+patterns and :func:`_fill` writes ``amp * exp(j * phase)`` into them. Each
+column has equal amplitudes 1/sqrt(|support|); :func:`pattern_to_codeword`
+also fixes the gauge by making each column's pivot (first) entry real and
+positive.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidM, InvalidRange, ShapeMismatch, SizeLimit, ZeroColumn
+from .errors import InvalidM, InvalidRange, ShapeMismatch, SizeLimit
 from .grassmann import Codeword
 
 ENUMERATION_CAP = 10**6
@@ -161,43 +168,52 @@ def matching_patterns(m: int) -> list:
     return out
 
 
-def pattern_to_codeword(pattern, phases, amplitudes=None) -> Codeword:
-    """Materialize a pattern into a unit-column codeword.
+def _layout(patterns):
+    """Nonzero positions of equal-size patterns, as (K, s) arrays.
+
+    Returns word, row and column indices, the column amplitude
+    1/sqrt(|support|) and, per entry, the position of its column's pivot
+    entry. Entries run column-major, rows ascending within each column.
+    """
+    ridx, cidx, amps, pivot = [], [], [], []
+    for pat in patterns:
+        if isinstance(pat, PairPattern):
+            pat = pat.to_sparsity()
+        pos = 0
+        for col, sup in enumerate(pat.supports):
+            ridx += [row - 1 for row in sup]
+            cidx += [col] * len(sup)
+            amps += [1.0 / math.sqrt(len(sup))] * len(sup)
+            pivot += [pos] * len(sup)
+            pos += len(sup)
+    k = len(patterns)
+    ridx, cidx, amps, pivot = (np.reshape(a, (k, -1)) for a in (ridx, cidx, amps, pivot))
+    widx = np.repeat(np.arange(k)[:, None], ridx.shape[1], axis=1)
+    return widx, ridx, cidx, amps, pivot
+
+
+def _fill(layout, phases, t, m):
+    """(K, T, M) stack with ``amp * exp(j * phases)`` at the layout's positions."""
+    widx, ridx, cidx, amps, _ = layout
+    stack = np.zeros((widx.shape[0], t, m), dtype=np.complex128)
+    stack[widx, ridx, cidx] = amps * np.exp(1j * phases)
+    return stack
+
+
+def pattern_to_codeword(pattern, phases) -> Codeword:
+    """Materialize a pattern into an equal-amplitude unit-column codeword.
 
     ``phases`` lists one phase per nonzero entry, column-major, rows in
     ascending order within each column. Each column is rotated so its first
     (pivot) entry is real positive, which removes the right-unitary gauge.
-    ``amplitudes`` optionally gives per-column nonnegative amplitude lists;
-    columns are normalized to unit norm, so only amplitude ratios matter.
     """
     if isinstance(pattern, PairPattern):
         pattern = pattern.to_sparsity()
-    s = pattern.size
     ph = np.asarray(phases, dtype=np.float64).reshape(-1)
-    if ph.size != s:
-        raise ShapeMismatch(f"expected {s} phases, got {ph.size}")
-    if amplitudes is None:
-        amps = [np.ones(len(sup)) for sup in pattern.supports]
-    else:
-        if len(amplitudes) != pattern.M:
-            raise ShapeMismatch(f"expected {pattern.M} amplitude lists")
-        amps = [np.asarray(a, dtype=np.float64).reshape(-1) for a in amplitudes]
-        for a, sup in zip(amps, pattern.supports):
-            if a.size != len(sup):
-                raise ShapeMismatch("amplitude list does not match support size")
-            if np.any(a < 0):
-                raise InvalidArgument("amplitudes must be nonnegative")
-    w = np.zeros((pattern.T, pattern.M), dtype=np.complex128)
-    pos = 0
-    for col, (sup, a) in enumerate(zip(pattern.supports, amps)):
-        norm = np.linalg.norm(a)
-        if norm == 0:
-            raise ZeroColumn(f"column {col + 1} has zero amplitude")
-        theta = ph[pos : pos + len(sup)]
-        pos += len(sup)
-        vals = (a / norm) * np.exp(1j * (theta - theta[0]))
-        w[np.asarray(sup) - 1, col] = vals
-    return Codeword(w)
+    if ph.size != pattern.size:
+        raise ShapeMismatch(f"expected {pattern.size} phases, got {ph.size}")
+    layout = _layout([pattern])
+    return Codeword(_fill(layout, ph - ph[layout[4]], pattern.T, pattern.M)[0])
 
 
 def pair_codeword(pattern: PairPattern, thetas) -> Codeword:

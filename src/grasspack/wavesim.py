@@ -13,12 +13,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, InvalidArgument, InvalidEll, ShapeMismatch, ZeroSignal
+from .errors import InvalidArgument, InvalidConfig, InvalidEll, ShapeMismatch, ZeroSignal
 from .grassmann import Codebook, _mat
 from .linalg import is_power_of_two
 from .rng import substream
 
-_MODULATIONS = ("4qam", "qpsk")
 _WAVEFORMS = ("ofdm", "dft-s-ofdm")
 
 
@@ -34,23 +33,17 @@ class WaveformConfig:
     n_used: int
     n_fft: int
     oversample: int = 1
-    modulation: str = "4qam"
     waveform: str = "ofdm"
-    mapping: str = "localized"
 
     def __post_init__(self):
         if self.n_used < 1:
-            raise ConfigError("n_used must be >= 1")
+            raise InvalidConfig("n_used must be >= 1")
         if not is_power_of_two(self.n_fft) or self.n_fft < self.n_used:
-            raise ConfigError("n_fft must be a power of two >= n_used")
+            raise InvalidConfig("n_fft must be a power of two >= n_used")
         if self.oversample < 1 or not is_power_of_two(self.oversample * self.n_fft):
-            raise ConfigError("oversample * n_fft must be a power of two")
-        if self.modulation not in _MODULATIONS:
-            raise ConfigError(f"modulation must be one of {_MODULATIONS}")
+            raise InvalidConfig("oversample * n_fft must be a power of two")
         if self.waveform not in _WAVEFORMS:
-            raise ConfigError(f"waveform must be one of {_WAVEFORMS}")
-        if self.mapping != "localized":
-            raise ConfigError("only localized subcarrier mapping is supported")
+            raise InvalidConfig(f"waveform must be one of {_WAVEFORMS}")
 
 
 @dataclass(frozen=True)
@@ -64,12 +57,10 @@ class PaprSamples:
     antenna_mean: bool = False
 
 
-def modulate(count: int, modulation: str = "4qam", seed: int = 0, rng=None) -> np.ndarray:
-    """Unit-average-power Gray-mapped symbols, i.i.d. uniform."""
+def modulate(count: int, seed: int = 0, rng=None) -> np.ndarray:
+    """Unit-average-power Gray-mapped 4-QAM symbols, i.i.d. uniform."""
     if count < 1:
         raise InvalidArgument("count must be >= 1")
-    if modulation not in _MODULATIONS:
-        raise ConfigError(f"modulation must be one of {_MODULATIONS}")
     rng = rng if rng is not None else substream(seed, 0)
     bits = rng.integers(0, 2, size=(count, 2))
     return ((1.0 - 2.0 * bits[:, 0]) + 1j * (1.0 - 2.0 * bits[:, 1])) / np.sqrt(2.0)
@@ -82,7 +73,7 @@ def _synthesize(grid: np.ndarray, cfg: WaveformConfig) -> np.ndarray:
     oversample * n_fft, unitary inverse FFT.
     """
     if grid.shape[-1] != cfg.n_used:
-        raise ConfigError(f"expected {cfg.n_used} used subcarriers, got {grid.shape[-1]}")
+        raise InvalidConfig(f"expected {cfg.n_used} used subcarriers, got {grid.shape[-1]}")
     qn = cfg.oversample * cfg.n_fft
     spec = np.zeros(grid.shape[:-1] + (qn,), dtype=np.complex128)
     start = qn // 2 - cfg.n_used // 2
@@ -150,7 +141,7 @@ def row_sparse_precoder(t: int, m: int, ell: int, thetas=None, seed: int = 0) ->
 def _frame_signals(w, cfg, rng):
     """One frame: modulate M streams, spread if single-carrier, precode, synthesize."""
     m = w.shape[1]
-    symbols = modulate(m * cfg.n_used, cfg.modulation, rng=rng).reshape(m, cfg.n_used)
+    symbols = modulate(m * cfg.n_used, rng=rng).reshape(m, cfg.n_used)
     if cfg.waveform == "dft-s-ofdm":
         symbols = np.fft.fft(symbols, axis=1, norm="ortho")
     return _synthesize(w @ symbols, cfg)
@@ -165,7 +156,7 @@ def papr_experiment(source, cfg: WaveformConfig, trials: int, seed: int = 0, ant
     ``antenna_mean`` records one per-frame average instead of pooling.
     """
     if trials < 1:
-        raise ConfigError("trials must be >= 1")
+        raise InvalidConfig("trials must be >= 1")
     if isinstance(source, Codebook):
         stack = source.stack()
     else:
@@ -193,7 +184,7 @@ def papr_experiment(source, cfg: WaveformConfig, trials: int, seed: int = 0, ant
 def constellation_samples(source, cfg: WaveformConfig, frames: int, seed: int = 0) -> np.ndarray:
     """Nyquist-rate time samples of antenna 1, for constellation scatter plots."""
     if frames < 1:
-        raise ConfigError("frames must be >= 1")
+        raise InvalidConfig("frames must be >= 1")
     nyquist = replace(cfg, oversample=1)
     w = _mat(source)
     out = np.empty((frames, nyquist.n_fft), dtype=np.complex128)

@@ -18,7 +18,6 @@ from grasspack.codebooks import (
     OptimizerConfig,
     _descend,
     _general_layout,
-    _general_stack,
     _manopt_grad,
     _surrogate_egrad,
     build_expmap,
@@ -52,7 +51,7 @@ from grasspack.grassmann import (
 )
 from grasspack.linalg import _qr_positive, random_stiefel
 from grasspack.rng import substream
-from grasspack.schubert import enumerate_patterns, matching_patterns, pair_codeword
+from grasspack.schubert import _fill, _layout, enumerate_patterns, matching_patterns, pair_codeword
 
 FAST = OptimizerConfig(restarts=2, max_iters=120, seed=0)
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -136,9 +135,9 @@ def _random_stack(k, t, m, seed):
 
 
 def _sparse_general_stack(seed):
-    layout = _general_layout(6, 2, 4, 8, enumerate_patterns(6, 2, 4))
-    phases = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(8, 4)) * layout["free"]
-    return _general_stack(layout, phases)
+    layout = _layout(_general_layout(8, enumerate_patterns(6, 2, 4)))
+    phases = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(8, 4)) * (layout[4] != np.arange(4))
+    return _fill(layout, phases, 6, 2)
 
 
 _KERNEL_STACKS = {
@@ -155,10 +154,11 @@ class TestSurrogateKernel:
     def test_matches_einsum_reference(self, name, eps):
         stack = _KERNEL_STACKS[name]()
         value, egrad, rgrad, s = _einsum_surrogate(stack, eps)
-        got_value, got_egrad, got_s = _surrogate_egrad(stack, eps)
+        got_value, got_egrad, got_s, got_proj = _surrogate_egrad(stack, eps)
         assert got_value == pytest.approx(value, rel=1e-13)
         np.testing.assert_allclose(got_s, s, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got_egrad, egrad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_proj, stack @ stack.conj().transpose(0, 2, 1), rtol=0, atol=1e-15)
         np.testing.assert_allclose(_manopt_grad(stack, eps)[1], rgrad, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("eps", [1.0, 0.1])
@@ -272,25 +272,32 @@ class TestOptimizePhases:
     def test_single_instance_is_zero(self):
         for m in (2, 3, 5):
             (only,) = optimize_phases_2M(m, 1)
-            assert only.thetas == tuple([0.0] * m)
+            assert only.tolist() == [0.0] * m
+        quarter = OptimizerConfig(phase_grid=QUARTER_GRID)
+        assert optimize_phases_2M(3, 1, quarter).tolist() == [[0.0] * 3]
+
+    def test_single_instance_on_a_grid_without_zero(self):
+        cfg = OptimizerConfig(phase_grid=(np.pi / 4, 3 * np.pi / 4))
+        assert build_sparse_2M(2, 3, cfg).meta["phases"] == [[np.pi / 4, np.pi / 4]]
+        assert optimize_phases_2M(2, 1, cfg).tolist() == [[np.pi / 4, np.pi / 4]]
 
     def test_first_instance(self):
-        assert optimize_phases_2M(2, 3, FAST)[0].thetas == (0.0, 0.0)
+        assert optimize_phases_2M(2, 3, FAST)[0].tolist() == [0.0, 0.0]
         cfg = OptimizerConfig(phase_grid=QUARTER_GRID, seed=0)
         got = optimize_phases_2M(2, 3, cfg)
         order = list(itertools.product(cfg.phase_grid, repeat=2))
-        idx = [order.index(a.thetas) for a in got]
-        assert got[0].thetas == (-np.pi / 2, -np.pi / 2) and idx[0] == min(idx)
+        idx = [order.index(tuple(a)) for a in got]
+        assert got[0].tolist() == [-np.pi / 2, -np.pi / 2] and idx[0] == min(idx)
 
     def test_two_instances_reach_two(self):
         got = optimize_phases_2M(2, 2, FAST)
-        assert phase_objective(got[0].thetas, got[1].thetas) == pytest.approx(2.0, abs=1e-6)
+        assert phase_objective(got[0], got[1]) == pytest.approx(2.0, abs=1e-6)
 
     def test_quarter_grid_eight_instances(self):
         cfg = OptimizerConfig(phase_grid=QUARTER_GRID, seed=0)
         got = optimize_phases_2M(2, 8, cfg)
         vals = [
-            phase_objective(a.thetas, b.thetas) for a, b in itertools.combinations(got, 2)
+            phase_objective(a, b) for a, b in itertools.combinations(got, 2)
         ]
         assert min(vals) == pytest.approx(1.0, abs=1e-12)
 
@@ -308,7 +315,7 @@ class TestOptimizePhases:
         cfg = OptimizerConfig(phase_grid=grid, seed=0)
         got = optimize_phases_2M(m, ell, cfg)
         achieved = min(
-            phase_objective(a.thetas, b.thetas) for a, b in itertools.combinations(got, 2)
+            phase_objective(a, b) for a, b in itertools.combinations(got, 2)
         )
         points = list(itertools.product(grid, repeat=m))
         f = np.array([[phase_objective(a, b) for b in points] for a in points])

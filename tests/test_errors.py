@@ -65,3 +65,15 @@ def test_every_private_function_is_referenced():
     ]
     assert ("grassmann.py", "_closest_pair") in private  # the scan sees top-level helpers
     assert [f"{name}:{func}" for name, func in private if func not in used] == []
+
+
+def test_every_error_class_is_raised():
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    classes = [node.name for node in _tree(SRC / "errors.py").body if isinstance(node, ast.ClassDef)]
+    assert "InvalidArgument" in classes  # the scan sees the error classes
+    assert [name for name in classes if name not in raised] == []

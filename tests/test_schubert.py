@@ -3,11 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from grasspack.errors import InvalidM, InvalidRange, ShapeMismatch, SizeLimit, ZeroColumn
+from grasspack.errors import InvalidM, InvalidRange, ShapeMismatch, SizeLimit
 from grasspack.grassmann import validate_stiefel
 from grasspack.schubert import (
     PairPattern,
     SparsityPattern,
+    _fill,
+    _layout,
     count_patterns,
     enumerate_patterns,
     matching_patterns,
@@ -145,17 +147,33 @@ class TestPatternToCodeword:
             assert np.all(gram[~np.eye(3, dtype=bool)] == 0)  # exact zeros off-diagonal
             assert validate_stiefel(w, tol=1e-12)
 
-    def test_custom_amplitudes(self):
-        p = SparsityPattern(T=3, M=2, supports=((1, 2), (3,)))
-        w = pattern_to_codeword(p, phases=[0, np.pi / 2, 0], amplitudes=[[3, 4], [2]])
-        np.testing.assert_allclose(np.abs(w.matrix[:, 0]), [0.6, 0.8, 0.0], atol=1e-15)
-
     def test_phase_count_checked(self):
         p = SparsityPattern(T=4, M=2, supports=((1, 2), (3, 4)))
         with pytest.raises(ShapeMismatch):
             pattern_to_codeword(p, phases=[0.0, 1.0, 2.0])
 
-    def test_zero_column_rejected(self):
-        p = SparsityPattern(T=4, M=2, supports=((1, 2), (3, 4)))
-        with pytest.raises(ZeroColumn):
-            pattern_to_codeword(p, phases=[0, 0, 0, 0], amplitudes=[[0, 0], [1, 1]])
+    @pytest.mark.parametrize("t, m, s", [(4, 2, 4), (6, 3, 5), (7, 3, 6)])
+    def test_matches_per_column_formula(self, t, m, s):
+        rng = np.random.default_rng(t * 100 + s)
+        for pat in enumerate_patterns(t, m, s):
+            phases = rng.uniform(-np.pi, np.pi, s)
+            expected = np.zeros((t, m), dtype=complex)
+            pos = 0
+            for col, sup in enumerate(pat.supports):
+                theta = phases[pos : pos + len(sup)]
+                expected[np.array(sup) - 1, col] = np.exp(1j * (theta - theta[0])) / np.sqrt(len(sup))
+                pos += len(sup)
+            np.testing.assert_array_equal(pattern_to_codeword(pat, phases).matrix, expected)
+
+    @pytest.mark.parametrize(
+        "patterns",
+        [enumerate_patterns(6, 3, 5), matching_patterns(3)],  # (T, M) = (6, 3) in both
+        ids=["general-6-3-5", "matchings-M3"],
+    )
+    def test_batched_fill_matches_single_words(self, patterns):
+        layout = _layout(patterns)
+        k, s = layout[0].shape
+        # pivot phases at 0, so the per-word gauge rotation changes nothing
+        phases = np.random.default_rng(8).uniform(-np.pi, np.pi, (k, s)) * (layout[4] != np.arange(s))
+        expected = np.stack([pattern_to_codeword(p, ph).matrix for p, ph in zip(patterns, phases)])
+        np.testing.assert_array_equal(_fill(layout, phases, 6, 3), expected)
