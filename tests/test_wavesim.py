@@ -47,6 +47,7 @@ class TestConfig:
             dict(n_used=65, n_fft=64),
             dict(n_used=60, n_fft=60),
             dict(n_used=32, n_fft=64, oversample=3),
+            dict(n_used=32, n_fft=64, oversample=0),
             dict(n_used=32, n_fft=64, waveform="fbmc"),
         ],
     )
