@@ -5,6 +5,14 @@ subcarrier mapping and frequency-domain zero padding for oversampling; PAPR
 is the peak-to-mean instantaneous power ratio of each antenna signal. Frames
 are independent substreams of the run seed, so pooled results do not depend
 on evaluation order.
+
+The used subcarriers are written straight into their ``ifftshift``
+positions of the zero-padded spectrum, so no shift copy is made. Antennas
+whose precoder rows are equal carry equal signals: ``papr_experiment``
+finds the distinct rows once per codeword, synthesizes only those and
+expands their power statistics back to antenna order. The full precoded
+grid ``w @ symbols`` is still formed and then subset, so every sample is
+bit-identical to synthesizing all T antennas.
 """
 
 from __future__ import annotations
@@ -57,28 +65,37 @@ class PaprSamples:
     antenna_mean: bool = False
 
 
+# Gray-mapped 4-QAM symbol of the bit pair (b0, b1), at index 2 * b0 + b1
+_QPSK = ((1.0 - 2.0 * np.array([0, 0, 1, 1])) + 1j * (1.0 - 2.0 * np.array([0, 1, 0, 1]))) / np.sqrt(2.0)
+
+
 def modulate(count: int, seed: int = 0, rng=None) -> np.ndarray:
     """Unit-average-power Gray-mapped 4-QAM symbols, i.i.d. uniform."""
     if count < 1:
         raise InvalidArgument("count must be >= 1")
     rng = rng if rng is not None else substream(seed, 0)
     bits = rng.integers(0, 2, size=(count, 2))
-    return ((1.0 - 2.0 * bits[:, 0]) + 1j * (1.0 - 2.0 * bits[:, 1])) / np.sqrt(2.0)
+    return _QPSK[2 * bits[:, 0] + bits[:, 1]]
 
 
 def _synthesize(grid: np.ndarray, cfg: WaveformConfig) -> np.ndarray:
     """Rows of used-subcarrier symbols -> oversampled time signals.
 
     Localized DC-centered mapping, spectrum zero-padded at the edges to
-    oversample * n_fft, unitary inverse FFT.
+    oversample * n_fft, unitary inverse FFT. The centered bin ``k`` is
+    written straight to its ``ifftshift`` position ``(k - qn // 2) % qn``:
+    the lower half of the band wraps to the top of the spectrum, the upper
+    half starts at bin 0. The transform runs in place on the spectrum, which
+    keeps one fewer frame-sized buffer alive.
     """
     if grid.shape[-1] != cfg.n_used:
         raise InvalidConfig(f"expected {cfg.n_used} used subcarriers, got {grid.shape[-1]}")
     qn = cfg.oversample * cfg.n_fft
+    low = cfg.n_used // 2
     spec = np.zeros(grid.shape[:-1] + (qn,), dtype=np.complex128)
-    start = qn // 2 - cfg.n_used // 2
-    spec[..., start : start + cfg.n_used] = grid
-    return np.fft.ifft(np.fft.ifftshift(spec, axes=-1), axis=-1, norm="ortho")
+    spec[..., qn - low :] = grid[..., :low]
+    spec[..., : cfg.n_used - low] = grid[..., low:]
+    return np.fft.ifft(spec, axis=-1, norm="ortho", out=spec)
 
 
 def papr(x) -> float:
@@ -101,7 +118,10 @@ def ccdf(samples, thresholds_db) -> np.ndarray:
     """Empirical Pr(PAPR > threshold) per threshold, as (threshold, prob) rows."""
     db = 10.0 * np.log10(_papr_values(samples))
     thr = np.atleast_1d(np.asarray(thresholds_db, dtype=float))
-    probs = np.array([(db > t).mean() for t in thr])
+    ranked = np.sort(db)
+    # NaN sorts last and exceeds no threshold
+    ranked = ranked[: np.searchsorted(ranked, np.inf, side="right")]
+    probs = (ranked.size - np.searchsorted(ranked, thr, side="right")) / db.size
     return np.column_stack([thr, probs])
 
 
@@ -128,23 +148,26 @@ def row_sparse_precoder(t: int, m: int, ell: int, thetas=None, seed: int = 0) ->
         th = np.asarray(thetas, dtype=float).reshape(-1)
         if th.size < ell:
             raise ShapeMismatch(f"need at least {ell} phases, got {th.size}")
-        for row in range(t):
-            w[row, :ell] = mag * np.exp(1j * th[:ell])
+        w[:, :ell] = mag * np.exp(1j * th[:ell])
     else:
-        rng = substream(seed, 0)
-        for row in range(t):
-            cols = (row + np.arange(ell)) % m
-            w[row, cols] = mag * np.exp(1j * rng.uniform(-np.pi, np.pi, ell))
+        rows = np.arange(t)[:, None]
+        phases = substream(seed, 0).uniform(-np.pi, np.pi, (t, ell))
+        w[rows, (rows + np.arange(ell)) % m] = mag * np.exp(1j * phases)
     return w
 
 
-def _frame_signals(w, cfg, rng):
-    """One frame: modulate M streams, spread if single-carrier, precode, synthesize."""
+def _frame_signals(w, cfg, rng, rows=None):
+    """One frame: modulate M streams, spread if single-carrier, precode, synthesize.
+
+    ``rows`` selects the antennas synthesized; the full precoded grid is
+    formed first, so a selected row is the same whatever the selection.
+    """
     m = w.shape[1]
     symbols = modulate(m * cfg.n_used, rng=rng).reshape(m, cfg.n_used)
     if cfg.waveform == "dft-s-ofdm":
         symbols = np.fft.fft(symbols, axis=1, norm="ortho")
-    return _synthesize(w @ symbols, cfg)
+    grid = w @ symbols
+    return _synthesize(grid if rows is None else grid[rows], cfg)
 
 
 def papr_experiment(source, cfg: WaveformConfig, trials: int, seed: int = 0, antenna_mean: bool = False) -> PaprSamples:
@@ -154,26 +177,27 @@ def papr_experiment(source, cfg: WaveformConfig, trials: int, seed: int = 0, ant
     since PAPR depends only on the precoder sparsity) or a fixed precoding
     matrix. Antennas with identically zero signals contribute no samples;
     ``antenna_mean`` records one per-frame average instead of pooling.
+    Only the distinct precoder rows are synthesized; equal rows share their
+    peak and mean power.
     """
     if trials < 1:
         raise InvalidConfig("trials must be >= 1")
-    if isinstance(source, Codebook):
-        stack = source.stack()
-    else:
-        stack = None
-        w_fixed = _mat(source)
+    drawn = isinstance(source, Codebook)
+    stack = source.stack() if drawn else _mat(source)[None]
+    distinct = {}  # codeword index -> (first row of each distinct row, antenna -> distinct row)
     out = []
     for frame in range(trials):
         rng = substream(seed, frame)
-        if stack is not None:
-            w = stack[int(rng.integers(stack.shape[0]))]
-        else:
-            w = w_fixed
-        signals = _frame_signals(w, cfg, rng)
-        power = np.abs(signals) ** 2
-        mean = power.mean(axis=1)
+        k = int(rng.integers(stack.shape[0])) if drawn else 0
+        if k not in distinct:
+            _, first, inverse = np.unique(stack[k], axis=0, return_index=True, return_inverse=True)
+            distinct[k] = first, inverse.reshape(-1)
+        first, inverse = distinct[k]
+        power = np.abs(_frame_signals(stack[k], cfg, rng, first)) ** 2
+        mean = power.mean(axis=1)[inverse]
+        peak = power.max(axis=1)[inverse]
         live = mean > 0
-        vals = power[live].max(axis=1) / mean[live]
+        vals = peak[live] / mean[live]
         if antenna_mean:
             out.append(vals.mean())
         else:
@@ -189,5 +213,5 @@ def constellation_samples(source, cfg: WaveformConfig, frames: int, seed: int = 
     w = _mat(source)
     out = np.empty((frames, nyquist.n_fft), dtype=np.complex128)
     for frame in range(frames):
-        out[frame] = _frame_signals(w, nyquist, substream(seed, frame))[0]
+        out[frame] = _frame_signals(w, nyquist, substream(seed, frame), [0])[0]
     return out.reshape(-1)

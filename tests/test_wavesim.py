@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from grasspack.codebooks import proposed_codebook_4_2
+from grasspack.codebooks import OptimizerConfig, build_sparse_2M, proposed_codebook_4_2
 from grasspack.errors import InvalidArgument, InvalidConfig, InvalidEll, ShapeMismatch, ZeroSignal
+from grasspack.grassmann import Codebook
 from grasspack.rng import substream
 from grasspack.wavesim import (
+    _QPSK,
     PaprSamples,
     WaveformConfig,
     _frame_signals,
@@ -30,6 +32,33 @@ def reference_synthesis(rows, cfg):
     start = qn // 2 - cfg.n_used // 2
     spec[..., start : start + cfg.n_used] = rows
     return np.fft.ifft(np.fft.ifftshift(spec, axes=-1), axis=-1, norm="ortho")
+
+
+def closed_form_qpsk(bits):
+    return ((1.0 - 2.0 * bits[:, 0]) + 1j * (1.0 - 2.0 * bits[:, 1])) / np.sqrt(2.0)
+
+
+def reference_papr_experiment(source, cfg, trials, seed, antenna_mean=False):
+    """Oracle for ``papr_experiment``: every antenna synthesized per frame,
+    closed-form QPSK, full-row reference synthesis and power."""
+    stack = source.stack() if isinstance(source, Codebook) else np.asarray(source, dtype=complex)[None]
+    out = []
+    for frame in range(trials):
+        rng = substream(seed, frame)
+        w = stack[int(rng.integers(stack.shape[0]))] if isinstance(source, Codebook) else stack[0]
+        m = w.shape[1]
+        symbols = closed_form_qpsk(rng.integers(0, 2, size=(m * cfg.n_used, 2))).reshape(m, cfg.n_used)
+        if cfg.waveform == "dft-s-ofdm":
+            symbols = np.fft.fft(symbols, axis=1, norm="ortho")
+        power = np.abs(reference_synthesis(w @ symbols, cfg)) ** 2
+        mean = power.mean(axis=1)
+        live = mean > 0
+        vals = power[live].max(axis=1) / mean[live]
+        if antenna_mean:
+            out.append(vals.mean())
+        else:
+            out.extend(vals)
+    return np.sort(np.asarray(out, dtype=float))
 
 
 def time_signal(row, cfg):
@@ -72,6 +101,14 @@ class TestModulate:
 
     def test_deterministic(self):
         assert np.array_equal(modulate(64, seed=2), modulate(64, seed=2))
+
+    def test_table_matches_closed_form(self):
+        # the lookup table holds the closed-form symbol of every bit pair,
+        # bit for bit, so the modulated stream is unchanged
+        pairs = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+        assert _QPSK.tobytes() == closed_form_qpsk(pairs).tobytes()
+        bits = substream(20, 0).integers(0, 2, size=(4099, 2))
+        assert modulate(4099, seed=20).tobytes() == closed_form_qpsk(bits).tobytes()
 
 
 class TestDftSpread:
@@ -172,6 +209,24 @@ class TestCcdf:
         probs = ccdf(samples, np.linspace(0, 12, 40))[:, 1]
         assert np.all(np.diff(probs) <= 0)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 1601])
+    def test_matches_per_threshold_mean(self, n):
+        rng = np.random.default_rng(n)
+        samples = 1.0 + rng.exponential(2.0, size=n)  # unsorted, as pooled
+        samples[:: max(1, n // 4)] = samples[0]  # ties
+        db = 10.0 * np.log10(samples)
+        thr = np.concatenate([np.linspace(-3.0, 15.0, 73), db[:5], [np.nan, np.inf, -np.inf]])
+        expected = np.array([(db > t).mean() for t in thr])
+        assert ccdf(samples, thr)[:, 1].tobytes() == expected.tobytes()
+
+    def test_nan_and_zero_samples_as_per_threshold_mean(self):
+        samples = np.array([4.0, np.nan, 0.0, 2.0, np.nan, 8.0])
+        with np.errstate(divide="ignore"):
+            db = 10.0 * np.log10(samples)
+            out = ccdf(samples, [-np.inf, 0.0, 4.0, np.inf, np.nan])
+        expected = [(db > t).mean() for t in out[:, 0]]
+        assert out[:, 1].tolist() == expected
+
     def test_empty_samples_rejected(self):
         with pytest.raises(InvalidArgument):
             ccdf([], [3.0])
@@ -191,6 +246,19 @@ class TestRowSparsePrecoder:
         w = row_sparse_precoder(6, 3, 2, seed=11)
         assert np.all(np.count_nonzero(w, axis=1) == 2)
 
+    @pytest.mark.parametrize("t,m,ell", [(8, 4, 3), (8, 4, 4), (6, 3, 1), (3, 5, 2)])
+    def test_matches_per_row_formula(self, t, m, ell):
+        mag = np.sqrt(m / (ell * t))
+        fixed = np.zeros((t, m), dtype=complex)
+        drawn = np.zeros((t, m), dtype=complex)
+        rng = substream(5, 0)
+        for row in range(t):
+            fixed[row, :ell] = mag * np.exp(1j * np.asarray(FIG_THETAS + [0.3])[:ell])
+            cols = (row + np.arange(ell)) % m
+            drawn[row, cols] = mag * np.exp(1j * rng.uniform(-np.pi, np.pi, ell))
+        assert row_sparse_precoder(t, m, ell, thetas=FIG_THETAS + [0.3]).tobytes() == fixed.tobytes()
+        assert row_sparse_precoder(t, m, ell, seed=5).tobytes() == drawn.tobytes()
+
     def test_invalid_ell(self):
         with pytest.raises(InvalidEll):
             row_sparse_precoder(8, 4, 5)
@@ -202,7 +270,48 @@ class TestRowSparsePrecoder:
             row_sparse_precoder(8, 4, 3, thetas=[0.1, 0.2])
 
 
+def _random_stiefel(t, m, seed):
+    rng = np.random.default_rng(seed)
+    return np.linalg.qr(rng.standard_normal((t, m)) + 1j * rng.standard_normal((t, m)))[0]
+
+
+def _zero_row_precoder():
+    w = row_sparse_precoder(6, 3, 2, seed=4)
+    w[[1, 4]] = 0
+    return w
+
+
+QUARTER_SPARSE_2_8 = build_sparse_2M(2, 8, OptimizerConfig(seed=0, phase_grid=(-np.pi / 2, 0.0, np.pi / 2, np.pi)))
+DENSE_BOOK = Codebook([_random_stiefel(4, 2, s) for s in range(5)])
+ENGINE_SOURCES = {
+    "sparse2m_quarter": QUARTER_SPARSE_2_8,
+    "dense_book": DENSE_BOOK,
+    "rows_thetas": row_sparse_precoder(8, 4, 3, thetas=FIG_THETAS),
+    "rows_random": row_sparse_precoder(8, 4, 2, seed=9),
+    "zero_rows": _zero_row_precoder(),
+}
+
+
 class TestPaprExperiment:
+    @pytest.mark.parametrize("oversample", [1, 8])
+    @pytest.mark.parametrize("antenna_mean", [False, True])
+    @pytest.mark.parametrize("waveform", ["ofdm", "dft-s-ofdm"])
+    @pytest.mark.parametrize("source", sorted(ENGINE_SOURCES))
+    def test_matches_per_frame_reference(self, source, waveform, antenna_mean, oversample):
+        # distinct-row synthesis, direct bin placement and the QPSK table
+        # reproduce the all-antenna engine bit for bit; the odd n_used puts
+        # one more bin above DC than below
+        cfg = WaveformConfig(n_used=5, n_fft=8, oversample=oversample, waveform=waveform)
+        src = ENGINE_SOURCES[source]
+        got = papr_experiment(src, cfg, 40, seed=23, antenna_mean=antenna_mean).samples
+        expected = reference_papr_experiment(src, cfg, 40, 23, antenna_mean)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_matches_reference_at_benchmark_size(self):
+        cfg = WaveformConfig(n_used=624, n_fft=1024, oversample=8, waveform="dft-s-ofdm")
+        got = papr_experiment(QUARTER_SPARSE_2_8, cfg, 6, seed=24).samples
+        assert got.tobytes() == reference_papr_experiment(QUARTER_SPARSE_2_8, cfg, 6, 24).tobytes()
+
     def test_zero_trials_rejected(self):
         cfg = WaveformConfig(n_used=32, n_fft=32)
         with pytest.raises(InvalidConfig):
