@@ -3,6 +3,8 @@
 Counts are in complex multiplications (one complex multiply = one unit) and
 stored scalars/records; the instrumented counter in ``linksim.effective_gram``
 validates the Gram-path formulas against actually executed multiplies.
+``complexity_report`` gathers every count of one scenario in a plain dict,
+which ``grasspack audit`` writes as JSON.
 """
 
 from __future__ import annotations
@@ -76,53 +78,20 @@ def measured_mult_count(counter) -> int:
     return int(counter.count)
 
 
-@dataclass(frozen=True)
-class ComplexityReport:
-    """All analytic counts for one (T, M, N, size) scenario."""
-
-    T: int
-    M: int
-    N: int
-    size: int
-    gram_dense: int
-    gram_sparse: int
-    precode_dense: int
-    precode_sparse: int
-    storage_dense: int
-    storage_sparse: int
-    real_vars_manopt: int
-    real_vars_proposed2m: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "T": self.T,
-            "M": self.M,
-            "N": self.N,
-            "size": self.size,
-            "gram_mults": {"dense": self.gram_dense, "sparse": self.gram_sparse},
-            "precode_mults": {"dense": self.precode_dense, "sparse": self.precode_sparse},
-            "storage": {"dense": self.storage_dense, "sparse": self.storage_sparse},
-            "real_variables": {
-                "manopt": self.real_vars_manopt,
-                "proposed2m": self.real_vars_proposed2m,
-            },
-        }
-
-
-def complexity_report(t: int, m: int, n: int, size: int) -> ComplexityReport:
-    """Assemble every count for one scenario (proposed2m only when T = 2M)."""
+def complexity_report(t: int, m: int, n: int, size: int) -> dict:
+    """Every count for one scenario as a JSON-ready dict (proposed2m only when T = 2M, else None)."""
     proposed = real_variable_count("proposed2m", t, m, size) if t == 2 * m else None
-    return ComplexityReport(
-        T=t,
-        M=m,
-        N=n,
-        size=size,
-        gram_dense=gram_mult_count(t, m, n, sparse=False),
-        gram_sparse=gram_mult_count(t, m, n, sparse=True),
-        precode_dense=precode_mult_count(t, m, sparse=False),
-        precode_sparse=precode_mult_count(t, m, sparse=True),
-        storage_dense=storage_count(t, m, size, sparse=False),
-        storage_sparse=storage_count(t, m, size, sparse=True),
-        real_vars_manopt=real_variable_count("manopt", t, m, size),
-        real_vars_proposed2m=proposed,
-    )
+
+    def both(count, *dims):
+        return {"dense": count(*dims, sparse=False), "sparse": count(*dims, sparse=True)}
+
+    return {
+        "T": t,
+        "M": m,
+        "N": n,
+        "size": size,
+        "gram_mults": both(gram_mult_count, t, m, n),
+        "precode_mults": both(precode_mult_count, t, m),
+        "storage": both(storage_count, t, m, size),
+        "real_variables": {"manopt": real_variable_count("manopt", t, m, size), "proposed2m": proposed},
+    }

@@ -272,10 +272,12 @@ def cmd_papr(args):
 
 def cmd_audit(args):
     if args.sweep:
-        sizes = [int(v) for v in _parse_axis(args.sweep)]
+        values = _parse_axis(args.sweep)
+        if not all(v.is_integer() for v in values):
+            raise ParseError(f"--sweep sizes must be finite integers, got {args.sweep!r}")
         header = ["size", "manopt_real_vars", "proposed2m_real_vars"]
         rows = []
-        for size in sizes:
+        for size in map(int, values):
             prop = (
                 real_variable_count("proposed2m", args.T, args.M, size)
                 if args.T == 2 * args.M
@@ -285,7 +287,7 @@ def cmd_audit(args):
         _write_csv(args.out, header, rows)
     else:
         report = complexity_report(args.T, args.M, args.N, args.size)
-        text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         Path(args.out).write_text(text, encoding="utf-8")
     print(f"wrote {args.out}")
     return [args.out]

@@ -82,10 +82,12 @@ class OptimizerConfig:
     expmap_scale: float = 0.5
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.restarts < 1 or self.expmap_scale <= 0:
-            raise InvalidConfig("max_iters and restarts must be >= 1, expmap_scale positive")
+        if self.max_iters < 1 or self.restarts < 1 or not 0 < self.expmap_scale < np.inf:
+            raise InvalidConfig("max_iters and restarts must be >= 1, expmap_scale positive and finite")
         grid = self.phase_grid
         if grid is not None:
+            if not np.all(np.isfinite(np.asarray(grid, dtype=float))):
+                raise InvalidConfig(f"phase_grid entries must be finite, got {grid}")
             grid = tuple(float(g) for g in _wrap_phase(tuple(grid)))
             if len(set(grid)) != len(grid) or not grid:
                 raise InvalidConfig("phase_grid must be nonempty without repeats")
@@ -411,14 +413,7 @@ def _general_layout(size, patterns):
     return [order[c % len(order)] for c in range(size)]
 
 
-def build_general_sparse(
-    t: int,
-    m: int,
-    s: int,
-    size: int,
-    cfg: OptimizerConfig = None,
-    patterns=None,
-) -> Codebook:
+def build_general_sparse(t: int, m: int, s: int, size: int, cfg: OptimizerConfig = None) -> Codebook:
     """Sparse codebook for arbitrary T > M > 1 and sparsity level s.
 
     Patterns are taken round-robin, most balanced column supports first (so
@@ -429,13 +424,7 @@ def build_general_sparse(
     cfg = cfg or DEFAULT_CONFIG
     if not (t > m > 1) or not m <= s <= t or size < 2:
         raise InvalidConfig(f"need T > M > 1, M <= s <= T, size >= 2, got {(t, m, s, size)}")
-    if patterns is None:
-        patterns = enumerate_patterns(t, m, s)
-    else:
-        patterns = [p.to_sparsity() if hasattr(p, "to_sparsity") else p for p in patterns]
-        if any(p.size != s or p.T != t or p.M != m for p in patterns):
-            raise InvalidConfig("explicit patterns must match (T, M, s)")
-    layout = _layout(_general_layout(size, patterns))
+    layout = _layout(_general_layout(size, enumerate_patterns(t, m, s)))
     free = layout[4] != np.arange(s)  # pivot phases stay at the zero gauge
 
     def exact_mcd(phases):

@@ -14,10 +14,6 @@ class NotSkewHermitian(GrasspackError):
     pass
 
 
-class RankDeficient(GrasspackError):
-    pass
-
-
 # Grassmann geometry
 class DimensionMismatch(GrasspackError):
     pass

@@ -104,16 +104,17 @@ class Codebook:
         """All codewords as a (size, T, M) array."""
         return np.stack([w.matrix for w in self.codewords])
 
-    def subset(self, indices, meta=None) -> "Codebook":
-        """New codebook from 1-based codeword indices, order preserved."""
+    def subset(self, indices) -> "Codebook":
+        """New codebook from 1-based codeword indices, order preserved; the
+        meta is copied and records ``subset_indices``."""
         indices = list(indices)
         bad = [i for i in indices if not 1 <= i <= len(self.codewords)]
         if bad:
             raise InvalidRange(f"codeword indices must lie in 1..{len(self.codewords)}, got {bad}")
         words = tuple(self.codewords[i - 1] for i in indices)
-        new_meta = dict(self.meta) if meta is None else dict(meta)
-        new_meta["subset_indices"] = [int(i) for i in indices]
-        return Codebook(words, new_meta)
+        meta = dict(self.meta)
+        meta["subset_indices"] = [int(i) for i in indices]
+        return Codebook(words, meta)
 
 
 def _mat(w) -> np.ndarray:

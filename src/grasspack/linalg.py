@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgument, NotSkewHermitian, RankDeficient
+from .errors import InvalidArgument, NotSkewHermitian
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -48,29 +48,14 @@ def matexp_skew_hermitian(a, tol: float = 1e-10) -> np.ndarray:
 def _qr_positive(a: np.ndarray) -> np.ndarray:
     """Thin QR factor with the R diagonal made real nonnegative.
 
-    Accepts a single matrix or a stack (..., T, M); no rank check.
+    Accepts a single matrix or a stack (..., T, M); no rank check. The sign
+    convention makes Q unique, so orthonormal input returns unchanged up to roundoff.
     """
     q, r = np.linalg.qr(a)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     mag = np.abs(d)
     phase = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
     return q * phase.conj()[..., None, :]
-
-
-def qr_orthonormalize(a, rank_tol: float = 1e-12) -> np.ndarray:
-    """Orthonormal basis Q of span(A) with deterministic sign convention.
-
-    The convention (R diagonal real nonnegative) makes the output unique, so
-    an already-orthonormal input is returned unchanged up to roundoff.
-    """
-    m = as_cmatrix(a)
-    t, k = m.shape
-    if t < k:
-        raise InvalidArgument(f"expected T >= M, got shape {m.shape}")
-    smin = np.linalg.svd(m, compute_uv=False)[-1]
-    if smin <= rank_tol:
-        raise RankDeficient(f"smallest singular value {smin:.3e} <= {rank_tol}")
-    return _qr_positive(m)
 
 
 def random_stiefel(t: int, m: int, rng: np.random.Generator) -> np.ndarray:

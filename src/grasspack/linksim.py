@@ -1,7 +1,9 @@
 """Limited-feedback MIMO link simulation.
 
 Channels, the achievable-rate and effective-gain selection rules, and the
-paired Monte Carlo sweeps behind the rate and gain comparisons. Every trial
+paired Monte Carlo sweeps behind the rate and gain comparisons. A channel is
+a plain (N, T) complex array: ``sample_rayleigh`` and ``sample_rician``
+return one, and the single-trial functions take any 2-D array. Every trial
 draws its channel from a counter-based substream of the run seed, so results
 are reproducible bit-for-bit regardless of chunking or thread count, and all
 codebooks in one sweep see the same channel sequence (common random numbers).
@@ -29,23 +31,6 @@ _CHUNK = 512
 
 
 @dataclass(frozen=True)
-class ChannelRealization:
-    """An N x T channel matrix plus the model it was drawn from."""
-
-    H: np.ndarray
-    model: str = "rayleigh"
-    k_factor: float | None = None
-
-    @property
-    def N(self) -> int:
-        return self.H.shape[0]
-
-    @property
-    def T(self) -> int:
-        return self.H.shape[1]
-
-
-@dataclass(frozen=True)
 class RateResult:
     """Mean achievable rate of one codebook over an SNR grid."""
 
@@ -54,7 +39,6 @@ class RateResult:
     mean_rates: tuple
     trials: int
     seed: int
-    paired: bool = True
 
 
 @dataclass(frozen=True)
@@ -71,20 +55,14 @@ class RateSweep:
     diff_se: dict
 
 
-def _chan(h) -> np.ndarray:
-    if isinstance(h, ChannelRealization):
-        return h.H
-    return as_cmatrix(h)
-
-
 def _rayleigh(n, t, rng):
     return (rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t))) / math.sqrt(2.0)
 
 
-def sample_rayleigh(n: int, t: int, seed: int = 0, rng=None) -> ChannelRealization:
-    """Uncorrelated Rayleigh channel: i.i.d. CN(0, 1) entries."""
+def sample_rayleigh(n: int, t: int, seed: int = 0, rng=None) -> np.ndarray:
+    """Uncorrelated (N, T) Rayleigh channel: i.i.d. CN(0, 1) entries."""
     rng = rng if rng is not None else substream(seed, 0)
-    return ChannelRealization(_rayleigh(n, t, rng), "rayleigh", None)
+    return _rayleigh(n, t, rng)
 
 
 def _steering(count, angles):
@@ -126,8 +104,8 @@ def _rician_chunk(rngs, n, t, ks, normalize):
     return out
 
 
-def sample_rician(n: int, t: int, k: float, seed: int = 0, normalize: bool = False, rng=None) -> ChannelRealization:
-    """Rician channel: rank-one line-of-sight plus Rayleigh scattering.
+def sample_rician(n: int, t: int, k: float, seed: int = 0, normalize: bool = False, rng=None) -> np.ndarray:
+    """(N, T) Rician channel: rank-one line-of-sight plus Rayleigh scattering.
 
     The LoS part is an outer product of ULA steering vectors with departure
     and arrival angles drawn uniformly on (-pi/2, pi/2) per realization, so
@@ -137,7 +115,7 @@ def sample_rician(n: int, t: int, k: float, seed: int = 0, normalize: bool = Fal
     k = _check_k(k)
     rng = rng if rng is not None else substream(seed, 0)
     (h,) = _rician_chunk([rng], n, t, [k], normalize)
-    return ChannelRealization(h[0], "rician", k)
+    return h[0]
 
 
 def effective_gram(h, w, counter=None):
@@ -147,7 +125,7 @@ def effective_gram(h, w, counter=None):
     nonzero entry are multiplied along the sparse path (a scaled column
     gather), so the recorded count reflects the work actually done.
     """
-    hm, wm = _chan(h), _mat(w)
+    hm, wm = as_cmatrix(h), _mat(w)
     if hm.shape[1] != wm.shape[0]:
         raise DimensionMismatch(f"channel {hm.shape} incompatible with codeword {wm.shape}")
     n, t = hm.shape
@@ -191,7 +169,7 @@ def _gains(g, stack):
 
 def _trial_scores(h, stack, rho=None):
     """Per-codeword scores of one channel: rates at ``rho``, or gains without it."""
-    hm = _chan(h)
+    hm = as_cmatrix(h)
     if hm.shape[1] != stack.shape[1]:
         raise DimensionMismatch(f"channel {hm.shape} incompatible with codewords of T={stack.shape[1]}")
     if not np.all(np.isfinite(hm)):
@@ -214,8 +192,8 @@ def effective_gain(h, w) -> float:
     return float(_trial_scores(h, _mat(w)[None])[0])
 
 
-def _first_within(scores, tol=1e-12):
-    return int(np.nonzero(scores >= scores.max() - tol)[0][0]) + 1
+def _first_within(scores):
+    return int(np.nonzero(scores >= scores.max() - 1e-12)[0][0]) + 1
 
 
 def select_index(h, b: Codebook, rho: float) -> int:

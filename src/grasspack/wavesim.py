@@ -4,7 +4,9 @@ Per-antenna time-domain signals are generated with localized, DC-centered
 subcarrier mapping and frequency-domain zero padding for oversampling; PAPR
 is the peak-to-mean instantaneous power ratio of each antenna signal. Frames
 are independent substreams of the run seed, so pooled results do not depend
-on evaluation order.
+on evaluation order. ``papr_experiment`` returns the pooled samples as a
+sorted 1-D array of linear ratios, which ``ccdf`` and ``ccdf_threshold_db``
+take as they are; both reject a sample that is not finite or lies below 1.
 
 The used subcarriers are written straight into their ``ifftshift``
 positions of the zero-padded spectrum, so no shift copy is made. Antennas
@@ -54,17 +56,6 @@ class WaveformConfig:
             raise InvalidConfig(f"waveform must be one of {_WAVEFORMS}")
 
 
-@dataclass(frozen=True)
-class PaprSamples:
-    """Pooled per-antenna PAPR samples (linear ratios, sorted ascending)."""
-
-    samples: np.ndarray
-    config: WaveformConfig
-    trials: int
-    seed: int
-    antenna_mean: bool = False
-
-
 # Gray-mapped 4-QAM symbol of the bit pair (b0, b1), at index 2 * b0 + b1
 _QPSK = ((1.0 - 2.0 * np.array([0, 0, 1, 1])) + 1j * (1.0 - 2.0 * np.array([0, 1, 0, 1]))) / np.sqrt(2.0)
 
@@ -108,9 +99,12 @@ def papr(x) -> float:
 
 
 def _papr_values(samples) -> np.ndarray:
-    vals = samples.samples if isinstance(samples, PaprSamples) else np.asarray(samples, dtype=float)
+    vals = np.asarray(samples, dtype=float)
     if vals.size < 1:
         raise InvalidArgument("need at least one PAPR sample")
+    # a peak is never below the mean; roundoff leaves constant modulus within ulps of 1
+    if not np.all(np.isfinite(vals)) or vals.min() < 1.0 - 1e-9:
+        raise InvalidArgument("PAPR samples must be finite and >= 1")
     return vals
 
 
@@ -119,8 +113,6 @@ def ccdf(samples, thresholds_db) -> np.ndarray:
     db = 10.0 * np.log10(_papr_values(samples))
     thr = np.atleast_1d(np.asarray(thresholds_db, dtype=float))
     ranked = np.sort(db)
-    # NaN sorts last and exceeds no threshold
-    ranked = ranked[: np.searchsorted(ranked, np.inf, side="right")]
     probs = (ranked.size - np.searchsorted(ranked, thr, side="right")) / db.size
     return np.column_stack([thr, probs])
 
@@ -140,6 +132,8 @@ def row_sparse_precoder(t: int, m: int, ell: int, thetas=None, seed: int = 0) ->
     drawn per row and the active streams are rotated across rows. This is an
     analysis device for the sparsity-PAPR study, not a Stiefel codeword.
     """
+    if t < 1:
+        raise InvalidArgument(f"need T >= 1 antennas, got T={t}")
     if not 1 <= ell <= m:
         raise InvalidEll(f"need 1 <= ell <= M, got ell={ell}, M={m}")
     mag = np.sqrt(m / (ell * t))
@@ -170,8 +164,8 @@ def _frame_signals(w, cfg, rng, rows=None):
     return _synthesize(grid if rows is None else grid[rows], cfg)
 
 
-def papr_experiment(source, cfg: WaveformConfig, trials: int, seed: int = 0, antenna_mean: bool = False) -> PaprSamples:
-    """Pooled per-antenna PAPR samples over random frames.
+def papr_experiment(source, cfg: WaveformConfig, trials: int, seed: int = 0, antenna_mean: bool = False) -> np.ndarray:
+    """Pooled per-antenna PAPR samples over random frames, as a sorted 1-D array of linear ratios.
 
     ``source`` is either a codebook (one codeword drawn uniformly per frame,
     since PAPR depends only on the precoder sparsity) or a fixed precoding
@@ -202,7 +196,7 @@ def papr_experiment(source, cfg: WaveformConfig, trials: int, seed: int = 0, ant
             out.append(vals.mean())
         else:
             out.extend(vals)
-    return PaprSamples(np.sort(np.asarray(out, dtype=float)), cfg, trials, seed, antenna_mean)
+    return np.sort(np.asarray(out, dtype=float))
 
 
 def constellation_samples(source, cfg: WaveformConfig, frames: int, seed: int = 0) -> np.ndarray:

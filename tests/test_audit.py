@@ -107,8 +107,7 @@ class TestMeasuredCounts:
 
 class TestReport:
     def test_full_scenario(self):
-        rep = complexity_report(4, 2, 32, 22)
-        d = rep.to_dict()
+        d = complexity_report(4, 2, 32, 22)
         assert d["gram_mults"] == {"dense": 384, "sparse": 256}
         assert d["precode_mults"] == {"dense": 8, "sparse": 4}
         assert d["storage"] == {"dense": 176, "sparse": 88}
@@ -116,4 +115,4 @@ class TestReport:
 
     def test_non_2m_scenario_omits_proposed(self):
         rep = complexity_report(6, 2, 32, 8)
-        assert rep.real_vars_proposed2m is None
+        assert rep["real_variables"]["proposed2m"] is None

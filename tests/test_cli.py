@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grasspack.cli import main
 from grasspack.codebooks import load_codebook, proposed_codebook_4_2, save_codebook
@@ -192,6 +198,14 @@ class TestPapr:
         ["design", "--method", "sparse2m", "-M", "2", "--size", "4", "--grid", "x"],
         ["papr", "--row-sparse", "4,2"],
         ["papr", "--row-sparse", "4,2,1", "--thetas", "a,b"],
+        ["papr", "--row-sparse", "0,2,1"],
+        ["papr", "--row-sparse=-1,2,1"],
+        ["design", "--method", "expmap", "-T", "4", "-M", "2", "--size", "3", "--scale", "nan"],
+        ["design", "--method", "expmap", "-T", "4", "-M", "2", "--size", "3", "--scale", "inf"],
+        ["design", "--method", "sparse2m", "-M", "2", "--size", "4", "--grid", "nan"],
+        ["audit", "-T", "4", "-M", "2", "--sweep", "nan"],
+        ["audit", "-T", "4", "-M", "2", "--sweep", "inf"],
+        ["audit", "-T", "4", "-M", "2", "--sweep", "1.5,2"],
         ["audit", "-T", "0", "-M", "0"],
         ["audit", "-T", "4", "-M", "2", "--size", "-1"],
         ["mcd", "DIR"],
@@ -234,3 +248,65 @@ class TestAudit:
     def test_bad_method_errors(self):
         with pytest.raises(SystemExit):
             run(["design", "--method", "fancy"])
+
+
+# one small valid command per subcommand (and per design method); BOOK is a
+# codebook file written next to the outputs
+FUZZ_COMMANDS = (
+    ("design", "--method", "sparse2m", "-M", "2", "--size", "4", "--iters", "2", "--restarts", "1", "--grid", "quarter"),
+    ("design", "--method", "sparse-general", "-T", "4", "-M", "2", "-s", "4", "--size", "3", "--iters", "2", "--restarts", "1"),
+    ("design", "--method", "manopt", "-T", "4", "-M", "2", "--size", "3", "--iters", "2", "--restarts", "1", "--seed", "1"),
+    ("design", "--method", "expmap", "-T", "4", "-M", "2", "--size", "3", "--scale", "0.5"),
+    ("design", "--method", "nr42", "--indices", "15-22", "--out", "nr.json"),
+    ("mcd", "BOOK", "--out", "mcd.csv"),
+    ("rate", "--codebooks", "BOOK", "-N", "2", "--snr-db", "0:10:5", "--trials", "4", "--seed", "1", "--out", "r.csv"),
+    ("gain-cdf", "--codebooks", "BOOK", "-N", "2", "--k-factors", "0,inf", "--trials", "4", "--out", "g.csv"),
+    ("papr", "--codebooks", "BOOK", "--waveform", "dft-s-ofdm", "--subcarriers", "12", "--fft", "16",
+     "--trials", "2", "--out", "p.csv"),
+    ("papr", "--row-sparse", "4,2,1", "--thetas", "0.5,1", "--waveform", "ofdm", "--subcarriers", "12",
+     "--fft", "16", "--oversample", "2", "--trials", "2", "--thresholds", "0:6:3", "--scatter", "s.csv",
+     "--scatter-frames", "2", "--out", "p.csv"),
+    ("audit", "-T", "4", "-M", "2", "-N", "8", "--size", "6", "--out", "a.json"),
+    ("audit", "-T", "4", "-M", "2", "--sweep", "2:8:2", "--out", "s.csv"),
+)
+FUZZ_VALUES = ("0", "-1", "nan", "inf", "", "abc")
+
+
+@st.composite
+def mutated_argv(draw):
+    """A fuzz command with one argument value, or one comma or colon field of
+    it, replaced by a value from FUZZ_VALUES."""
+    argv = list(draw(st.sampled_from(FUZZ_COMMANDS)))
+    pieces = []
+    for i, tok in enumerate(argv[1:], 1):
+        if not tok.startswith("-"):
+            fields = len(re.split("[,:]", tok))
+            pieces += [(i, None)] + ([(i, f) for f in range(fields)] if fields > 1 else [])
+    i, field = draw(st.sampled_from(pieces))
+    value = draw(st.sampled_from(FUZZ_VALUES))
+    if field is None:
+        argv[i] = value
+    else:
+        parts = re.split("([,:])", argv[i])  # separators at the odd positions
+        parts[2 * field] = value
+        argv[i] = "".join(parts)
+    return argv
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(mutated_argv())
+# once tracebacks: a zero antenna count, a NaN exp-map scale, a NaN sweep size
+@example(["papr", "--row-sparse", "0,2,1", "--subcarriers", "12", "--fft", "16", "--trials", "2", "--out", "p.csv"])
+@example(["design", "--method", "expmap", "-T", "4", "-M", "2", "--size", "3", "--scale", "nan"])
+@example(["audit", "-T", "4", "-M", "2", "--sweep", "nan", "--out", "s.csv"])
+def test_fuzzed_argument_exits_0_or_2_without_traceback(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        save_codebook(proposed_codebook_4_2(), "BOOK")
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejected the argument
+                code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -233,6 +233,21 @@ class TestOptimizeManopt:
         with pytest.raises(InvalidConfig):
             OptimizerConfig(max_iters=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"expmap_scale": np.nan},
+            {"expmap_scale": np.inf},
+            {"phase_grid": (0.0, np.nan)},
+            {"phase_grid": (np.inf,)},
+            {"phase_grid": (0.0, -np.inf)},
+        ],
+        ids=repr,
+    )
+    def test_non_finite_config_rejected(self, kwargs):
+        with pytest.raises(InvalidConfig):
+            OptimizerConfig(**kwargs)
+
 
 def _quadratic(x, eps):
     return float(np.sum(x**2)), 2.0 * x, None
@@ -419,7 +434,7 @@ class TestBuildGeneralSparse:
             assert validate_stiefel(w, tol=1e-12)
 
     def test_pair_patterns_reduce_to_cross_case(self):
-        book = build_general_sparse(4, 2, 4, 3, FAST, patterns=matching_patterns(2))
+        book = build_general_sparse(4, 2, 4, 3, FAST)
         assert min_chordal_distance(book)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_beats_expmap_on_6_2(self):

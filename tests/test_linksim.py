@@ -26,30 +26,30 @@ def e_cols(t, cols):
 
 class TestSampleRayleigh:
     def test_per_entry_variance(self):
-        h = sample_rayleigh(100, 1000, seed=0).H  # 1e5 entries
+        h = sample_rayleigh(100, 1000, seed=0)  # 1e5 entries
         assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, rel=0.02)
 
     def test_zero_mean(self):
-        h = sample_rayleigh(100, 1000, seed=1).H
+        h = sample_rayleigh(100, 1000, seed=1)
         n = h.size
         bound = 3.0 / np.sqrt(n)  # 3 sigma for the mean of unit-variance entries
         assert abs(h.mean()) < bound
 
     def test_deterministic(self):
-        a = sample_rayleigh(4, 3, seed=7).H
-        b = sample_rayleigh(4, 3, seed=7).H
+        a = sample_rayleigh(4, 3, seed=7)
+        b = sample_rayleigh(4, 3, seed=7)
         assert np.array_equal(a, b)
 
 
 class TestSampleRician:
     def test_k_zero_matches_rayleigh_distribution(self):
-        ray = np.abs(sample_rayleigh(100, 100, seed=2).H).ravel()
-        ric = np.abs(sample_rician(100, 100, 0.0, seed=3).H).ravel()
+        ray = np.abs(sample_rayleigh(100, 100, seed=2)).ravel()
+        ric = np.abs(sample_rician(100, 100, 0.0, seed=3)).ravel()
         assert stats.ks_2samp(ray, ric).pvalue > 0.01
 
     def test_k_inf_rank_one(self):
         for seed in range(5):
-            h = sample_rician(8, 4, float("inf"), seed=seed).H
+            h = sample_rician(8, 4, float("inf"), seed=seed)
             sv = np.linalg.svd(h, compute_uv=False)
             assert sv[1] < 1e-10 * sv[0]
 
@@ -57,12 +57,12 @@ class TestSampleRician:
         total = 0.0
         trials = 20000
         for seed in range(trials):
-            h = sample_rician(4, 4, 1.0, seed=seed).H
+            h = sample_rician(4, 4, 1.0, seed=seed)
             total += np.linalg.norm(h) ** 2 / 16.0
         assert total / trials == pytest.approx(1.0, rel=0.02)
 
     def test_normalize_flag(self):
-        h = sample_rician(4, 4, float("inf"), seed=0, normalize=True).H
+        h = sample_rician(4, 4, float("inf"), seed=0, normalize=True)
         assert np.linalg.norm(h) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_invalid_k(self):
@@ -171,7 +171,7 @@ class TestSelection:
         ch = sample_rician(8, 4, float("inf"), seed=11)
         idx = select_index_gain(ch, book)
         # for a rank-one channel the gain factors into ||a_r||^2 ||a_t^H W||^2
-        u, s, vh = np.linalg.svd(ch.H)
+        u, s, vh = np.linalg.svd(ch)
         a_r = u[:, 0] * s[0]
         a_t = vh[0].conj()
         gains = [np.linalg.norm(a_r) ** 2 * np.linalg.norm(w.matrix.conj().T @ a_t) ** 2

@@ -8,7 +8,6 @@ from grasspack.grassmann import Codebook
 from grasspack.rng import substream
 from grasspack.wavesim import (
     _QPSK,
-    PaprSamples,
     WaveformConfig,
     _frame_signals,
     _synthesize,
@@ -219,13 +218,23 @@ class TestCcdf:
         expected = np.array([(db > t).mean() for t in thr])
         assert ccdf(samples, thr)[:, 1].tobytes() == expected.tobytes()
 
-    def test_nan_and_zero_samples_as_per_threshold_mean(self):
-        samples = np.array([4.0, np.nan, 0.0, 2.0, np.nan, 8.0])
-        with np.errstate(divide="ignore"):
-            db = 10.0 * np.log10(samples)
-            out = ccdf(samples, [-np.inf, 0.0, 4.0, np.inf, np.nan])
-        expected = [(db > t).mean() for t in out[:, 0]]
-        assert out[:, 1].tolist() == expected
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0, 0.5, 1.0 - 1e-8])
+    def test_non_papr_samples_rejected(self, bad):
+        # a peak-to-mean ratio is finite and never below 1
+        samples = np.array([4.0, 2.0, bad, 8.0])
+        with pytest.raises(InvalidArgument):
+            ccdf(samples, [0.0, 3.0])
+        with pytest.raises(InvalidArgument):
+            ccdf_threshold_db(samples, 0.5)
+
+    def test_constant_modulus_frame_passes(self):
+        # Nyquist-rate single-carrier frames of one stream per antenna are
+        # unit-modulus QPSK, so their PAPR is 1 up to a few ulps either way
+        cfg = WaveformConfig(n_used=64, n_fft=64, waveform="dft-s-ofdm")
+        samples = papr_experiment(row_sparse_precoder(4, 2, 1, thetas=FIG_THETAS), cfg, 20, seed=3)
+        np.testing.assert_allclose(samples, 1.0, rtol=0, atol=1e-12)
+        assert ccdf(samples, [-1.0, 1.0])[:, 1].tolist() == [1.0, 0.0]
+        assert ccdf_threshold_db(samples, 0.5) == pytest.approx(0.0, abs=1e-11)
 
     def test_empty_samples_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -265,6 +274,13 @@ class TestRowSparsePrecoder:
         with pytest.raises(InvalidEll):
             row_sparse_precoder(8, 4, 0)
 
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_invalid_antenna_count(self, t):
+        with pytest.raises(InvalidArgument):
+            row_sparse_precoder(t, 2, 1)
+        with pytest.raises(InvalidArgument):
+            row_sparse_precoder(t, 2, 1, thetas=FIG_THETAS)
+
     def test_too_few_thetas(self):
         with pytest.raises(ShapeMismatch):
             row_sparse_precoder(8, 4, 3, thetas=[0.1, 0.2])
@@ -303,13 +319,13 @@ class TestPaprExperiment:
         # one more bin above DC than below
         cfg = WaveformConfig(n_used=5, n_fft=8, oversample=oversample, waveform=waveform)
         src = ENGINE_SOURCES[source]
-        got = papr_experiment(src, cfg, 40, seed=23, antenna_mean=antenna_mean).samples
+        got = papr_experiment(src, cfg, 40, seed=23, antenna_mean=antenna_mean)
         expected = reference_papr_experiment(src, cfg, 40, 23, antenna_mean)
         assert got.tobytes() == expected.tobytes()
 
     def test_matches_reference_at_benchmark_size(self):
         cfg = WaveformConfig(n_used=624, n_fft=1024, oversample=8, waveform="dft-s-ofdm")
-        got = papr_experiment(QUARTER_SPARSE_2_8, cfg, 6, seed=24).samples
+        got = papr_experiment(QUARTER_SPARSE_2_8, cfg, 6, seed=24)
         assert got.tobytes() == reference_papr_experiment(QUARTER_SPARSE_2_8, cfg, 6, 24).tobytes()
 
     def test_zero_trials_rejected(self):
@@ -322,7 +338,7 @@ class TestPaprExperiment:
         w = row_sparse_precoder(4, 2, 2, thetas=FIG_THETAS)
         p1 = papr_experiment(w, cfg, 40, seed=12)
         p2 = papr_experiment(w, cfg, 40, seed=12)
-        assert np.array_equal(p1.samples, p2.samples)
+        assert np.array_equal(p1, p2)
 
     def test_ell_one_equals_unprecoded_single_carrier(self):
         # one nonzero per row is a pure phase rotation of stream 1, so the
@@ -336,10 +352,10 @@ class TestPaprExperiment:
             symbols = modulate(4 * 128, rng=rng).reshape(4, 128)
             time = reference_synthesis(np.fft.fft(symbols[0], norm="ortho"), cfg)
             unprecoded.append(papr(time))
-        unique_precoded = np.unique(np.round(precoded.samples, 12))
+        unique_precoded = np.unique(np.round(precoded, 12))
         unique_ref = np.unique(np.round(unprecoded, 12))
         np.testing.assert_array_equal(unique_precoded, unique_ref)
-        assert stats.ks_2samp(precoded.samples, unprecoded).pvalue > 0.01
+        assert stats.ks_2samp(precoded, unprecoded).pvalue > 0.01
 
     def test_ofdm_time_samples_gaussian(self):
         cfg = WaveformConfig(n_used=256, n_fft=256, waveform="ofdm")
@@ -356,17 +372,17 @@ class TestPaprExperiment:
         cfg = WaveformConfig(n_used=32, n_fft=32, waveform="dft-s-ofdm")
         book = proposed_codebook_4_2()
         out = papr_experiment(book, cfg, 30, seed=15)
-        assert isinstance(out, PaprSamples)
-        assert np.all(out.samples >= 1.0)
-        assert np.all(np.diff(out.samples) >= 0)
+        assert isinstance(out, np.ndarray) and out.ndim == 1
+        assert np.all(out >= 1.0)
+        assert np.all(np.diff(out) >= 0)
 
     def test_antenna_mean_mode(self):
         cfg = WaveformConfig(n_used=32, n_fft=32)
         w = row_sparse_precoder(4, 2, 2, thetas=FIG_THETAS)
         pooled = papr_experiment(w, cfg, 25, seed=16)
         averaged = papr_experiment(w, cfg, 25, seed=16, antenna_mean=True)
-        assert pooled.samples.size == 25 * 4
-        assert averaged.samples.size == 25
+        assert pooled.size == 25 * 4
+        assert averaged.size == 25
 
     def test_threshold_helper_matches_ccdf(self):
         cfg = WaveformConfig(n_used=64, n_fft=64, oversample=2, waveform="dft-s-ofdm")
