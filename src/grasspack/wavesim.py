@@ -8,13 +8,18 @@ on evaluation order. ``papr_experiment`` returns the pooled samples as a
 sorted 1-D array of linear ratios, which ``ccdf`` and ``ccdf_threshold_db``
 take as they are; both reject a sample that is not finite or lies below 1.
 
-The used subcarriers are written straight into their ``ifftshift``
-positions of the zero-padded spectrum, so no shift copy is made. Antennas
-whose precoder rows are equal carry equal signals: ``papr_experiment``
-finds the distinct rows once per codeword, synthesizes only those and
-expands their power statistics back to antenna order. The full precoded
-grid ``w @ symbols`` is still formed and then subset, so every sample is
-bit-identical to synthesizing all T antennas.
+Each signal is synthesized in polyphase form: the oversampled signal at
+time n * oversample + r is an n_fft-point inverse FFT of the band with a
+per-phase twiddle, so one batch of oversample short transforms replaces one
+transform of oversample * n_fft points. PAPR ignores sample order, so the
+engine never reorders the phases. An antenna whose precoder row is a complex
+multiple of another's carries a scaled copy of that signal, with the same
+PAPR: ``papr_experiment`` groups the rows of each codeword into such classes
+once, synthesizes one row per class and expands the power statistics back
+to antenna order. A T = 2M pair codeword so needs M transforms, not 2M.
+Twiddles and frame-sized buffers are built once per call and reused by
+every frame. Samples match synthesizing every antenna at full length to
+rounding: within 1e-13 relative, held by the tests.
 """
 
 from __future__ import annotations
@@ -69,24 +74,51 @@ def modulate(count: int, seed: int = 0, rng=None) -> np.ndarray:
     return _QPSK[2 * bits[:, 0] + bits[:, 1]]
 
 
-def _synthesize(grid: np.ndarray, cfg: WaveformConfig) -> np.ndarray:
-    """Rows of used-subcarrier symbols -> oversampled time signals.
+def _twiddle(cfg: WaveformConfig) -> np.ndarray:
+    """(oversample, n_used) polyphase twiddles, in grid order.
 
-    Localized DC-centered mapping, spectrum zero-padded at the edges to
-    oversample * n_fft, unitary inverse FFT. The centered bin ``k`` is
-    written straight to its ``ifftshift`` position ``(k - qn // 2) % qn``:
-    the lower half of the band wraps to the top of the spectrum, the upper
-    half starts at bin 0. The transform runs in place on the spectrum, which
-    keeps one fewer frame-sized buffer alive.
+    Row ``r`` weights the used subcarrier at centered frequency ``k`` by
+    exp(2 pi j k r / (oversample * n_fft)) / sqrt(oversample).
+    """
+    qn = cfg.oversample * cfg.n_fft
+    k = np.arange(cfg.n_used) - cfg.n_used // 2
+    turns = (np.arange(cfg.oversample)[:, None] * k) % qn
+    return np.exp(2j * np.pi * turns / qn) / np.sqrt(cfg.oversample)
+
+
+def _synthesize(grid: np.ndarray, cfg: WaveformConfig, scratch: dict | None = None) -> np.ndarray:
+    """Rows of used-subcarrier symbols -> oversampled time signals in polyphase order.
+
+    The signal is the unitary inverse FFT of the band, mapped localized and
+    DC-centered into a spectrum zero-padded to oversample * n_fft bins. It is
+    returned as shape ``grid.shape[:-1] + (oversample, n_fft)``, where entry
+    ``[..., r, n]`` is time sample ``n * oversample + r``; time order is
+    ``swapaxes(-1, -2)`` and a reshape. Phase ``r`` is the n_fft-point
+    inverse FFT of the band weighted by row ``r`` of ``_twiddle``, folded
+    into n_fft bins: centered bin ``k`` goes to ``k % n_fft``, so the lower
+    half of the band wraps to the top and the upper half starts at bin 0.
+    Since n_used <= n_fft no two bins collide. At oversample 1 the twiddle is
+    1 and this is plain placement.
+
+    ``scratch`` is a dict that a caller making many calls with one ``cfg``
+    keeps between them. It holds the twiddle table and, per output shape, a
+    spectrum whose bins outside the band stay zero and the output buffer,
+    which the next call of that shape overwrites.
     """
     if grid.shape[-1] != cfg.n_used:
         raise InvalidConfig(f"expected {cfg.n_used} used subcarriers, got {grid.shape[-1]}")
-    qn = cfg.oversample * cfg.n_fft
-    low = cfg.n_used // 2
-    spec = np.zeros(grid.shape[:-1] + (qn,), dtype=np.complex128)
-    spec[..., qn - low :] = grid[..., :low]
-    spec[..., : cfg.n_used - low] = grid[..., low:]
-    return np.fft.ifft(spec, axis=-1, norm="ortho", out=spec)
+    scratch = {} if scratch is None else scratch
+    twiddle = scratch.get("twiddle")
+    if twiddle is None:
+        twiddle = scratch["twiddle"] = _twiddle(cfg)
+    shape = grid.shape[:-1] + (cfg.oversample, cfg.n_fft)
+    if shape not in scratch:
+        scratch[shape] = np.zeros(shape, dtype=np.complex128), np.empty(shape, dtype=np.complex128)
+    spec, out = scratch[shape]
+    low, n = cfg.n_used // 2, cfg.n_fft
+    np.multiply(grid[..., None, :low], twiddle[:, :low], out=spec[..., n - low :])
+    np.multiply(grid[..., None, low:], twiddle[:, low:], out=spec[..., : cfg.n_used - low])
+    return np.fft.ifft(spec, axis=-1, norm="ortho", out=out)
 
 
 def papr(x) -> float:
@@ -142,6 +174,8 @@ def row_sparse_precoder(t: int, m: int, ell: int, thetas=None, seed: int = 0) ->
         th = np.asarray(thetas, dtype=float).reshape(-1)
         if th.size < ell:
             raise ShapeMismatch(f"need at least {ell} phases, got {th.size}")
+        if not np.all(np.isfinite(th)):
+            raise InvalidArgument(f"thetas must be finite phases in radians, got {th.tolist()}")
         w[:, :ell] = mag * np.exp(1j * th[:ell])
     else:
         rows = np.arange(t)[:, None]
@@ -150,18 +184,48 @@ def row_sparse_precoder(t: int, m: int, ell: int, thetas=None, seed: int = 0) ->
     return w
 
 
-def _frame_signals(w, cfg, rng, rows=None):
+def _frame_signals(w, cfg, rng, scratch=None):
     """One frame: modulate M streams, spread if single-carrier, precode, synthesize.
 
-    ``rows`` selects the antennas synthesized; the full precoded grid is
-    formed first, so a selected row is the same whatever the selection.
+    Returns ``_synthesize``'s polyphase signals of the rows of ``w``.
     """
     m = w.shape[1]
     symbols = modulate(m * cfg.n_used, rng=rng).reshape(m, cfg.n_used)
     if cfg.waveform == "dft-s-ofdm":
         symbols = np.fft.fft(symbols, axis=1, norm="ortho")
-    grid = w @ symbols
-    return _synthesize(grid if rows is None else grid[rows], cfg)
+    return _synthesize(w @ symbols, cfg, scratch)
+
+
+def _frames(source, frames, seed):
+    """(codeword index, precoder, rng) of each frame, the rng being the frame's substream.
+
+    A codebook source draws the frame's codeword uniformly from that
+    substream before anything else; a matrix source is index 0 every frame.
+    """
+    drawn = isinstance(source, Codebook)
+    stack = source.stack() if drawn else _mat(source)[None]
+    for frame in range(frames):
+        rng = substream(seed, frame)
+        k = int(rng.integers(stack.shape[0])) if drawn else 0
+        yield k, stack[k], rng
+
+
+def _scale_classes(w):
+    """(first row of each class, row -> class) for rows equal up to a complex scale.
+
+    Each row is keyed by itself divided by its first nonzero entry, with that
+    entry set to exactly 1: p / p is not always 1 in floating point. Zero
+    rows form one class of their own. ``np.unique`` compares entries by
+    value, so signed zeros fall together.
+    """
+    nonzero = w != 0
+    live = np.flatnonzero(nonzero.any(axis=1))
+    lead = nonzero[live].argmax(axis=1)
+    key = w.copy()
+    key[live] /= w[live, lead][:, None]
+    key[live, lead] = 1.0
+    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
 
 
 def papr_experiment(source, cfg: WaveformConfig, trials: int, seed: int = 0, antenna_mean: bool = False) -> np.ndarray:
@@ -171,23 +235,25 @@ def papr_experiment(source, cfg: WaveformConfig, trials: int, seed: int = 0, ant
     since PAPR depends only on the precoder sparsity) or a fixed precoding
     matrix. Antennas with identically zero signals contribute no samples;
     ``antenna_mean`` records one per-frame average instead of pooling.
-    Only the distinct precoder rows are synthesized; equal rows share their
-    peak and mean power.
+    An antenna whose precoder row is a complex multiple of another's carries
+    a scaled copy of its signal, with the same PAPR, so only the first row of
+    each such class is synthesized and its peak and mean power are expanded
+    back to antenna order.
     """
     if trials < 1:
         raise InvalidConfig("trials must be >= 1")
-    drawn = isinstance(source, Codebook)
-    stack = source.stack() if drawn else _mat(source)[None]
-    distinct = {}  # codeword index -> (first row of each distinct row, antenna -> distinct row)
-    out = []
-    for frame in range(trials):
-        rng = substream(seed, frame)
-        k = int(rng.integers(stack.shape[0])) if drawn else 0
-        if k not in distinct:
-            _, first, inverse = np.unique(stack[k], axis=0, return_index=True, return_inverse=True)
-            distinct[k] = first, inverse.reshape(-1)
-        first, inverse = distinct[k]
-        power = np.abs(_frame_signals(stack[k], cfg, rng, first)) ** 2
+    scratch, classes, powers, out = {}, {}, {}, []
+    for k, w, rng in _frames(source, trials, seed):
+        if k not in classes:
+            first, inverse = _scale_classes(w)
+            classes[k] = w[first], inverse
+        rows, inverse = classes[k]
+        x = _frame_signals(rows, cfg, rng, scratch).reshape(rows.shape[0], -1)
+        if x.shape not in powers:
+            powers[x.shape] = np.empty(x.shape), np.empty(x.shape)
+        power, imag_sq = powers[x.shape]
+        np.square(x.real, out=power)
+        power += np.square(x.imag, out=imag_sq)
         mean = power.mean(axis=1)[inverse]
         peak = power.max(axis=1)[inverse]
         live = mean > 0
@@ -200,12 +266,16 @@ def papr_experiment(source, cfg: WaveformConfig, trials: int, seed: int = 0, ant
 
 
 def constellation_samples(source, cfg: WaveformConfig, frames: int, seed: int = 0) -> np.ndarray:
-    """Nyquist-rate time samples of antenna 1, for constellation scatter plots."""
+    """Nyquist-rate time samples of antenna 1, for constellation scatter plots.
+
+    ``source`` is a codebook or a matrix, and each frame draws its codeword
+    as ``papr_experiment`` does.
+    """
     if frames < 1:
         raise InvalidConfig("frames must be >= 1")
     nyquist = replace(cfg, oversample=1)
-    w = _mat(source)
+    scratch = {}
     out = np.empty((frames, nyquist.n_fft), dtype=np.complex128)
-    for frame in range(frames):
-        out[frame] = _frame_signals(w, nyquist, substream(seed, frame), [0])[0]
+    for frame, (_, w, rng) in enumerate(_frames(source, frames, seed)):
+        out[frame] = _frame_signals(w[:1], nyquist, rng, scratch).reshape(-1)
     return out.reshape(-1)

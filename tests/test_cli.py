@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from grasspack.cli import main
 from grasspack.codebooks import load_codebook, proposed_codebook_4_2, save_codebook
+from grasspack.wavesim import WaveformConfig, constellation_samples
 
 
 def run(args):
@@ -168,6 +169,29 @@ class TestPapr:
         scatter_lines = scatter.read_text().splitlines()
         assert scatter_lines[0] == "re,im"
         assert len(scatter_lines) == 1 + 2 * 128
+
+    def test_codebook_scheme_scatter(self, tmp_path):
+        # a codebook first scheme once ended the scatter dump in a TypeError
+        prop = tmp_path / "p.json"
+        run(["design", "--method", "prop42", "--out", prop])
+        out, scatter = tmp_path / "papr.csv", tmp_path / "scatter.csv"
+        assert run(
+            ["papr", "--codebooks", prop, "--waveform", "ofdm", "--subcarriers", 12, "--fft", 16,
+             "--trials", 3, "--scatter", scatter, "--scatter-frames", 2, "--out", out, "--seed", 6]
+        ) == 0
+        cfg = WaveformConfig(n_used=12, n_fft=16, waveform="ofdm")
+        pts = constellation_samples(load_codebook(prop), cfg, 2, seed=6)
+        lines = scatter.read_text().splitlines()
+        assert lines[0] == "re,im" and len(lines) == 1 + 2 * 16
+        np.testing.assert_array_equal([complex(*map(float, line.split(","))) for line in lines[1:]], pts)
+
+    @pytest.mark.parametrize("thetas", ["nan", "0.5,inf"])
+    def test_non_finite_thetas_usage_error(self, tmp_path, capsys, thetas):
+        out = tmp_path / "y.csv"
+        assert run(["papr", "--row-sparse", "4,2,1", "--thetas", thetas, "--trials", 2, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: thetas must be finite") and "Traceback" not in err
+        assert not out.exists()
 
     def test_requires_some_scheme(self, tmp_path, capsys):
         assert run(["papr", "--out", tmp_path / "x.csv"]) != 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from grasspack.codebooks import OptimizerConfig, build_sparse_2M, proposed_codebook_4_2
@@ -10,6 +12,8 @@ from grasspack.wavesim import (
     _QPSK,
     WaveformConfig,
     _frame_signals,
+    _frames,
+    _scale_classes,
     _synthesize,
     ccdf,
     ccdf_threshold_db,
@@ -31,6 +35,11 @@ def reference_synthesis(rows, cfg):
     start = qn // 2 - cfg.n_used // 2
     spec[..., start : start + cfg.n_used] = rows
     return np.fft.ifft(np.fft.ifftshift(spec, axes=-1), axis=-1, norm="ortho")
+
+
+def time_order(x):
+    """Polyphase signals (..., oversample, n_fft) -> time order (..., oversample * n_fft)."""
+    return x.swapaxes(-1, -2).reshape(x.shape[:-2] + (-1,))
 
 
 def closed_form_qpsk(bits):
@@ -61,7 +70,7 @@ def reference_papr_experiment(source, cfg, trials, seed, antenna_mean=False):
 
 
 def time_signal(row, cfg):
-    return _synthesize(np.asarray(row, dtype=complex)[None, :], cfg)[0]
+    return time_order(_synthesize(np.asarray(row, dtype=complex)[None, :], cfg))[0]
 
 
 class TestConfig:
@@ -115,7 +124,7 @@ class TestDftSpread:
         # spreading and synthesis are unitary: each antenna of a truncated
         # identity precoder carries its stream's symbol energy
         cfg = WaveformConfig(n_used=624, n_fft=1024, oversample=2, waveform="dft-s-ofdm")
-        signals = _frame_signals(np.eye(4, dtype=complex)[:, :2], cfg, substream(3, 0))
+        signals = time_order(_frame_signals(np.eye(4, dtype=complex)[:, :2], cfg, substream(3, 0)))
         symbols = modulate(2 * 624, rng=substream(3, 0)).reshape(2, 624)
         np.testing.assert_allclose(np.linalg.norm(signals[:2], axis=1), np.linalg.norm(symbols, axis=1), atol=1e-10)
 
@@ -127,7 +136,7 @@ class TestPrecodeGrid:
     def frame(w, seed, n_used):
         cfg = WaveformConfig(n_used=n_used, n_fft=2 * n_used, oversample=2)
         streams = modulate(w.shape[1] * n_used, rng=substream(seed, 0)).reshape(w.shape[1], n_used)
-        return _frame_signals(w, cfg, substream(seed, 0)), streams, cfg
+        return time_order(_frame_signals(w, cfg, substream(seed, 0))), streams, cfg
 
     def test_truncated_identity_routes_streams(self):
         signals, streams, cfg = self.frame(np.eye(4, dtype=complex)[:, :2], 4, 16)
@@ -175,6 +184,43 @@ class TestTimeDomain:
             p1 = papr(time_signal(row, WaveformConfig(n_used=64, n_fft=64, oversample=1)))
             p8 = papr(time_signal(row, WaveformConfig(n_used=64, n_fft=64, oversample=8)))
             assert p8 >= p1 - 1e-9
+
+
+@st.composite
+def synthesis_case(draw):
+    """A config with n_used <= n_fft <= 64 and a small complex grid for it."""
+    n_fft = 2 ** draw(st.integers(0, 6))
+    cfg = WaveformConfig(
+        n_used=draw(st.integers(1, n_fft)),
+        n_fft=n_fft,
+        oversample=draw(st.sampled_from([1, 2, 4, 8])),
+        waveform=draw(st.sampled_from(["ofdm", "dft-s-ofdm"])),
+    )
+    rows = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = rng.standard_normal((rows, cfg.n_used)) + 1j * rng.standard_normal((rows, cfg.n_used))
+    return cfg, grid, rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2))
+
+
+class TestSynthesis:
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(synthesis_case())
+    def test_polyphase_matches_reference(self, case):
+        # the folded short transforms equal the zero-padded long one, for odd
+        # and even bands up to the full grid, also on a second grid through
+        # the same reused buffers
+        cfg, grid, w = case
+        scratch = {}
+        for rows in (grid, grid[::-1] * 1j):
+            want = reference_synthesis(rows, cfg)
+            got = time_order(_synthesize(rows, cfg, scratch))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        symbols = modulate(2 * cfg.n_used, rng=substream(1, 0)).reshape(2, cfg.n_used)
+        if cfg.waveform == "dft-s-ofdm":
+            symbols = np.fft.fft(symbols, axis=1, norm="ortho")
+        want = reference_synthesis(w @ symbols, cfg)
+        got = time_order(_frame_signals(w, cfg, substream(1, 0), scratch))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 class TestPapr:
@@ -285,6 +331,14 @@ class TestRowSparsePrecoder:
         with pytest.raises(ShapeMismatch):
             row_sparse_precoder(8, 4, 3, thetas=[0.1, 0.2])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_thetas_rejected(self, bad):
+        # a NaN phase once gave NaN rows, which the PAPR engine took for silent antennas
+        with pytest.raises(InvalidArgument, match="thetas"):
+            row_sparse_precoder(4, 2, 1, thetas=[bad])
+        with pytest.raises(InvalidArgument, match="thetas"):
+            row_sparse_precoder(8, 4, 2, thetas=[0.5, 1.0, bad])
+
 
 def _random_stiefel(t, m, seed):
     rng = np.random.default_rng(seed)
@@ -297,6 +351,27 @@ def _zero_row_precoder():
     return w
 
 
+def _mixed_row_precoder():
+    """Rows 0-2 one class (equal, equal, an exact multiple), rows 3 and 5
+    distinct, rows 4 and 6 zero; signed zeros in rows 1, 5 and 6."""
+    a = np.array([0.0, 0.3 - 0.4j, 0.0, 0.2j])
+    w = np.array(
+        [
+            a,
+            a * (1.0 + 0.0j),
+            -2.0 * a,
+            [0.5, 0.1j, -0.3, 0.0],
+            np.zeros(4),
+            [0.0, 0.0, 0.7 + 0.1j, 0.0],
+            np.zeros(4),
+        ]
+    )
+    w[1, 0] = w[1, 2] = complex(-0.0, -0.0)
+    w[5, 0] = w[5, 3] = complex(0.0, -0.0)
+    w[6] = complex(-0.0, 0.0)
+    return w
+
+
 QUARTER_SPARSE_2_8 = build_sparse_2M(2, 8, OptimizerConfig(seed=0, phase_grid=(-np.pi / 2, 0.0, np.pi / 2, np.pi)))
 DENSE_BOOK = Codebook([_random_stiefel(4, 2, s) for s in range(5)])
 ENGINE_SOURCES = {
@@ -305,7 +380,15 @@ ENGINE_SOURCES = {
     "rows_thetas": row_sparse_precoder(8, 4, 3, thetas=FIG_THETAS),
     "rows_random": row_sparse_precoder(8, 4, 2, seed=9),
     "zero_rows": _zero_row_precoder(),
+    "mixed_rows": _mixed_row_precoder(),
 }
+
+
+def reference_draws(source, trials, seed):
+    """Codeword index of each frame: drawn first from the frame's substream."""
+    if not isinstance(source, Codebook):
+        return [0] * trials
+    return [int(substream(seed, frame).integers(len(source))) for frame in range(trials)]
 
 
 class TestPaprExperiment:
@@ -314,19 +397,51 @@ class TestPaprExperiment:
     @pytest.mark.parametrize("waveform", ["ofdm", "dft-s-ofdm"])
     @pytest.mark.parametrize("source", sorted(ENGINE_SOURCES))
     def test_matches_per_frame_reference(self, source, waveform, antenna_mean, oversample):
-        # distinct-row synthesis, direct bin placement and the QPSK table
-        # reproduce the all-antenna engine bit for bit; the odd n_used puts
+        # synthesizing one row per scale class by polyphase transforms
+        # reproduces the all-antenna engine to rounding; the odd n_used puts
         # one more bin above DC than below
         cfg = WaveformConfig(n_used=5, n_fft=8, oversample=oversample, waveform=waveform)
         src = ENGINE_SOURCES[source]
         got = papr_experiment(src, cfg, 40, seed=23, antenna_mean=antenna_mean)
         expected = reference_papr_experiment(src, cfg, 40, 23, antenna_mean)
-        assert got.tobytes() == expected.tobytes()
+        assert got.shape == expected.shape
+        assert [k for k, _, _ in _frames(src, 40, 23)] == reference_draws(src, 40, 23)
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
 
     def test_matches_reference_at_benchmark_size(self):
         cfg = WaveformConfig(n_used=624, n_fft=1024, oversample=8, waveform="dft-s-ofdm")
         got = papr_experiment(QUARTER_SPARSE_2_8, cfg, 6, seed=24)
-        assert got.tobytes() == reference_papr_experiment(QUARTER_SPARSE_2_8, cfg, 6, 24).tobytes()
+        expected = reference_papr_experiment(QUARTER_SPARSE_2_8, cfg, 6, 24)
+        assert got.shape == expected.shape == (6 * 4,)
+        assert [k for k, _, _ in _frames(QUARTER_SPARSE_2_8, 6, 24)] == reference_draws(QUARTER_SPARSE_2_8, 6, 24)
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
+
+    def test_scale_classes(self):
+        # a T = 2M pair codeword carries M signals, as do one-nonzero rows
+        # with random phases; the mixed precoder has one class of three rows,
+        # two distinct rows and the zero rows, with signed zeros among them
+        for w in QUARTER_SPARSE_2_8.stack():
+            assert len(_scale_classes(w)[0]) == 2
+        assert len(_scale_classes(row_sparse_precoder(8, 2, 1, seed=6))[0]) == 2
+        first, inverse = _scale_classes(_mixed_row_precoder())
+        assert first.size == 4
+        assert inverse[0] == inverse[1] == inverse[2] and inverse[4] == inverse[6]
+        assert len({inverse[0], inverse[3], inverse[4], inverse[5]}) == 4
+
+    @pytest.mark.parametrize("waveform", ["ofdm", "dft-s-ofdm"])
+    @pytest.mark.parametrize("source", ["dense_book", "rows_random", "mixed_rows"])
+    def test_row_scaling_invariance(self, source, waveform):
+        # PAPR ignores a nonzero complex scale per antenna
+        cfg = WaveformConfig(n_used=12, n_fft=16, oversample=4, waveform=waveform)
+        src = ENGINE_SOURCES[source]
+        rng = np.random.default_rng(25)
+        stack = src.stack() if isinstance(src, Codebook) else src[None]
+        scales = rng.standard_normal(stack.shape[:2]) + 1j * rng.standard_normal(stack.shape[:2])
+        scaled = scales[..., None] * stack
+        scaled = Codebook(list(scaled)) if isinstance(src, Codebook) else scaled[0]
+        got = papr_experiment(scaled, cfg, 30, seed=26)
+        np.testing.assert_allclose(got, papr_experiment(src, cfg, 30, seed=26), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(got, reference_papr_experiment(src, cfg, 30, 26), rtol=1e-13, atol=0)
 
     def test_zero_trials_rejected(self):
         cfg = WaveformConfig(n_used=32, n_fft=32)
@@ -341,8 +456,9 @@ class TestPaprExperiment:
         assert np.array_equal(p1, p2)
 
     def test_ell_one_equals_unprecoded_single_carrier(self):
-        # one nonzero per row is a pure phase rotation of stream 1, so the
-        # per-antenna PAPR matches the unprecoded DFT-s-OFDM frame exactly
+        # one nonzero per row is a pure phase rotation of stream 1, so each
+        # frame's 8 per-antenna PAPRs match the unprecoded DFT-s-OFDM frame
+        # to rounding
         cfg = WaveformConfig(n_used=128, n_fft=128, oversample=4, waveform="dft-s-ofdm")
         w = row_sparse_precoder(8, 4, 1, thetas=FIG_THETAS)
         precoded = papr_experiment(w, cfg, 60, seed=13)
@@ -352,9 +468,7 @@ class TestPaprExperiment:
             symbols = modulate(4 * 128, rng=rng).reshape(4, 128)
             time = reference_synthesis(np.fft.fft(symbols[0], norm="ortho"), cfg)
             unprecoded.append(papr(time))
-        unique_precoded = np.unique(np.round(precoded, 12))
-        unique_ref = np.unique(np.round(unprecoded, 12))
-        np.testing.assert_array_equal(unique_precoded, unique_ref)
+        np.testing.assert_allclose(precoded, np.repeat(np.sort(unprecoded), 8), rtol=1e-12, atol=0)
         assert stats.ks_2samp(precoded, unprecoded).pvalue > 0.01
 
     def test_ofdm_time_samples_gaussian(self):
@@ -404,3 +518,20 @@ class TestConstellation:
         w = row_sparse_precoder(8, 4, 1, thetas=FIG_THETAS)
         pts = constellation_samples(w, cfg, 10, seed=19)
         assert len(set(np.round(pts, 8))) <= 4 * 64  # coarse: far from Gaussian cloud
+
+    @pytest.mark.parametrize("waveform", ["ofdm", "dft-s-ofdm"])
+    def test_codebook_source_draws_like_papr(self, waveform):
+        # each frame draws its codeword from the frame's substream first, as
+        # papr_experiment does, then antenna 1 carries row 1 of it
+        cfg = WaveformConfig(n_used=12, n_fft=16, oversample=4, waveform=waveform)
+        pts = constellation_samples(DENSE_BOOK, cfg, 6, seed=27)
+        nyquist = WaveformConfig(n_used=12, n_fft=16, waveform=waveform)
+        expected = []
+        for frame in range(6):
+            rng = substream(27, frame)
+            w = DENSE_BOOK.stack()[int(rng.integers(len(DENSE_BOOK)))]
+            symbols = closed_form_qpsk(rng.integers(0, 2, size=(2 * 12, 2))).reshape(2, 12)
+            if waveform == "dft-s-ofdm":
+                symbols = np.fft.fft(symbols, axis=1, norm="ortho")
+            expected.append(reference_synthesis(w[0] @ symbols, nyquist))
+        np.testing.assert_allclose(pts, np.concatenate(expected), rtol=0, atol=1e-14)
