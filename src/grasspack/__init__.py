@@ -2,11 +2,9 @@
 
 from .grassmann import (
     Codebook,
-    Codeword,
     chordal_distance,
     min_chordal_distance,
     projector_distance,
-    subspace_equal,
     validate_stiefel,
 )
 from .codebooks import (
@@ -21,7 +19,6 @@ from .codebooks import (
     optimize_phases_2M,
     proposed_codebook_4_2,
     save_codebook,
-    smooth_mcd_objective,
 )
 from .schubert import (
     PairPattern,
@@ -37,7 +34,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Codebook",
-    "Codeword",
     "OptimizerConfig",
     "PairPattern",
     "QUARTER_GRID",
@@ -59,8 +55,6 @@ __all__ = [
     "projector_distance",
     "proposed_codebook_4_2",
     "save_codebook",
-    "smooth_mcd_objective",
-    "subspace_equal",
     "validate_stiefel",
     "__version__",
 ]

@@ -28,11 +28,9 @@ from .errors import (
     InvalidConfig,
     NotStiefel,
     ParseError,
-    TooFewCodewords,
 )
 from .grassmann import (
     Codebook,
-    Codeword,
     _chordal_from_gram_sq,
     _closest_pair,
     _triu,
@@ -138,15 +136,6 @@ def _surrogate_egrad(stack, eps):
     return value, egrad, s, proj
 
 
-def smooth_mcd_objective(b: Codebook, epsilon: float) -> float:
-    """log sum_{i<j} exp(-||Wi Wi^H - Wj Wj^H||_F / epsilon), stabilized."""
-    if len(b) < 2:
-        raise TooFewCodewords("surrogate needs at least two codewords")
-    if epsilon <= 0:
-        raise InvalidConfig("epsilon must be positive")
-    return float(_surrogate_egrad(b.stack(), epsilon)[0])
-
-
 def _descend(value_grad, x, cfg, retract=None, on_accept=None, stall_limit=None):
     """Armijo descent through the smoothing schedule; returns the last iterate.
 
@@ -232,7 +221,7 @@ def optimize_manopt(t: int, m: int, size: int, cfg: OptimizerConfig = None) -> C
         "eps_schedule": list(EPS_SCHEDULE),
         "mcd": best_mcd,
     }
-    return Codebook(tuple(Codeword(w) for w in best_stack), meta)
+    return Codebook(best_stack, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +386,7 @@ def build_sparse_2M(m: int, size: int, cfg: OptimizerConfig = None) -> Codebook:
         "phase_grid": list(cfg.phase_grid) if cfg.phase_grid else None,
         "phases": phases.tolist(),
     }
-    return Codebook(tuple(words), meta)
+    return Codebook(words, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +449,7 @@ def build_general_sparse(t: int, m: int, s: int, size: int, cfg: OptimizerConfig
         "phase_grid": list(cfg.phase_grid) if cfg.phase_grid else None,
         "mcd": best_val,
     }
-    return Codebook(tuple(Codeword(w) for w in stack), meta)
+    return Codebook(stack, meta)
 
 
 def _snap_to_grid(phases, grid, free, exact_mcd):
@@ -492,7 +481,7 @@ def _snap_to_grid(phases, grid, free, exact_mcd):
 # exponential-map baseline
 # ---------------------------------------------------------------------------
 
-def expmap_codeword(theta: np.ndarray) -> Codeword:
+def expmap_codeword(theta: np.ndarray) -> np.ndarray:
     """Point exp([[0, Theta], [-Theta^H, 0]]) I_{T,M} for an M x (T-M) block."""
     th = np.asarray(theta, dtype=np.complex128)
     m, rest = th.shape
@@ -500,7 +489,7 @@ def expmap_codeword(theta: np.ndarray) -> Codeword:
     a = np.zeros((t, t), dtype=np.complex128)
     a[:m, m:] = th
     a[m:, :m] = -th.conj().T
-    return Codeword(matexp_skew_hermitian(a)[:, :m])
+    return matexp_skew_hermitian(a)[:, :m]
 
 
 def build_expmap(t: int, m: int, size: int, cfg: OptimizerConfig = None) -> Codebook:
@@ -512,10 +501,11 @@ def build_expmap(t: int, m: int, size: int, cfg: OptimizerConfig = None) -> Code
     if size > capacity:
         raise AlphabetExhausted(f"size {size} exceeds the {capacity} distinct QAM blocks")
     rng = substream(cfg.seed, 0xE1)
-    words = []
+    words = np.empty((size, t, m), dtype=np.complex128)  # the accepted words, then the candidate
+    count = 0
     attempts = 0
     limit = max(1000, 200 * size)
-    while len(words) < size:
+    while count < size:
         attempts += 1
         if attempts > limit:
             raise AlphabetExhausted(f"could not draw {size} distinct codewords")
@@ -523,10 +513,10 @@ def build_expmap(t: int, m: int, size: int, cfg: OptimizerConfig = None) -> Code
         re = 1.0 - 2.0 * (q % 2)
         im = 1.0 - 2.0 * (q // 2)
         theta = cfg.expmap_scale * (re + 1j * im) / np.sqrt(2.0)
-        cand = expmap_codeword(theta)
-        d = pairwise_chordal(np.stack([w.matrix for w in words] + [cand.matrix]))
+        words[count] = expmap_codeword(theta)
+        d = pairwise_chordal(words[: count + 1])
         if not np.any(d[-1, :-1] < _DUPLICATE_TOL):
-            words.append(cand)
+            count += 1
     meta = {
         "method": "expmap",
         "T": t,
@@ -535,7 +525,7 @@ def build_expmap(t: int, m: int, size: int, cfg: OptimizerConfig = None) -> Code
         "seed": cfg.seed,
         "scale": cfg.expmap_scale,
     }
-    return Codebook(tuple(words), meta)
+    return Codebook(words, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -600,10 +590,7 @@ _SCALES = {"1": 1.0, "s": 1.0 / np.sqrt(2.0), "h": 0.5}
 
 
 def _table_codebook(table, method):
-    words = tuple(
-        Codeword(np.array(rows, dtype=np.complex128) * _SCALES[tag])
-        for tag, rows in table
-    )
+    words = [np.array(rows, dtype=np.complex128) * _SCALES[tag] for tag, rows in table]
     return Codebook(words, {"method": method, "T": 4, "M": 2, "size": len(words)})
 
 
@@ -644,7 +631,7 @@ def save_codebook(b: Codebook, path) -> None:
     words = []
     for w in b.codewords:
         flat = ",".join(
-            f"[{_fmt17(z.real)},{_fmt17(z.imag)}]" for z in w.matrix.reshape(-1)
+            f"[{_fmt17(z.real)},{_fmt17(z.imag)}]" for z in w.reshape(-1)
         )
         words.append(f"[{flat}]")
     meta = json.dumps(b.meta, sort_keys=True, default=_json_safe)
@@ -688,8 +675,7 @@ def load_codebook(path) -> Codebook:
             raise ParseError(f"{path}: codeword {i + 1} has an entry too large for a double") from None
         if not np.all(np.isfinite(arr)):
             raise ParseError(f"{path}: codeword {i + 1} has a non-finite entry")
-        w = Codeword(arr)
-        if not validate_stiefel(w):
+        if not validate_stiefel(arr):
             raise NotStiefel(f"codeword {i + 1} fails orthonormality at 1e-8")
-        words.append(w)
-    return Codebook(tuple(words), meta)
+        words.append(arr)
+    return Codebook(words, meta)

@@ -67,10 +67,6 @@ class InvalidEll(GrasspackError):
     pass
 
 
-class ZeroSignal(GrasspackError):
-    pass
-
-
 # complexity audit
 class InvalidForMethod(GrasspackError):
     pass

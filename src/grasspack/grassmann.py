@@ -17,8 +17,8 @@ guard the square-root form stays within about 2e-11 of the projector form
 (tested to 1e-10; a guard at 1e-10 let the error reach 1.4e-10 at d = 1e-5).
 The smooth MCD surrogate in ``codebooks`` takes the same Gram norms but keeps
 its distance unguarded, since it must stay differentiable.
-:func:`projector_distance` and :func:`subspace_equal` are independent of this
-kernel and serve as its oracle.
+:func:`projector_distance` is independent of this kernel and serves as its
+oracle.
 """
 
 from __future__ import annotations
@@ -35,95 +35,72 @@ STIEFEL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class Codeword:
-    """A T x M Stiefel representative of a point on G(T, M).
+class Codebook:
+    """Codewords sharing (T, M) as one read-only (K, T, M) array, plus provenance.
 
-    The constructor checks shape and finiteness only; orthonormality is a
-    numerical property checked by :func:`validate_stiefel` and enforced by
-    the distance operations.
+    ``codewords`` is given as such an array or as a sequence of T x M
+    matrices; the constructor copies it to complex128 and checks shape and
+    finiteness once. Orthonormality is a numerical property checked by
+    :func:`validate_stiefel` and enforced by the distance operations.
     """
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = as_cmatrix(self.matrix).copy()
-        t, k = m.shape
-        if not 1 <= k < t:
-            raise DimensionMismatch(f"need 1 <= M < T, got T={t}, M={k}")
-        if not np.all(np.isfinite(m)):
-            raise InvalidArgument("codeword entries must be finite")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def T(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def M(self) -> int:
-        return self.matrix.shape[1]
-
-
-@dataclass(frozen=True)
-class Codebook:
-    """Ordered collection of codewords sharing (T, M), plus provenance."""
-
-    codewords: tuple
+    codewords: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        words = tuple(
-            w if isinstance(w, Codeword) else Codeword(w) for w in self.codewords
-        )
-        if not words:
+        words = self.codewords
+        if not isinstance(words, np.ndarray):
+            words = [as_cmatrix(w) for w in words]
+            for i, w in enumerate(words):
+                if w.shape != words[0].shape:
+                    raise DimensionMismatch(f"codeword {i + 1} has shape {w.shape}, expected {words[0].shape}")
+        stack = np.array(words, dtype=np.complex128)
+        if stack.ndim and stack.shape[0] == 0:
             raise TooFewCodewords("codebook must contain at least one codeword")
-        t, m = words[0].T, words[0].M
-        for i, w in enumerate(words):
-            if (w.T, w.M) != (t, m):
-                raise DimensionMismatch(
-                    f"codeword {i + 1} has shape {(w.T, w.M)}, expected {(t, m)}"
-                )
-        object.__setattr__(self, "codewords", words)
+        if stack.ndim != 3:
+            raise InvalidArgument(f"expected a (K, T, M) stack of codewords, got shape {stack.shape}")
+        t, m = stack.shape[1:]
+        if not 1 <= m < t:
+            raise DimensionMismatch(f"need 1 <= M < T, got T={t}, M={m}")
+        if not np.all(np.isfinite(stack)):
+            raise InvalidArgument("codeword entries must be finite")
+        stack.setflags(write=False)
+        object.__setattr__(self, "codewords", stack)
         object.__setattr__(self, "meta", dict(self.meta))
 
     @property
     def T(self) -> int:
-        return self.codewords[0].T
+        return self.codewords.shape[1]
 
     @property
     def M(self) -> int:
-        return self.codewords[0].M
+        return self.codewords.shape[2]
 
     def __len__(self) -> int:
-        return len(self.codewords)
+        return self.codewords.shape[0]
 
     def __getitem__(self, i):
         return self.codewords[i]
 
     def stack(self) -> np.ndarray:
-        """All codewords as a (size, T, M) array."""
-        return np.stack([w.matrix for w in self.codewords])
+        """All codewords: the book's own read-only (size, T, M) array, not a copy."""
+        return self.codewords
 
     def subset(self, indices) -> "Codebook":
         """New codebook from 1-based codeword indices, order preserved; the
         meta is copied and records ``subset_indices``."""
         indices = list(indices)
-        bad = [i for i in indices if not 1 <= i <= len(self.codewords)]
+        bad = [i for i in indices if not 1 <= i <= len(self)]
         if bad:
-            raise InvalidRange(f"codeword indices must lie in 1..{len(self.codewords)}, got {bad}")
-        words = tuple(self.codewords[i - 1] for i in indices)
+            raise InvalidRange(f"codeword indices must lie in 1..{len(self)}, got {bad}")
         meta = dict(self.meta)
         meta["subset_indices"] = [int(i) for i in indices]
-        return Codebook(words, meta)
-
-
-def _mat(w) -> np.ndarray:
-    return w.matrix if isinstance(w, Codeword) else as_cmatrix(w)
+        return Codebook(self.codewords[np.array(indices, dtype=int) - 1], meta)
 
 
 def validate_stiefel(w, tol: float = STIEFEL_TOL) -> bool:
     """True iff ||W^H W - I|| <= tol in Frobenius norm."""
-    m = _mat(w)
+    m = as_cmatrix(w)
     gram = m.conj().T @ m
     return fro_norm(gram - np.eye(m.shape[1])) <= tol
 
@@ -135,7 +112,7 @@ def _check_stiefel(*words):
 
 
 def _check_pair(wi, wj):
-    a, b = _mat(wi), _mat(wj)
+    a, b = as_cmatrix(wi), as_cmatrix(wj)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
     return a, b
@@ -163,12 +140,6 @@ def projector_distance(wi, wj) -> float:
     """
     a, b = _check_pair(wi, wj)
     return fro_norm(a @ a.conj().T - b @ b.conj().T)
-
-
-def subspace_equal(wi, wj, tol: float = 1e-9) -> bool:
-    """True iff the two codewords span the same subspace (projector test)."""
-    a, b = _check_pair(wi, wj)
-    return projector_distance(a, b) <= tol
 
 
 def pairwise_gram_sq(stack: np.ndarray) -> np.ndarray:

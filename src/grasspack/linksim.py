@@ -1,17 +1,18 @@
 """Limited-feedback MIMO link simulation.
 
-Channels, the achievable-rate and effective-gain selection rules, and the
-paired Monte Carlo sweeps behind the rate and gain comparisons. A channel is
-a plain (N, T) complex array: ``sample_rayleigh`` and ``sample_rician``
-return one, and the single-trial functions take any 2-D array. Every trial
+The paired Monte Carlo sweeps behind the rate and gain comparisons:
+``rate_curve`` selects, per trial, the codeword of highest achievable rate
+log2 det(I + (rho/M) W^H H^H H W) under Rayleigh fading, and ``gain_cdf``
+the codeword of highest effective gain ||H W||_F^2 under Rician fading.
+Channels are (N, T) complex arrays drawn in chunks of trials and scored
+for every codeword at once through the channel Grams H^H H. Every trial
 draws its channel from a counter-based substream of the run seed, so results
 are reproducible bit-for-bit regardless of chunking or thread count, and all
 codebooks in one sweep see the same channel sequence (common random numbers).
 A gain sweep over several Rician factors draws each trial's angles and
 scattering block once and mixes them for every K, so every codebook and
-every K see the same per-trial draw. The single-trial functions score one
-channel as a batch of one through the same rate and gain kernels as the
-sweeps.
+every K see the same per-trial draw. ``effective_gram`` is the instrumented
+single-channel Gram product that the complexity audit counts.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, InvalidConfig, InvalidK, TooFewCodewords
-from .grassmann import Codebook, _mat
+from .errors import DimensionMismatch, InvalidConfig, InvalidK, TooFewCodewords
+from .grassmann import Codebook
 from .linalg import as_cmatrix
 from .rng import substream
 
@@ -59,12 +60,6 @@ def _rayleigh(n, t, rng):
     return (rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t))) / math.sqrt(2.0)
 
 
-def sample_rayleigh(n: int, t: int, seed: int = 0, rng=None) -> np.ndarray:
-    """Uncorrelated (N, T) Rayleigh channel: i.i.d. CN(0, 1) entries."""
-    rng = rng if rng is not None else substream(seed, 0)
-    return _rayleigh(n, t, rng)
-
-
 def _steering(count, angles):
     # half-wavelength uniform linear array response, one row per angle
     return np.exp(1j * np.pi * np.sin(angles)[:, None] * np.arange(count))
@@ -80,9 +75,14 @@ def _check_k(k: float) -> float:
 def _rician_chunk(rngs, n, t, ks, normalize):
     """One (len(rngs), N, T) Rician channel stack per K factor in ``ks``.
 
-    Each generator yields its trial's arrival and departure angles and then,
-    if some K is finite, the real and imaginary scattering blocks; every K
-    mixes the same draws, so the draw order matches a single-channel draw.
+    A channel is a rank-one line-of-sight part plus Rayleigh scattering. The
+    LoS part is an outer product of half-wavelength ULA steering vectors with
+    departure and arrival angles drawn uniformly on (-pi/2, pi/2), so
+    ||H_LoS||_F^2 = N*T matches the expected scattered power; ``normalize``
+    rescales to E||H||_F^2 = 1, and K = +inf gives a pure LoS channel. Each
+    generator yields its trial's arrival and departure angles and then, if
+    some K is finite, the real and imaginary scattering blocks; every K mixes
+    the same draws.
     """
     scattered = any(not math.isinf(k) for k in ks)
     angles = np.empty((len(rngs), 2))
@@ -104,20 +104,6 @@ def _rician_chunk(rngs, n, t, ks, normalize):
     return out
 
 
-def sample_rician(n: int, t: int, k: float, seed: int = 0, normalize: bool = False, rng=None) -> np.ndarray:
-    """(N, T) Rician channel: rank-one line-of-sight plus Rayleigh scattering.
-
-    The LoS part is an outer product of ULA steering vectors with departure
-    and arrival angles drawn uniformly on (-pi/2, pi/2) per realization, so
-    E||H_LoS||_F^2 = N*T matches the scattered part. ``normalize`` rescales
-    to E||H||_F^2 = 1. K may be +inf for a pure LoS channel.
-    """
-    k = _check_k(k)
-    rng = rng if rng is not None else substream(seed, 0)
-    (h,) = _rician_chunk([rng], n, t, [k], normalize)
-    return h[0]
-
-
 def effective_gram(h, w, counter=None):
     """Gram matrix (HW)^H (HW), optionally counting complex multiplies.
 
@@ -125,7 +111,7 @@ def effective_gram(h, w, counter=None):
     nonzero entry are multiplied along the sparse path (a scaled column
     gather), so the recorded count reflects the work actually done.
     """
-    hm, wm = as_cmatrix(h), _mat(w)
+    hm, wm = as_cmatrix(h), as_cmatrix(w)
     if hm.shape[1] != wm.shape[0]:
         raise DimensionMismatch(f"channel {hm.shape} incompatible with codeword {wm.shape}")
     n, t = hm.shape
@@ -165,45 +151,6 @@ def _rates(g, stack, rho):
 def _gains(g, stack):
     """Effective gains ||H W_k||_F^2 = tr(W_k^H G W_k), shape (batch, K)."""
     return np.einsum("kti,btu,kui->bk", stack.conj(), g, stack).real
-
-
-def _trial_scores(h, stack, rho=None):
-    """Per-codeword scores of one channel: rates at ``rho``, or gains without it."""
-    hm = as_cmatrix(h)
-    if hm.shape[1] != stack.shape[1]:
-        raise DimensionMismatch(f"channel {hm.shape} incompatible with codewords of T={stack.shape[1]}")
-    if not np.all(np.isfinite(hm)):
-        raise InvalidArgument("channel entries must be finite")
-    g = _grams(hm[None])
-    if rho is None:
-        return _gains(g, stack)[0]
-    if not rho >= 0:
-        raise InvalidConfig(f"rho must be nonnegative, got {rho}")
-    return _rates(g, stack, np.array([rho]))[0, 0]
-
-
-def achievable_rate(h, w, rho: float) -> float:
-    """log2 det(I + (rho/M) W^H H^H H W) via the Gram-matrix eigenvalues."""
-    return float(_trial_scores(h, _mat(w)[None], rho)[0])
-
-
-def effective_gain(h, w) -> float:
-    """Effective channel gain ||H W||_F^2."""
-    return float(_trial_scores(h, _mat(w)[None])[0])
-
-
-def _first_within(scores):
-    return int(np.nonzero(scores >= scores.max() - 1e-12)[0][0]) + 1
-
-
-def select_index(h, b: Codebook, rho: float) -> int:
-    """1-based index of the rate-maximizing codeword (smallest on ties)."""
-    return _first_within(_trial_scores(h, b.stack(), rho))
-
-
-def select_index_gain(h, b: Codebook) -> int:
-    """1-based index of the gain-maximizing codeword (smallest on ties)."""
-    return _first_within(_trial_scores(h, b.stack()))
 
 
 def _chunks(trials, seed):

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidM, InvalidRange, ShapeMismatch, SizeLimit
-from .grassmann import Codeword
 
 ENUMERATION_CAP = 10**6
 
@@ -200,7 +199,7 @@ def _fill(layout, phases, t, m):
     return stack
 
 
-def pattern_to_codeword(pattern, phases) -> Codeword:
+def pattern_to_codeword(pattern, phases) -> np.ndarray:
     """Materialize a pattern into an equal-amplitude unit-column codeword.
 
     ``phases`` lists one phase per nonzero entry, column-major, rows in
@@ -213,10 +212,10 @@ def pattern_to_codeword(pattern, phases) -> Codeword:
     if ph.size != pattern.size:
         raise ShapeMismatch(f"expected {pattern.size} phases, got {ph.size}")
     layout = _layout([pattern])
-    return Codeword(_fill(layout, ph - ph[layout[4]], pattern.T, pattern.M)[0])
+    return _fill(layout, ph - ph[layout[4]], pattern.T, pattern.M)[0]
 
 
-def pair_codeword(pattern: PairPattern, thetas) -> Codeword:
+def pair_codeword(pattern: PairPattern, thetas) -> np.ndarray:
     """Equal-amplitude codeword (e_a + e^{j theta} e_b)/sqrt(2) per column."""
     th = np.asarray(thetas, dtype=np.float64).reshape(-1)
     if th.size != pattern.M:

@@ -16,7 +16,8 @@ engine never reorders the phases. An antenna whose precoder row is a complex
 multiple of another's carries a scaled copy of that signal, with the same
 PAPR: ``papr_experiment`` groups the rows of each codeword into such classes
 once, synthesizes one row per class and expands the power statistics back
-to antenna order. A T = 2M pair codeword so needs M transforms, not 2M.
+to antenna order; zero rows carry no signal and are left out. A T = 2M pair
+codeword so needs M transforms, not 2M.
 Twiddles and frame-sized buffers are built once per call and reused by
 every frame. Samples match synthesizing every antenna at full length to
 rounding: within 1e-13 relative, held by the tests.
@@ -28,9 +29,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidConfig, InvalidEll, ShapeMismatch, ZeroSignal
-from .grassmann import Codebook, _mat
-from .linalg import is_power_of_two
+from .errors import InvalidArgument, InvalidConfig, InvalidEll, ShapeMismatch
+from .grassmann import Codebook
+from .linalg import as_cmatrix, is_power_of_two
 from .rng import substream
 
 _WAVEFORMS = ("ofdm", "dft-s-ofdm")
@@ -121,15 +122,6 @@ def _synthesize(grid: np.ndarray, cfg: WaveformConfig, scratch: dict | None = No
     return np.fft.ifft(spec, axis=-1, norm="ortho", out=out)
 
 
-def papr(x) -> float:
-    """Peak instantaneous power over mean power of a signal vector."""
-    p = np.abs(np.asarray(x, dtype=np.complex128)) ** 2
-    mean = p.mean()
-    if mean == 0:
-        raise ZeroSignal("PAPR is undefined for an all-zero signal")
-    return float(p.max() / mean)
-
-
 def _papr_values(samples) -> np.ndarray:
     vals = np.asarray(samples, dtype=float)
     if vals.size < 1:
@@ -200,10 +192,13 @@ def _frames(source, frames, seed):
     """(codeword index, precoder, rng) of each frame, the rng being the frame's substream.
 
     A codebook source draws the frame's codeword uniformly from that
-    substream before anything else; a matrix source is index 0 every frame.
+    substream before anything else; a matrix source is index 0 every frame
+    and must be finite.
     """
     drawn = isinstance(source, Codebook)
-    stack = source.stack() if drawn else _mat(source)[None]
+    stack = source.stack() if drawn else as_cmatrix(source)[None]
+    if not np.all(np.isfinite(stack)):
+        raise InvalidArgument("precoder entries must be finite")
     for frame in range(frames):
         rng = substream(seed, frame)
         k = int(rng.integers(stack.shape[0])) if drawn else 0
@@ -211,21 +206,21 @@ def _frames(source, frames, seed):
 
 
 def _scale_classes(w):
-    """(first row of each class, row -> class) for rows equal up to a complex scale.
+    """(first row of each class, class of each nonzero row) for the nonzero
+    rows of ``w``, grouped by equality up to a complex scale.
 
     Each row is keyed by itself divided by its first nonzero entry, with that
     entry set to exactly 1: p / p is not always 1 in floating point. Zero
-    rows form one class of their own. ``np.unique`` compares entries by
-    value, so signed zeros fall together.
+    rows carry no signal, so they belong to no class and give no samples.
+    ``np.unique`` compares entries by value, so signed zeros fall together.
     """
     nonzero = w != 0
     live = np.flatnonzero(nonzero.any(axis=1))
     lead = nonzero[live].argmax(axis=1)
-    key = w.copy()
-    key[live] /= w[live, lead][:, None]
-    key[live, lead] = 1.0
+    key = w[live] / w[live, lead][:, None]
+    key[np.arange(live.size), lead] = 1.0
     _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    return first, inverse.reshape(-1)
+    return live[first], inverse.reshape(-1)
 
 
 def papr_experiment(source, cfg: WaveformConfig, trials: int, seed: int = 0, antenna_mean: bool = False) -> np.ndarray:
@@ -238,7 +233,7 @@ def papr_experiment(source, cfg: WaveformConfig, trials: int, seed: int = 0, ant
     An antenna whose precoder row is a complex multiple of another's carries
     a scaled copy of its signal, with the same PAPR, so only the first row of
     each such class is synthesized and its peak and mean power are expanded
-    back to antenna order.
+    back to antenna order; zero rows are not synthesized at all.
     """
     if trials < 1:
         raise InvalidConfig("trials must be >= 1")
@@ -248,7 +243,7 @@ def papr_experiment(source, cfg: WaveformConfig, trials: int, seed: int = 0, ant
             first, inverse = _scale_classes(w)
             classes[k] = w[first], inverse
         rows, inverse = classes[k]
-        x = _frame_signals(rows, cfg, rng, scratch).reshape(rows.shape[0], -1)
+        x = _frame_signals(rows, cfg, rng, scratch).reshape(rows.shape[0], cfg.oversample * cfg.n_fft)
         if x.shape not in powers:
             powers[x.shape] = np.empty(x.shape), np.empty(x.shape)
         power, imag_sq = powers[x.shape]

@@ -24,8 +24,7 @@ class TestDesign:
         assert run(["design", "--method", "prop42", "--out", out]) == 0
         assert "mcd=1.000000000000" in capsys.readouterr().out
         loaded = load_codebook(out)
-        for a, b in zip(loaded.codewords, proposed_codebook_4_2().codewords):
-            assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(loaded.stack(), proposed_codebook_4_2().stack())
 
     def test_design_file_equals_direct_save(self, tmp_path):
         out = tmp_path / "prop.json"
@@ -54,7 +53,7 @@ class TestDesign:
         nr_full = tmp_path / "nr.json"
         run(["design", "--method", "nr42", "--out", nr_full])
         full = load_codebook(nr_full)
-        assert np.array_equal(book[0].matrix, full[14].matrix)
+        assert np.array_equal(book[0], full[14])
 
     @pytest.mark.parametrize("indices", ["0-2", "22-23"])
     def test_indices_out_of_range_usage_error(self, tmp_path, capsys, indices):

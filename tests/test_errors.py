@@ -4,6 +4,7 @@ from pathlib import Path
 import grasspack
 
 SRC = Path(grasspack.__file__).resolve().parent
+ROOT = SRC.parents[1]
 
 # json.dumps requires its ``default`` hook to raise TypeError
 EXEMPT = {("codebooks.py", "_json_safe")}
@@ -65,6 +66,56 @@ def test_every_private_function_is_referenced():
     ]
     assert ("grassmann.py", "_closest_pair") in private  # the scan sees top-level helpers
     assert [f"{name}:{func}" for name, func in private if func not in used] == []
+
+
+# public names kept although only unit tests use them, each with its reason
+PUBLIC_WITHOUT_CALLER = {}
+
+
+def _uses(node, strings=False):
+    """Identifiers and attribute names read in ``node``, and its string constants if ``strings``."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            used.add(sub.value)
+    return used
+
+
+def test_every_public_name_has_a_caller():
+    # a public top-level function or class must be used by the package, the
+    # benchmark or the acceptance tests, not only by unit tests; a use inside
+    # another public definition counts once that one is used, and imports,
+    # ``__all__`` and the definition itself never count
+    trees = [_tree(path) for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    public = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    assert {"Codebook", "papr_experiment", "InvalidArgument"} <= public  # the scan sees them
+    outside = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+    live = public & set().union(*(_uses(_tree(path)) for path in outside))
+    live |= public & _uses(_tree(ROOT / "perfbench" / "tracing.py"), strings=True)  # rebinds by name
+    users = [
+        (getattr(node, "name", None), _uses(node))
+        for tree in trees
+        for node in tree.body
+        if not isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    grew = True
+    while grew:
+        grew = False
+        for name, used in users:
+            new = (public & used) - live - {name}
+            if new and (name not in public or name in live):
+                live |= new
+                grew = True
+    assert sorted(public - live - set(PUBLIC_WITHOUT_CALLER)) == []
 
 
 def test_every_error_class_is_raised():

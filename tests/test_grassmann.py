@@ -6,22 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grasspack.codebooks import nr_codebook_4_2, proposed_codebook_4_2
-from grasspack.errors import DimensionMismatch, InvalidRange, NotStiefel, TooFewCodewords
+from grasspack.errors import DimensionMismatch, InvalidArgument, InvalidRange, NotStiefel, TooFewCodewords
 from grasspack.grassmann import (
     Codebook,
-    Codeword,
     chordal_distance,
     min_chordal_distance,
     pairwise_chordal,
     projector_distance,
-    subspace_equal,
     validate_stiefel,
 )
 from grasspack.linalg import _qr_positive, random_stiefel
 
 
 def e_cols(t, cols):
-    return Codeword(np.eye(t)[:, cols])
+    return np.eye(t)[:, cols]
 
 
 def random_unitary(m, rng):
@@ -33,7 +31,7 @@ class TestValidateStiefel:
         assert validate_stiefel(e_cols(4, [0, 1]))
 
     def test_unnormalized(self):
-        w = Codeword(np.array([[1, 0], [1, 0], [0, 1], [0, 0]], dtype=complex))
+        w = np.array([[1, 0], [1, 0], [0, 1], [0, 0]], dtype=complex)
         assert not validate_stiefel(w)
 
     def test_proposed_table_at_1e12(self):
@@ -60,7 +58,7 @@ class TestChordalDistance:
             chordal_distance(e_cols(4, [0, 1]), e_cols(5, [0, 1]))
 
     def test_not_stiefel(self):
-        bad = Codeword(np.array([[1, 0], [1, 0], [0, 1], [0, 0]], dtype=complex))
+        bad = np.array([[1, 0], [1, 0], [0, 1], [0, 0]], dtype=complex)
         with pytest.raises(NotStiefel):
             chordal_distance(bad, e_cols(4, [0, 1]))
 
@@ -69,7 +67,7 @@ class TestChordalDistance:
         for _ in range(50):
             t = int(rng.integers(3, 9))
             m = int(rng.integers(1, t))
-            a, b = Codeword(random_stiefel(t, m, rng)), Codeword(random_stiefel(t, m, rng))
+            a, b = random_stiefel(t, m, rng), random_stiefel(t, m, rng)
             d_ab, d_ba = chordal_distance(a, b), chordal_distance(b, a)
             assert d_ab == d_ba  # exact: same float expression
             assert 0.0 <= d_ab <= np.sqrt(m) + 1e-12
@@ -122,7 +120,7 @@ class TestMinChordalDistance:
             min_chordal_distance(Codebook((e_cols(4, [0, 1]),)))
 
     def test_not_stiefel(self):
-        bad = Codeword(np.array([[1, 0], [1, 0], [0, 1], [0, 0]], dtype=complex))
+        bad = np.array([[1, 0], [1, 0], [0, 1], [0, 0]], dtype=complex)
         with pytest.raises(NotStiefel):
             min_chordal_distance(Codebook((bad, e_cols(4, [0, 1]))))
 
@@ -163,46 +161,84 @@ class TestNearCoincidence:
 
 
 class TestSubspaceEqual:
+    # two codewords span the same subspace iff their projectors agree:
+    # ||W_a W_a^H - W_b W_b^H||_F <= 1e-9
     def test_right_unitary_rotation(self):
         rng = np.random.default_rng(8)
         w = random_stiefel(5, 2, rng)
-        assert subspace_equal(w, w @ random_unitary(2, rng), tol=1e-9)
+        assert projector_distance(w, w @ random_unitary(2, rng)) <= 1e-9
 
     def test_different_spans(self):
-        assert not subspace_equal(e_cols(4, [0, 1]), e_cols(4, [0, 2]), tol=1e-9)
+        assert projector_distance(e_cols(4, [0, 1]), e_cols(4, [0, 2])) > 1e-9
 
     def test_nr_duplicate_pair(self):
         nr = nr_codebook_4_2()
-        assert subspace_equal(nr[14], nr[15], tol=1e-9)
+        assert projector_distance(nr[14], nr[15]) <= 1e-9
 
     def test_consistency_with_chordal(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             a = random_stiefel(4, 2, rng)
             b = random_stiefel(4, 2, rng)
-            eq = subspace_equal(a, b, tol=1e-9)
+            eq = projector_distance(a, b) <= 1e-9
             assert eq == (chordal_distance(a, b) <= 1e-9 / np.sqrt(2) + 1e-12)
 
 
 class TestCodebookType:
-    def test_mixed_shapes_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            Codebook((e_cols(4, [0, 1]), e_cols(5, [0, 1])))
+    @pytest.mark.parametrize(
+        "words, bad",
+        [((e_cols(4, [0, 1]), e_cols(5, [0, 1])), 2), ([e_cols(4, [0, 1]), e_cols(4, [2, 3]), e_cols(4, [0])], 3)],
+    )
+    def test_mixed_shapes_rejected(self, words, bad):
+        # checked before stacking, so numpy's own ValueError never surfaces
+        with pytest.raises(DimensionMismatch, match=f"codeword {bad} "):
+            Codebook(words)
 
     def test_codeword_requires_m_below_t(self):
         with pytest.raises(DimensionMismatch):
-            Codeword(np.eye(3))
+            Codebook([np.eye(3)])
+        with pytest.raises(DimensionMismatch):
+            Codebook(np.eye(3)[None])
 
-    def test_codeword_rejects_nan(self):
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+    def test_codeword_rejects_non_finite(self, bad_value):
         bad = np.eye(4)[:, :2].astype(complex)
-        bad[0, 0] = np.nan
+        bad[0, 0] = bad_value
+        for words in ([bad], bad[None]):
+            with pytest.raises(InvalidArgument):
+                Codebook(words)
+
+    @pytest.mark.parametrize("words", [(), [], np.zeros((0, 4, 2))], ids=["tuple", "list", "array"])
+    def test_empty_rejected(self, words):
+        with pytest.raises(TooFewCodewords):
+            Codebook(words)
+
+    def test_single_matrix_rejected(self):
+        # a 2-D array is one codeword, not a book: its rows are not T x M matrices
+        with pytest.raises(InvalidArgument):
+            Codebook(np.eye(4)[:, :2])
+
+    def test_one_read_only_array(self):
+        nr = nr_codebook_4_2()
+        stack = nr.stack()
+        assert stack is nr.stack() is nr.codewords
+        assert stack.shape == (22, 4, 2) and stack.dtype == np.complex128
+        assert not stack.flags.writeable and not nr[0].flags.writeable
+        assert np.shares_memory(nr[3], stack)
         with pytest.raises(ValueError):
-            Codeword(bad)
+            stack[0, 0, 0] = 2.0
+
+    def test_source_array_is_copied(self):
+        src = nr_codebook_4_2().stack().copy()
+        book = Codebook(src)
+        src[0] = 0.0
+        assert not np.shares_memory(book.stack(), src)
+        assert np.array_equal(book.stack(), nr_codebook_4_2().stack())
 
     def test_subset_is_one_based(self):
         nr = nr_codebook_4_2()
         sub = nr.subset([15, 16])
-        assert np.array_equal(sub[0].matrix, nr[14].matrix)
+        assert np.array_equal(sub[0], nr[14])
         assert len(sub) == 2
 
     @pytest.mark.parametrize("indices", [[0], [-1], [1, 23]])

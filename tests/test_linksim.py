@@ -4,94 +4,121 @@ from scipy import stats
 
 from grasspack.codebooks import nr_codebook_4_2, proposed_codebook_4_2
 from grasspack import linksim
-from grasspack.errors import DimensionMismatch, InvalidArgument, InvalidConfig, InvalidK, TooFewCodewords
-from grasspack.grassmann import Codebook, Codeword
+from grasspack.errors import DimensionMismatch, InvalidConfig, InvalidK, TooFewCodewords
+from grasspack.grassmann import Codebook
 from grasspack.linalg import random_stiefel
 from grasspack.rng import substream
-from grasspack.linksim import (
-    achievable_rate,
-    effective_gain,
-    gain_cdf,
-    rate_curve,
-    sample_rayleigh,
-    sample_rician,
-    select_index,
-    select_index_gain,
-)
+from grasspack.linksim import _gains, _grams, _rates, _rayleigh, _rician_chunk, effective_gram, gain_cdf, rate_curve
 
 
 def e_cols(t, cols):
-    return Codeword(np.eye(t)[:, cols])
+    return np.eye(t)[:, cols]
+
+
+# The oracles below write out what the sweeps compute per trial, independently
+# of the batched Gram kernels they use.
+
+
+def rate_formula(h, w, rho):
+    """log2 det(I + (rho/M) W^H H^H H W), summed over the eigenvalues of the Gram."""
+    hw = np.asarray(h) @ w
+    lam = np.linalg.eigvalsh(hw.conj().T @ hw)
+    return float(np.sum(np.log2(1.0 + rho / w.shape[1] * lam)))
+
+
+def gain_formula(h, w):
+    """Effective gain ||H W||_F^2."""
+    return float(np.linalg.norm(np.asarray(h) @ w) ** 2)
+
+
+def select(scores):
+    """1-based index of the best score, the smallest one on ties."""
+    return int(np.argmax(scores)) + 1
+
+
+def kernel_rates(h, stack, rhos):
+    """Rates of one channel for every codeword, as (len(rhos), K), through the sweep kernel."""
+    return _rates(_grams(np.asarray(h, dtype=complex)[None]), stack, np.atleast_1d(rhos))[:, 0]
+
+
+def kernel_gains(h, stack):
+    """Gains of one channel for every codeword through the sweep kernel."""
+    return _gains(_grams(np.asarray(h, dtype=complex)[None]), stack)[0]
+
+
+def rayleigh(n, t, seed, trial=0):
+    return _rayleigh(n, t, substream(seed, trial))
+
+
+def rician(n, t, k, seed, normalize=False):
+    """The channel of trial 0 under run seed ``seed``, as a sweep draws it."""
+    return _rician_chunk([substream(seed, 0)], n, t, [k], normalize)[0][0]
 
 
 class TestSampleRayleigh:
     def test_per_entry_variance(self):
-        h = sample_rayleigh(100, 1000, seed=0)  # 1e5 entries
+        h = rayleigh(100, 1000, seed=0)  # 1e5 entries
         assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, rel=0.02)
 
     def test_zero_mean(self):
-        h = sample_rayleigh(100, 1000, seed=1)
+        h = rayleigh(100, 1000, seed=1)
         n = h.size
         bound = 3.0 / np.sqrt(n)  # 3 sigma for the mean of unit-variance entries
         assert abs(h.mean()) < bound
 
     def test_deterministic(self):
-        a = sample_rayleigh(4, 3, seed=7)
-        b = sample_rayleigh(4, 3, seed=7)
+        a = rayleigh(4, 3, seed=7)
+        b = rayleigh(4, 3, seed=7)
         assert np.array_equal(a, b)
 
 
 class TestSampleRician:
     def test_k_zero_matches_rayleigh_distribution(self):
-        ray = np.abs(sample_rayleigh(100, 100, seed=2)).ravel()
-        ric = np.abs(sample_rician(100, 100, 0.0, seed=3)).ravel()
+        ray = np.abs(rayleigh(100, 100, seed=2)).ravel()
+        ric = np.abs(rician(100, 100, 0.0, seed=3)).ravel()
         assert stats.ks_2samp(ray, ric).pvalue > 0.01
 
     def test_k_inf_rank_one(self):
         for seed in range(5):
-            h = sample_rician(8, 4, float("inf"), seed=seed)
+            h = rician(8, 4, float("inf"), seed=seed)
             sv = np.linalg.svd(h, compute_uv=False)
             assert sv[1] < 1e-10 * sv[0]
 
     def test_k_one_power_bookkeeping(self):
-        total = 0.0
         trials = 20000
-        for seed in range(trials):
-            h = sample_rician(4, 4, 1.0, seed=seed)
-            total += np.linalg.norm(h) ** 2 / 16.0
+        (h,) = _rician_chunk([substream(seed, 0) for seed in range(trials)], 4, 4, [1.0], False)
+        total = np.sum(np.linalg.norm(h, axis=(1, 2)) ** 2 / 16.0)
         assert total / trials == pytest.approx(1.0, rel=0.02)
 
     def test_normalize_flag(self):
-        h = sample_rician(4, 4, float("inf"), seed=0, normalize=True)
+        h = rician(4, 4, float("inf"), seed=0, normalize=True)
         assert np.linalg.norm(h) ** 2 == pytest.approx(1.0, abs=1e-12)
-
-    def test_invalid_k(self):
-        with pytest.raises(InvalidK):
-            sample_rician(4, 4, -0.5)
 
 
 class TestAchievableRate:
     def test_identity_channel(self):
-        assert achievable_rate(np.eye(4), e_cols(4, [0, 1]), 2.0) == pytest.approx(2.0, abs=1e-12)
+        rate = kernel_rates(np.eye(4), e_cols(4, [0, 1])[None], 2.0)[0, 0]
+        assert rate == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_channel(self):
-        assert achievable_rate(np.zeros((4, 4)), e_cols(4, [0, 1]), 2.0) == 0.0
+        assert kernel_rates(np.zeros((4, 4)), e_cols(4, [0, 1])[None], 2.0)[0, 0] == 0.0
 
     def test_determinant_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
             h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             w = random_stiefel(4, 2, rng)
-            got = achievable_rate(h, w, 1.7)
+            got = kernel_rates(h, w[None], 1.7)[0, 0]
             gram = w.conj().T @ h.conj().T @ h @ w
             want = float(np.log2(np.linalg.det(np.eye(2) + (1.7 / 2) * gram).real))
             assert got == pytest.approx(want, abs=1e-10)
+            assert rate_formula(h, w, 1.7) == pytest.approx(want, abs=1e-10)
 
     def test_monotone_in_rho(self):
         rng = np.random.default_rng(5)
         h = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
         w = random_stiefel(4, 2, rng)
-        rates = [achievable_rate(h, w, rho) for rho in (0.0, 0.5, 1.0, 4.0, 16.0)]
+        rates = kernel_rates(h, w[None], [0.0, 0.5, 1.0, 4.0, 16.0])[:, 0]
         assert all(b >= a for a, b in zip(rates, rates[1:]))
 
     def test_subspace_invariance(self):
@@ -99,21 +126,8 @@ class TestAchievableRate:
         h = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
         w = random_stiefel(4, 2, rng)
         u = random_stiefel(2, 2, rng)
-        assert achievable_rate(h, w, 3.0) == pytest.approx(
-            achievable_rate(h, w @ u, 3.0), abs=1e-9
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            achievable_rate(np.zeros((4, 5)), e_cols(4, [0, 1]), 1.0)
-
-    def test_negative_rho_rejected(self):
-        with pytest.raises(InvalidConfig):
-            achievable_rate(np.eye(2), np.eye(2)[:, :1], -1.0)
-
-    def test_nan_rho_rejected(self):
-        with pytest.raises(InvalidConfig):
-            achievable_rate(np.eye(2), np.eye(2)[:, :1], float("nan"))
+        rates = kernel_rates(h, np.stack([w, w @ u]), 3.0)[0]
+        assert rates[0] == pytest.approx(rates[1], abs=1e-9)
 
 
 class TestSelection:
@@ -122,61 +136,52 @@ class TestSelection:
         rng = np.random.default_rng(7)
         h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         h[:, 2:] = 0
-        assert select_index(h, book, 1.0) == 1
+        rates = kernel_rates(h, book.stack(), 1.0)[0]
+        assert rates[0] > 0 and rates[1] == 0.0
+        assert select(rates) == select([rate_formula(h, w, 1.0) for w in book]) == 1
 
     def test_zero_channel_tie_break(self):
         book = Codebook((e_cols(4, [0, 1]), e_cols(4, [2, 3])))
-        assert select_index(np.zeros((4, 4)), book, 1.0) == 1
-        assert select_index_gain(np.zeros((4, 4)), book) == 1
+        h = np.zeros((4, 4))
+        assert select(kernel_rates(h, book.stack(), 1.0)[0]) == 1
+        assert select(kernel_gains(h, book.stack())) == 1
 
     def test_selected_rate_is_max(self):
         book = proposed_codebook_4_2()
         rng = np.random.default_rng(8)
         for _ in range(10):
             h = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-            idx = select_index(h, book, 2.0)
-            rates = [achievable_rate(h, w, 2.0) for w in book.codewords]
-            assert rates[idx - 1] >= max(rates) - 1e-12
-
-    @pytest.mark.parametrize("rho", [-1.0, float("nan")])
-    def test_bad_rho_rejected(self, rho):
-        with pytest.raises(InvalidConfig):
-            select_index(np.ones((3, 4)), proposed_codebook_4_2(), rho)
+            rates = kernel_rates(h, book.stack(), 2.0)[0]
+            want = [rate_formula(h, w, 2.0) for w in book]
+            np.testing.assert_allclose(rates, want, rtol=0, atol=1e-12)
+            assert rates[select(want) - 1] >= rates.max() - 1e-12
 
     def test_channel_t_mismatch(self):
         book = proposed_codebook_4_2()
+        other = Codebook((e_cols(5, [0, 1]),))
         with pytest.raises(DimensionMismatch):
-            select_index(np.ones((3, 5)), book, 1.0)
+            rate_curve([book, other], 3, [0.0], trials=10)
         with pytest.raises(DimensionMismatch):
-            select_index_gain(np.ones((3, 5)), book)
-        with pytest.raises(DimensionMismatch):
-            effective_gain(np.ones((3, 5)), book[0])
-
-    def test_non_finite_channel_rejected(self):
-        book = proposed_codebook_4_2()
-        h = np.full((3, 4), np.nan)
-        with pytest.raises(InvalidArgument):
-            select_index(h, book, 1.0)
-        with pytest.raises(InvalidArgument):
-            select_index_gain(h, book)
-        with pytest.raises(InvalidArgument):
-            achievable_rate(h, book[0], 1.0)
+            effective_gram(np.ones((3, 5)), book[0])
 
     def test_gain_selection_diag(self):
         book = Codebook((e_cols(4, [0, 1]), e_cols(4, [2, 3])))
-        assert select_index_gain(np.diag([2.0, 2.0, 1.0, 1.0]), book) == 1
+        gains = kernel_gains(np.diag([2.0, 2.0, 1.0, 1.0]), book.stack())
+        np.testing.assert_allclose(gains, [8.0, 2.0], rtol=0, atol=1e-12)
+        assert select(gains) == 1
 
     def test_gain_rank_one_factorization(self):
         book = proposed_codebook_4_2()
-        ch = sample_rician(8, 4, float("inf"), seed=11)
-        idx = select_index_gain(ch, book)
+        ch = rician(8, 4, float("inf"), seed=11)
+        gains = kernel_gains(ch, book.stack())
         # for a rank-one channel the gain factors into ||a_r||^2 ||a_t^H W||^2
         u, s, vh = np.linalg.svd(ch)
         a_r = u[:, 0] * s[0]
         a_t = vh[0].conj()
-        gains = [np.linalg.norm(a_r) ** 2 * np.linalg.norm(w.matrix.conj().T @ a_t) ** 2
-                 for w in book.codewords]
-        assert effective_gain(ch, book[idx - 1]) == pytest.approx(max(gains), abs=1e-9)
+        factored = [np.linalg.norm(a_r) ** 2 * np.linalg.norm(w.conj().T @ a_t) ** 2 for w in book]
+        np.testing.assert_allclose(gains, factored, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(gains, [gain_formula(ch, w) for w in book], rtol=0, atol=1e-12)
+        assert gains[select(factored) - 1] == pytest.approx(max(factored), abs=1e-9)
 
 
 class TestRateCurve:
@@ -187,7 +192,7 @@ class TestRateCurve:
 
     def test_duplicate_codewords_leave_curve_unchanged(self):
         base = proposed_codebook_4_2()
-        doubled = Codebook(base.codewords + base.codewords)
+        doubled = Codebook(np.concatenate([base.stack(), base.stack()]))
         sweep = rate_curve([base, doubled], 8, [0.0, 10.0], trials=200, seed=1)
         assert sweep.diff_mean[(0, 1)] == (0.0, 0.0)
 
@@ -237,7 +242,7 @@ class TestGainCdf:
 
     def test_duplicate_codeword_never_changes_samples(self):
         base = nr_codebook_4_2()
-        doubled = Codebook(base.codewords + (base.codewords[0],))
+        doubled = Codebook(np.concatenate([base.stack(), base.stack()[:1]]))
         g1 = gain_cdf(base, 4, 0.0, trials=400, seed=7)
         g2 = gain_cdf(doubled, 4, 0.0, trials=400, seed=7)
         assert np.array_equal(g1, g2)
@@ -272,6 +277,8 @@ class TestGainCdf:
             gain_cdf(book, 4, [], trials=10)
         with pytest.raises(InvalidK):
             gain_cdf(book, 4, [1.0, -1.0], trials=10)
+        with pytest.raises(InvalidK):
+            gain_cdf(book, 4, -0.5, trials=10)
 
 
 class TestSweepsMatchSingleTrials:
@@ -280,21 +287,28 @@ class TestSweepsMatchSingleTrials:
     def test_rate_curve(self):
         n, snr_db, trials, seed = 3, [0.0, 10.0], 30, 12
         sweep = rate_curve(self.BOOKS, n, snr_db, trials, seed)
-        channels = [sample_rayleigh(n, 4, rng=substream(seed, i)) for i in range(trials)]
+        channels = [rayleigh(n, 4, seed, trial=i) for i in range(trials)]
         for book, res in zip(self.BOOKS, sweep.results):
             for si, snr in enumerate(snr_db):
                 rho = 10.0 ** (snr / 10.0)
-                best = [max(achievable_rate(h, w, rho) for w in book.codewords) for h in channels]
+                best = []
+                for h in channels:
+                    rates = [rate_formula(h, w, rho) for w in book]
+                    best.append(rates[select(rates) - 1])
                 assert res.mean_rates[si] == pytest.approx(np.mean(best), abs=1e-12)
 
     def test_gain_cdf(self):
         n, ks, trials, seed = 5, [0.0, 1.0, float("inf")], 30, 13
         got = gain_cdf(list(self.BOOKS), n, ks, trials, seed)
-        for ki, k in enumerate(ks):
-            channels = [sample_rician(n, 4, k, normalize=True, rng=substream(seed, i)) for i in range(trials)]
+        # trial i draws from substream (seed, i), as one chunk of the sweep does
+        stacks = _rician_chunk([substream(seed, i) for i in range(trials)], n, 4, ks, True)
+        for ki, channels in enumerate(stacks):
             for c, book in enumerate(self.BOOKS):
-                best = sorted(max(effective_gain(h, w) for w in book.codewords) for h in channels)
-                np.testing.assert_allclose(got[ki, c], best, rtol=0, atol=1e-12)
+                best = []
+                for h in channels:
+                    gains = [gain_formula(h, w) for w in book]
+                    best.append(gains[select(gains) - 1])
+                np.testing.assert_allclose(got[ki, c], sorted(best), rtol=0, atol=1e-12)
 
 
 class TestChunkIndependence:

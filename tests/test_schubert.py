@@ -131,19 +131,19 @@ class TestPatternToCodeword:
         expected = np.array(
             [[1, 0], [0, 1], [-1j, 0], [0, 1]], dtype=complex
         ) / np.sqrt(2)
-        np.testing.assert_allclose(w.matrix, expected, atol=1e-15)
+        np.testing.assert_allclose(w, expected, atol=1e-15)
 
     def test_singleton_columns_pin_phase(self):
         p = SparsityPattern(T=4, M=2, supports=((1,), (2,)))
         w = pattern_to_codeword(p, phases=[2.3, -1.1])
-        np.testing.assert_array_equal(w.matrix, np.eye(4, dtype=complex)[:, :2])
+        np.testing.assert_array_equal(w, np.eye(4, dtype=complex)[:, :2])
 
     def test_structural_orthogonality(self):
         rng = np.random.default_rng(11)
         for pat in enumerate_patterns(6, 3, 5):
             phases = rng.uniform(-np.pi, np.pi, pat.size)
             w = pattern_to_codeword(pat, phases)
-            gram = w.matrix.conj().T @ w.matrix
+            gram = w.conj().T @ w
             assert np.all(gram[~np.eye(3, dtype=bool)] == 0)  # exact zeros off-diagonal
             assert validate_stiefel(w, tol=1e-12)
 
@@ -163,7 +163,7 @@ class TestPatternToCodeword:
                 theta = phases[pos : pos + len(sup)]
                 expected[np.array(sup) - 1, col] = np.exp(1j * (theta - theta[0])) / np.sqrt(len(sup))
                 pos += len(sup)
-            np.testing.assert_array_equal(pattern_to_codeword(pat, phases).matrix, expected)
+            np.testing.assert_array_equal(pattern_to_codeword(pat, phases), expected)
 
     @pytest.mark.parametrize(
         "patterns",
@@ -175,5 +175,5 @@ class TestPatternToCodeword:
         k, s = layout[0].shape
         # pivot phases at 0, so the per-word gauge rotation changes nothing
         phases = np.random.default_rng(8).uniform(-np.pi, np.pi, (k, s)) * (layout[4] != np.arange(s))
-        expected = np.stack([pattern_to_codeword(p, ph).matrix for p, ph in zip(patterns, phases)])
+        expected = np.stack([pattern_to_codeword(p, ph) for p, ph in zip(patterns, phases)])
         np.testing.assert_array_equal(_fill(layout, phases, 6, 3), expected)

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from grasspack.codebooks import OptimizerConfig, build_sparse_2M, proposed_codebook_4_2
-from grasspack.errors import InvalidArgument, InvalidConfig, InvalidEll, ShapeMismatch, ZeroSignal
+from grasspack import wavesim
+from grasspack.errors import InvalidArgument, InvalidConfig, InvalidEll, ShapeMismatch
 from grasspack.grassmann import Codebook
 from grasspack.rng import substream
 from grasspack.wavesim import (
@@ -19,7 +20,6 @@ from grasspack.wavesim import (
     ccdf_threshold_db,
     constellation_samples,
     modulate,
-    papr,
     papr_experiment,
     row_sparse_precoder,
 )
@@ -67,6 +67,12 @@ def reference_papr_experiment(source, cfg, trials, seed, antenna_mean=False):
         else:
             out.extend(vals)
     return np.sort(np.asarray(out, dtype=float))
+
+
+def peak_to_mean(x):
+    """PAPR of one signal: peak instantaneous power over mean power."""
+    power = np.abs(x) ** 2
+    return power.max() / power.mean()
 
 
 def time_signal(row, cfg):
@@ -165,13 +171,13 @@ class TestTimeDomain:
         cfg = WaveformConfig(n_used=64, n_fft=64, oversample=4)
         row = np.zeros(64, dtype=complex)
         row[13] = 1.0
-        assert papr(time_signal(row, cfg)) == pytest.approx(1.0, abs=1e-9)
+        assert peak_to_mean(time_signal(row, cfg)) == pytest.approx(1.0, abs=1e-9)
 
     def test_two_tone_papr_two(self):
         cfg = WaveformConfig(n_used=64, n_fft=64, oversample=4)
         row = np.zeros(64, dtype=complex)
         row[10] = row[20] = 1.0
-        assert papr(time_signal(row, cfg)) == pytest.approx(2.0, abs=1e-6)
+        assert peak_to_mean(time_signal(row, cfg)) == pytest.approx(2.0, abs=1e-6)
 
     def test_zero_grid_zero_signal(self):
         cfg = WaveformConfig(n_used=16, n_fft=32, oversample=2)
@@ -181,8 +187,8 @@ class TestTimeDomain:
         rng = np.random.default_rng(8)
         for _ in range(20):
             row = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-            p1 = papr(time_signal(row, WaveformConfig(n_used=64, n_fft=64, oversample=1)))
-            p8 = papr(time_signal(row, WaveformConfig(n_used=64, n_fft=64, oversample=8)))
+            p1 = peak_to_mean(time_signal(row, WaveformConfig(n_used=64, n_fft=64, oversample=1)))
+            p8 = peak_to_mean(time_signal(row, WaveformConfig(n_used=64, n_fft=64, oversample=8)))
             assert p8 >= p1 - 1e-9
 
 
@@ -224,18 +230,29 @@ class TestSynthesis:
 
 
 class TestPapr:
+    # each sample of papr_experiment is peak over mean power of one antenna signal
     def test_constant_envelope(self):
-        assert papr(np.exp(1j * np.linspace(0, 5, 32))) == pytest.approx(1.0, abs=1e-12)
+        # one OFDM subcarrier is a pure tone at any oversampling
+        cfg = WaveformConfig(n_used=1, n_fft=16, oversample=4)
+        w = row_sparse_precoder(4, 2, 2, seed=9)
+        got = papr_experiment(w, cfg, 10, seed=31)
+        assert got.shape == (40,)
+        np.testing.assert_allclose(got, 1.0, rtol=0, atol=1e-12)
 
     def test_hand_ratio(self):
-        assert papr(np.array([2.0, 0, 0, 0])) == 4.0
-
-    def test_nyquist_qam_block(self):
-        assert papr(modulate(256, seed=9)) == pytest.approx(1.0, abs=1e-12)
+        # two subcarriers at n_fft = 2 give the samples (a + b, a - b) / sqrt(2)
+        # of two QPSK symbols: powers (2, 0) when b = +-a, PAPR 2, and
+        # (1, 1) when b = +-ja, PAPR 1
+        cfg = WaveformConfig(n_used=2, n_fft=2)
+        got = papr_experiment(np.eye(2)[:, :1], cfg, 40, seed=32)
+        assert got.shape == (40,)
+        assert np.all(np.isclose(got, 1.0, rtol=0, atol=1e-12) | np.isclose(got, 2.0, rtol=0, atol=1e-12))
+        assert 1.5 < got.max() and got.min() < 1.5
 
     def test_zero_signal(self):
-        with pytest.raises(ZeroSignal):
-            papr(np.zeros(8))
+        # an all-zero precoder drives no antenna, so it gives no samples
+        cfg = WaveformConfig(n_used=5, n_fft=8, oversample=2)
+        assert papr_experiment(np.zeros((3, 2)), cfg, 4, seed=33).shape == (0,)
 
 
 class TestCcdf:
@@ -423,10 +440,39 @@ class TestPaprExperiment:
         for w in QUARTER_SPARSE_2_8.stack():
             assert len(_scale_classes(w)[0]) == 2
         assert len(_scale_classes(row_sparse_precoder(8, 2, 1, seed=6))[0]) == 2
+        # the zero rows 4 and 6 belong to no class: inverse covers rows 0-3 and 5
         first, inverse = _scale_classes(_mixed_row_precoder())
-        assert first.size == 4
-        assert inverse[0] == inverse[1] == inverse[2] and inverse[4] == inverse[6]
-        assert len({inverse[0], inverse[3], inverse[4], inverse[5]}) == 4
+        assert sorted(first) == [0, 3, 5]
+        assert inverse.size == 5
+        assert inverse[0] == inverse[1] == inverse[2]
+        assert len({inverse[0], inverse[3], inverse[4]}) == 3
+        first, inverse = _scale_classes(_zero_row_precoder())
+        assert sorted(first) == [0, 2, 3, 5] and sorted(inverse) == [0, 1, 2, 3]
+
+    def test_zero_rows_not_synthesized(self, monkeypatch):
+        # rows 1 and 4 of the precoder are zero: each frame synthesizes the
+        # other 4 rows only, and the samples still match the reference
+        synthesized = []
+
+        def spy(rows, *args):
+            synthesized.append(rows.shape[0])
+            return _frame_signals(rows, *args)
+
+        monkeypatch.setattr(wavesim, "_frame_signals", spy)
+        cfg = WaveformConfig(n_used=5, n_fft=8, oversample=8)
+        got = papr_experiment(_zero_row_precoder(), cfg, 40, seed=23)
+        assert synthesized == [4] * 40
+        expected = reference_papr_experiment(_zero_row_precoder(), cfg, 40, 23)
+        assert got.shape == expected.shape == (40 * 4,)
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_source_rejected(self, bad):
+        # rejected before any arithmetic, so no numpy warning and no dropped antenna
+        w = np.array([[bad, 0.0], [1.0, 0.0]])
+        with pytest.raises(InvalidArgument):
+            papr_experiment(w, WaveformConfig(12, 16), 2)
 
     @pytest.mark.parametrize("waveform", ["ofdm", "dft-s-ofdm"])
     @pytest.mark.parametrize("source", ["dense_book", "rows_random", "mixed_rows"])
@@ -467,7 +513,7 @@ class TestPaprExperiment:
             rng = substream(13, frame)
             symbols = modulate(4 * 128, rng=rng).reshape(4, 128)
             time = reference_synthesis(np.fft.fft(symbols[0], norm="ortho"), cfg)
-            unprecoded.append(papr(time))
+            unprecoded.append(peak_to_mean(time))
         np.testing.assert_allclose(precoded, np.repeat(np.sort(unprecoded), 8), rtol=1e-12, atol=0)
         assert stats.ks_2samp(precoded, unprecoded).pvalue > 0.01
 
@@ -518,6 +564,13 @@ class TestConstellation:
         w = row_sparse_precoder(8, 4, 1, thetas=FIG_THETAS)
         pts = constellation_samples(w, cfg, 10, seed=19)
         assert len(set(np.round(pts, 8))) <= 4 * 64  # coarse: far from Gaussian cloud
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_source_rejected(self, bad):
+        w = np.array([[0.0, 1.0], [1.0, bad]])
+        with pytest.raises(InvalidArgument):
+            constellation_samples(w, WaveformConfig(12, 16), 2)
 
     @pytest.mark.parametrize("waveform", ["ofdm", "dft-s-ofdm"])
     def test_codebook_source_draws_like_papr(self, waveform):
