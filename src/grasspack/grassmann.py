@@ -34,7 +34,7 @@ from .linalg import as_cmatrix, fro_norm
 STIEFEL_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
     """Codewords sharing (T, M) as one read-only (K, T, M) array, plus provenance.
 
@@ -42,6 +42,8 @@ class Codebook:
     matrices; the constructor copies it to complex128 and checks shape and
     finiteness once. Orthonormality is a numerical property checked by
     :func:`validate_stiefel` and enforced by the distance operations.
+    Equality and hashing are by identity: a book equals only itself, since
+    comparing arrays has no single truth value.
     """
 
     codewords: np.ndarray

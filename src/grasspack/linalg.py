@@ -29,7 +29,7 @@ def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def matexp_skew_hermitian(a, tol: float = 1e-10) -> np.ndarray:
+def matexp_skew_hermitian(a) -> np.ndarray:
     """Matrix exponential of a skew-Hermitian matrix; the result is unitary.
 
     Computed by eigendecomposition: A = j*B with B Hermitian, so
@@ -38,8 +38,8 @@ def matexp_skew_hermitian(a, tol: float = 1e-10) -> np.ndarray:
     m = as_cmatrix(a)
     if m.shape[0] != m.shape[1]:
         raise InvalidArgument(f"expected a square matrix, got shape {m.shape}")
-    if fro_norm(m + m.conj().T) > tol:
-        raise NotSkewHermitian(f"A + A^H exceeds tolerance {tol}")
+    if fro_norm(m + m.conj().T) > 1e-10:
+        raise NotSkewHermitian("A + A^H exceeds tolerance 1e-10")
     herm = -1j * m
     lam, vec = np.linalg.eigh(herm)
     return (vec * np.exp(1j * lam)) @ vec.conj().T

@@ -72,14 +72,14 @@ def _check_k(k: float) -> float:
     return k
 
 
-def _rician_chunk(rngs, n, t, ks, normalize):
-    """One (len(rngs), N, T) Rician channel stack per K factor in ``ks``.
+def _rician_chunk(rngs, n, t, ks):
+    """One (len(rngs), N, T) normalized Rician channel stack per K factor in ``ks``.
 
     A channel is a rank-one line-of-sight part plus Rayleigh scattering. The
     LoS part is an outer product of half-wavelength ULA steering vectors with
     departure and arrival angles drawn uniformly on (-pi/2, pi/2), so
-    ||H_LoS||_F^2 = N*T matches the expected scattered power; ``normalize``
-    rescales to E||H||_F^2 = 1, and K = +inf gives a pure LoS channel. Each
+    ||H_LoS||_F^2 = N*T matches the expected scattered power; the sum is
+    rescaled to E||H||_F^2 = 1, and K = +inf gives a pure LoS channel. Each
     generator yields its trial's arrival and departure angles and then, if
     some K is finite, the real and imaginary scattering blocks; every K mixes
     the same draws.
@@ -100,16 +100,17 @@ def _rician_chunk(rngs, n, t, ks, normalize):
     out = []
     for k in ks:
         h = los if math.isinf(k) else math.sqrt(k / (k + 1)) * los + math.sqrt(1 / (k + 1)) * ray
-        out.append(h / math.sqrt(n * t) if normalize else h)
+        out.append(h / math.sqrt(n * t))
     return out
 
 
 def effective_gram(h, w, counter=None):
     """Gram matrix (HW)^H (HW), optionally counting complex multiplies.
 
-    With a counter attached, codewords whose rows each carry at most one
-    nonzero entry are multiplied along the sparse path (a scaled column
-    gather), so the recorded count reflects the work actually done.
+    Codewords whose rows each carry at most one nonzero entry are multiplied
+    along the sparse path (a scaled column gather), the others densely. The
+    path follows from ``w`` alone, so attaching a counter never changes the
+    result, and the recorded count reflects the work actually done.
     """
     hm, wm = as_cmatrix(h), as_cmatrix(w)
     if hm.shape[1] != wm.shape[0]:
@@ -117,18 +118,17 @@ def effective_gram(h, w, counter=None):
     n, t = hm.shape
     m = wm.shape[1]
     nz_rows = np.count_nonzero(wm, axis=1)
-    if counter is not None and np.all(nz_rows <= 1):
+    if np.all(nz_rows <= 1):
         y = np.zeros((n, m), dtype=np.complex128)
         for ti in np.nonzero(nz_rows)[0]:
             mi = int(np.nonzero(wm[ti])[0][0])
             y[:, mi] += hm[:, ti] * wm[ti, mi]
-        counter.add(n * int(np.count_nonzero(nz_rows)))
+        mults = n * int(np.count_nonzero(nz_rows))
     else:
         y = hm @ wm
-        if counter is not None:
-            counter.add(n * t * m)
+        mults = n * t * m
     if counter is not None:
-        counter.add(n * m * m)
+        counter.add(mults + n * m * m)
     return y.conj().T @ y
 
 
@@ -241,7 +241,7 @@ def gain_cdf(b, n: int, k, trials: int, seed: int = 0) -> np.ndarray:
     stacks = [book.stack() for book in books]
     out = np.empty((len(ks), len(books), trials))
     for rows, rngs in _chunks(trials, seed):
-        for ki, hh in enumerate(_rician_chunk(rngs, n, t, ks, True)):
+        for ki, hh in enumerate(_rician_chunk(rngs, n, t, ks)):
             g = _grams(hh)
             for c, stack in enumerate(stacks):
                 out[ki, c, rows] = _gains(g, stack).max(axis=1)

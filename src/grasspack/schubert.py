@@ -131,12 +131,13 @@ def _partitions_into_blocks(rows, m):
     yield from rec(0, -1)
 
 
-def enumerate_patterns(t: int, m: int, s: int, cap: int = ENUMERATION_CAP) -> list:
-    """All sparsity patterns, lexicographically ordered on their supports."""
+def enumerate_patterns(t: int, m: int, s: int) -> list:
+    """All sparsity patterns, lexicographically ordered on their supports;
+    more than ``ENUMERATION_CAP`` raise ``SizeLimit`` before any is built."""
     _check_range(t, m, s)
     total = count_patterns(t, m, s)
-    if total > cap:
-        raise SizeLimit(f"{total} patterns exceed the cap of {cap}")
+    if total > ENUMERATION_CAP:
+        raise SizeLimit(f"{total} patterns exceed the cap of {ENUMERATION_CAP}")
     out = []
     for rows in itertools.combinations(range(1, t + 1), s):
         for blocks in _partitions_into_blocks(rows, m):

@@ -14,13 +14,13 @@ per-phase twiddle, so one batch of oversample short transforms replaces one
 transform of oversample * n_fft points. PAPR ignores sample order, so the
 engine never reorders the phases. An antenna whose precoder row is a complex
 multiple of another's carries a scaled copy of that signal, with the same
-PAPR: ``papr_experiment`` groups the rows of each codeword into such classes
-once, synthesizes one row per class and expands the power statistics back
-to antenna order; zero rows carry no signal and are left out. A T = 2M pair
-codeword so needs M transforms, not 2M.
-Twiddles and frame-sized buffers are built once per call and reused by
-every frame. Samples match synthesizing every antenna at full length to
-rounding: within 1e-13 relative, held by the tests.
+PAPR: ``papr_experiment`` groups the rows of every codeword into such classes
+up front, synthesizes one row per class and expands the power statistics
+back to antenna order; zero rows carry no signal and are left out. A T = 2M
+pair codeword so needs M transforms, not 2M. Each call sizes its twiddles
+and buffers once, for the largest class count, and every frame works in
+their leading rows. Samples match synthesizing every antenna at full length
+to rounding: within 1e-13 relative, held by the tests.
 """
 
 from __future__ import annotations
@@ -66,60 +66,49 @@ class WaveformConfig:
 _QPSK = ((1.0 - 2.0 * np.array([0, 0, 1, 1])) + 1j * (1.0 - 2.0 * np.array([0, 1, 0, 1]))) / np.sqrt(2.0)
 
 
-def modulate(count: int, seed: int = 0, rng=None) -> np.ndarray:
-    """Unit-average-power Gray-mapped 4-QAM symbols, i.i.d. uniform."""
+def modulate(count: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit-average-power Gray-mapped 4-QAM symbols, i.i.d. uniform, drawn from ``rng``."""
     if count < 1:
         raise InvalidArgument("count must be >= 1")
-    rng = rng if rng is not None else substream(seed, 0)
     bits = rng.integers(0, 2, size=(count, 2))
     return _QPSK[2 * bits[:, 0] + bits[:, 1]]
 
 
-def _twiddle(cfg: WaveformConfig) -> np.ndarray:
-    """(oversample, n_used) polyphase twiddles, in grid order.
+def _buffers(cfg: WaveformConfig, rows: int):
+    """``_synthesize``'s twiddles, zeroed spectrum and output buffer, for up to ``rows`` signals.
 
-    Row ``r`` weights the used subcarrier at centered frequency ``k`` by
-    exp(2 pi j k r / (oversample * n_fft)) / sqrt(oversample).
+    Twiddle row ``p`` weights the used subcarrier at centered frequency ``k``
+    by exp(2 pi j k p / (oversample * n_fft)) / sqrt(oversample).
     """
     qn = cfg.oversample * cfg.n_fft
     k = np.arange(cfg.n_used) - cfg.n_used // 2
     turns = (np.arange(cfg.oversample)[:, None] * k) % qn
-    return np.exp(2j * np.pi * turns / qn) / np.sqrt(cfg.oversample)
+    spec = np.zeros((rows, cfg.oversample, cfg.n_fft), dtype=np.complex128)
+    return np.exp(2j * np.pi * turns / qn) / np.sqrt(cfg.oversample), spec, np.empty_like(spec)
 
 
-def _synthesize(grid: np.ndarray, cfg: WaveformConfig, scratch: dict | None = None) -> np.ndarray:
-    """Rows of used-subcarrier symbols -> oversampled time signals in polyphase order.
+def _synthesize(grid, cfg, twiddle, spec, out) -> np.ndarray:
+    """(r, n_used) rows of used-subcarrier symbols -> oversampled time signals in polyphase order.
 
     The signal is the unitary inverse FFT of the band, mapped localized and
     DC-centered into a spectrum zero-padded to oversample * n_fft bins. It is
-    returned as shape ``grid.shape[:-1] + (oversample, n_fft)``, where entry
-    ``[..., r, n]`` is time sample ``n * oversample + r``; time order is
-    ``swapaxes(-1, -2)`` and a reshape. Phase ``r`` is the n_fft-point
-    inverse FFT of the band weighted by row ``r`` of ``_twiddle``, folded
-    into n_fft bins: centered bin ``k`` goes to ``k % n_fft``, so the lower
-    half of the band wraps to the top and the upper half starts at bin 0.
-    Since n_used <= n_fft no two bins collide. At oversample 1 the twiddle is
-    1 and this is plain placement.
+    returned as shape ``(r, oversample, n_fft)``, where entry ``[i, p, n]``
+    is time sample ``n * oversample + p``; time order is ``swapaxes(-1, -2)``
+    and a reshape. Phase ``p`` is the n_fft-point inverse FFT of the band
+    weighted by twiddle row ``p``, folded into n_fft bins: centered bin ``k``
+    goes to ``k % n_fft``, so the lower half of the band wraps to the top and
+    the upper half starts at bin 0. Since n_used <= n_fft no two bins collide.
+    At oversample 1 the twiddle is 1 and this is plain placement.
 
-    ``scratch`` is a dict that a caller making many calls with one ``cfg``
-    keeps between them. It holds the twiddle table and, per output shape, a
-    spectrum whose bins outside the band stay zero and the output buffer,
-    which the next call of that shape overwrites.
+    The caller owns ``_buffers(cfg, R)`` for some R >= r and reuses them: the
+    band goes into ``spec[:r]``, whose other bins stay zero, and the result
+    is ``out[:r]``, which the next call overwrites.
     """
-    if grid.shape[-1] != cfg.n_used:
-        raise InvalidConfig(f"expected {cfg.n_used} used subcarriers, got {grid.shape[-1]}")
-    scratch = {} if scratch is None else scratch
-    twiddle = scratch.get("twiddle")
-    if twiddle is None:
-        twiddle = scratch["twiddle"] = _twiddle(cfg)
-    shape = grid.shape[:-1] + (cfg.oversample, cfg.n_fft)
-    if shape not in scratch:
-        scratch[shape] = np.zeros(shape, dtype=np.complex128), np.empty(shape, dtype=np.complex128)
-    spec, out = scratch[shape]
-    low, n = cfg.n_used // 2, cfg.n_fft
-    np.multiply(grid[..., None, :low], twiddle[:, :low], out=spec[..., n - low :])
-    np.multiply(grid[..., None, low:], twiddle[:, low:], out=spec[..., : cfg.n_used - low])
-    return np.fft.ifft(spec, axis=-1, norm="ortho", out=out)
+    r, low, n = grid.shape[0], cfg.n_used // 2, cfg.n_fft
+    spec = spec[:r]
+    np.multiply(grid[:, None, :low], twiddle[:, :low], out=spec[..., n - low :])
+    np.multiply(grid[:, None, low:], twiddle[:, low:], out=spec[..., : cfg.n_used - low])
+    return np.fft.ifft(spec, axis=-1, norm="ortho", out=out[:r])
 
 
 def _papr_values(samples) -> np.ndarray:
@@ -176,33 +165,28 @@ def row_sparse_precoder(t: int, m: int, ell: int, thetas=None, seed: int = 0) ->
     return w
 
 
-def _frame_signals(w, cfg, rng, scratch=None):
-    """One frame: modulate M streams, spread if single-carrier, precode, synthesize.
-
-    Returns ``_synthesize``'s polyphase signals of the rows of ``w``.
-    """
-    m = w.shape[1]
-    symbols = modulate(m * cfg.n_used, rng=rng).reshape(m, cfg.n_used)
+def _streams(m, cfg, rng):
+    """One frame's M streams of n_used 4-QAM symbols, DFT-spread if single-carrier."""
+    symbols = modulate(m * cfg.n_used, rng).reshape(m, cfg.n_used)
     if cfg.waveform == "dft-s-ofdm":
         symbols = np.fft.fft(symbols, axis=1, norm="ortho")
-    return _synthesize(w @ symbols, cfg, scratch)
+    return symbols
 
 
-def _frames(source, frames, seed):
-    """(codeword index, precoder, rng) of each frame, the rng being the frame's substream.
-
-    A codebook source draws the frame's codeword uniformly from that
-    substream before anything else; a matrix source is index 0 every frame
-    and must be finite.
-    """
-    drawn = isinstance(source, Codebook)
-    stack = source.stack() if drawn else as_cmatrix(source)[None]
+def _precoders(source):
+    """The finite (K, T, M) precoders of a codebook, or a matrix as a stack of one."""
+    stack = source.stack() if isinstance(source, Codebook) else as_cmatrix(source)[None]
     if not np.all(np.isfinite(stack)):
         raise InvalidArgument("precoder entries must be finite")
+    return stack
+
+
+def _frames(stack, frames, seed):
+    """(codeword index, rng) of each frame: the index is drawn uniformly from the
+    frame's substream first; a stack of one draws 0 and consumes nothing."""
     for frame in range(frames):
         rng = substream(seed, frame)
-        k = int(rng.integers(stack.shape[0])) if drawn else 0
-        yield k, stack[k], rng
+        yield int(rng.integers(stack.shape[0])), rng
 
 
 def _scale_classes(w):
@@ -229,35 +213,35 @@ def papr_experiment(source, cfg: WaveformConfig, trials: int, seed: int = 0, ant
     ``source`` is either a codebook (one codeword drawn uniformly per frame,
     since PAPR depends only on the precoder sparsity) or a fixed precoding
     matrix. Antennas with identically zero signals contribute no samples;
-    ``antenna_mean`` records one per-frame average instead of pooling.
-    An antenna whose precoder row is a complex multiple of another's carries
-    a scaled copy of its signal, with the same PAPR, so only the first row of
-    each such class is synthesized and its peak and mean power are expanded
-    back to antenna order; zero rows are not synthesized at all.
+    ``antenna_mean`` records one per-frame average instead of pooling, and
+    none for a frame in which every antenna is silent. Each frame synthesizes
+    one row per class of rows equal up to a complex scale and skips zero
+    rows (see the module docstring).
     """
     if trials < 1:
         raise InvalidConfig("trials must be >= 1")
-    scratch, classes, powers, out = {}, {}, {}, []
-    for k, w, rng in _frames(source, trials, seed):
-        if k not in classes:
-            first, inverse = _scale_classes(w)
-            classes[k] = w[first], inverse
-        rows, inverse = classes[k]
-        x = _frame_signals(rows, cfg, rng, scratch).reshape(rows.shape[0], cfg.oversample * cfg.n_fft)
-        if x.shape not in powers:
-            powers[x.shape] = np.empty(x.shape), np.empty(x.shape)
-        power, imag_sq = powers[x.shape]
-        np.square(x.real, out=power)
-        power += np.square(x.imag, out=imag_sq)
+    stack = _precoders(source)
+    classes = [_scale_classes(w) for w in stack]
+    width = max(first.size for first, _ in classes)
+    buffers = _buffers(cfg, width)
+    qn = cfg.oversample * cfg.n_fft
+    real_sq, imag_sq = np.empty((2, width, qn))
+    samples = []
+    for k, rng in _frames(stack, trials, seed):
+        first, inverse = classes[k]
+        r = first.size
+        x = _synthesize(stack[k, first] @ _streams(stack.shape[2], cfg, rng), cfg, *buffers).reshape(r, qn)
+        power = np.square(x.real, out=real_sq[:r])
+        power += np.square(x.imag, out=imag_sq[:r])
         mean = power.mean(axis=1)[inverse]
         peak = power.max(axis=1)[inverse]
         live = mean > 0
         vals = peak[live] / mean[live]
-        if antenna_mean:
-            out.append(vals.mean())
-        else:
-            out.extend(vals)
-    return np.sort(np.asarray(out, dtype=float))
+        if not antenna_mean:
+            samples.extend(vals)
+        elif vals.size:
+            samples.append(vals.mean())
+    return np.sort(np.asarray(samples, dtype=float))
 
 
 def constellation_samples(source, cfg: WaveformConfig, frames: int, seed: int = 0) -> np.ndarray:
@@ -269,8 +253,9 @@ def constellation_samples(source, cfg: WaveformConfig, frames: int, seed: int = 
     if frames < 1:
         raise InvalidConfig("frames must be >= 1")
     nyquist = replace(cfg, oversample=1)
-    scratch = {}
+    stack = _precoders(source)
+    buffers = _buffers(nyquist, 1)
     out = np.empty((frames, nyquist.n_fft), dtype=np.complex128)
-    for frame, (_, w, rng) in enumerate(_frames(source, frames, seed)):
-        out[frame] = _frame_signals(w[:1], nyquist, rng, scratch).reshape(-1)
+    for frame, (k, rng) in enumerate(_frames(stack, frames, seed)):
+        out[frame] = _synthesize(stack[k, :1] @ _streams(stack.shape[2], nyquist, rng), nyquist, *buffers).reshape(-1)
     return out.reshape(-1)

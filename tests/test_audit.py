@@ -90,12 +90,20 @@ class TestMeasuredCounts:
             assert measured_mult_count(c) == gram_mult_count(t, m, n, sparse=True)
 
     def test_instrumented_paths_agree_numerically(self):
+        # the multiply path follows from the codeword alone, so a counter
+        # never changes the returned bytes, dense or row-sparse; both paths
+        # give the Gram of H @ W
         rng = np.random.default_rng(2)
-        h = rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
-        w = row_sparse_precoder(4, 2, 1, seed=3)
-        plain = effective_gram(h, w)
-        counted = effective_gram(h, w, counter=MultCounter())
-        np.testing.assert_allclose(counted, plain, atol=1e-12)
+        for case in range(40):
+            m = 1 + case % 3
+            t = m + 1 + case % 5
+            h = rng.standard_normal((16, t)) + 1j * rng.standard_normal((16, t))
+            dense = rng.standard_normal((t, m)) + 1j * rng.standard_normal((t, m))
+            for w in (dense, row_sparse_precoder(t, m, 1, seed=case)):
+                plain = effective_gram(h, w)
+                assert effective_gram(h, w, counter=MultCounter()).tobytes() == plain.tobytes()
+                hw = h @ w
+                np.testing.assert_allclose(plain, hw.conj().T @ hw, rtol=0, atol=1e-12)
 
     def test_empty_counter_reads_zero(self):
         assert measured_mult_count(MultCounter()) == 0

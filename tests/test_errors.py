@@ -128,3 +128,63 @@ def test_every_error_class_is_raised():
     classes = [node.name for node in _tree(SRC / "errors.py").body if isinstance(node, ast.ClassDef)]
     assert "InvalidArgument" in classes  # the scan sees the error classes
     assert [name for name in classes if name not in raised] == []
+
+
+def _defaulted(tree):
+    """(function, parameter, position or None) of every parameter with a
+    default; the position counts after ``self`` for a method and is None for
+    a keyword-only parameter."""
+    methods = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            pos = node.args.posonlyargs + node.args.args
+            skip = 1 if id(node) in methods else 0
+            first = len(pos) - len(node.args.defaults)
+            found += [(node.name, arg.arg, i - skip) for i, arg in enumerate(pos) if i >= first]
+            found += [
+                (node.name, arg.arg, None)
+                for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                if default is not None
+            ]
+    return found
+
+
+def _sets(call, param, position):
+    """Whether ``call`` passes ``param``, by keyword, ``**``, position or ``*``."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    args = call.args
+    return position is not None and (len(args) > position or any(isinstance(a, ast.Starred) for a in args))
+
+
+# "module:function.parameter" defaults kept although no such call sets them, each with its reason
+DEFAULT_WITHOUT_CALLER = {}
+
+
+def test_every_parameter_default_is_set_by_a_caller():
+    # a default that no call in the package, the benchmark or the acceptance
+    # tests overrides is a knob only unit tests turn; calls are matched to
+    # functions by name
+    defaulted = [(path.name, *item) for path in sorted(SRC.glob("*.py")) for item in _defaulted(_tree(path))]
+    assert ("wavesim.py", "papr_experiment", "antenna_mean", 4) in defaulted  # the scan sees them
+    outside = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+    calls = {}
+    for path in [*sorted(SRC.glob("*.py")), *outside]:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = [
+        f"{module}:{func}.{param}"
+        for module, func, param, position in defaulted
+        if not any(_sets(call, param, position) for call in calls.get(func, []))
+    ]
+    assert [name for name in unset if name not in DEFAULT_WITHOUT_CALLER] == []

@@ -228,6 +228,14 @@ class TestCodebookType:
         with pytest.raises(ValueError):
             stack[0, 0, 0] = 2.0
 
+    def test_equality_is_identity(self):
+        # two books with equal arrays are still two books; comparing or
+        # hashing one never asks numpy for the truth value of an array
+        book = nr_codebook_4_2()
+        assert (nr_codebook_4_2() == nr_codebook_4_2()) is False
+        assert book == book and book != nr_codebook_4_2()
+        assert {book, book} == {book} and hash(book) == hash(book)
+
     def test_source_array_is_copied(self):
         src = nr_codebook_4_2().stack().copy()
         book = Codebook(src)

@@ -50,9 +50,10 @@ def rayleigh(n, t, seed, trial=0):
     return _rayleigh(n, t, substream(seed, trial))
 
 
-def rician(n, t, k, seed, normalize=False):
-    """The channel of trial 0 under run seed ``seed``, as a sweep draws it."""
-    return _rician_chunk([substream(seed, 0)], n, t, [k], normalize)[0][0]
+def rician(n, t, k, seed):
+    """The channel of trial 0 under run seed ``seed``, as a sweep draws it,
+    rescaled by sqrt(N T) to the unnormalized power ||H_LoS||_F^2 = N T."""
+    return _rician_chunk([substream(seed, 0)], n, t, [k])[0][0] * np.sqrt(n * t)
 
 
 class TestSampleRayleigh:
@@ -86,12 +87,13 @@ class TestSampleRician:
 
     def test_k_one_power_bookkeeping(self):
         trials = 20000
-        (h,) = _rician_chunk([substream(seed, 0) for seed in range(trials)], 4, 4, [1.0], False)
-        total = np.sum(np.linalg.norm(h, axis=(1, 2)) ** 2 / 16.0)
+        # the sweep's channels are normalized to E||H||_F^2 = 1
+        (h,) = _rician_chunk([substream(seed, 0) for seed in range(trials)], 4, 4, [1.0])
+        total = np.sum(np.linalg.norm(h, axis=(1, 2)) ** 2)
         assert total / trials == pytest.approx(1.0, rel=0.02)
 
-    def test_normalize_flag(self):
-        h = rician(4, 4, float("inf"), seed=0, normalize=True)
+    def test_normalized_power(self):
+        h = _rician_chunk([substream(0, 0)], 4, 4, [float("inf")])[0][0]
         assert np.linalg.norm(h) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -301,7 +303,7 @@ class TestSweepsMatchSingleTrials:
         n, ks, trials, seed = 5, [0.0, 1.0, float("inf")], 30, 13
         got = gain_cdf(list(self.BOOKS), n, ks, trials, seed)
         # trial i draws from substream (seed, i), as one chunk of the sweep does
-        stacks = _rician_chunk([substream(seed, i) for i in range(trials)], n, 4, ks, True)
+        stacks = _rician_chunk([substream(seed, i) for i in range(trials)], n, 4, ks)
         for ki, channels in enumerate(stacks):
             for c, book in enumerate(self.BOOKS):
                 best = []

@@ -6,6 +6,7 @@ import pytest
 from grasspack.errors import InvalidM, InvalidRange, ShapeMismatch, SizeLimit
 from grasspack.grassmann import validate_stiefel
 from grasspack.schubert import (
+    ENUMERATION_CAP,
     PairPattern,
     SparsityPattern,
     _fill,
@@ -78,8 +79,10 @@ class TestEnumeratePatterns:
         assert got == brute_force_patterns(5, 2, 4)
 
     def test_size_limit(self):
+        # 2,532,530 patterns, over the cap: rejected from the count alone
+        assert count_patterns(13, 4, 13) == 2_532_530 > ENUMERATION_CAP
         with pytest.raises(SizeLimit):
-            enumerate_patterns(6, 3, 6, cap=10)
+            enumerate_patterns(13, 4, 13)
 
 
 class TestMatchingPatterns:

@@ -12,9 +12,11 @@ from grasspack.rng import substream
 from grasspack.wavesim import (
     _QPSK,
     WaveformConfig,
-    _frame_signals,
+    _buffers,
     _frames,
+    _precoders,
     _scale_classes,
+    _streams,
     _synthesize,
     ccdf,
     ccdf_threshold_db,
@@ -76,7 +78,16 @@ def peak_to_mean(x):
 
 
 def time_signal(row, cfg):
-    return time_order(_synthesize(np.asarray(row, dtype=complex)[None, :], cfg))[0]
+    return time_order(_synthesize(np.asarray(row, dtype=complex)[None, :], cfg, *_buffers(cfg, 1)))[0]
+
+
+def frame_signals(w, cfg, rng):
+    """One frame of the engine: the streams precoded by every row of ``w``, synthesized."""
+    return time_order(_synthesize(w @ _streams(w.shape[1], cfg, rng), cfg, *_buffers(cfg, w.shape[0])))
+
+
+def draws(source, trials, seed):
+    return [k for k, _ in _frames(_precoders(source), trials, seed)]
 
 
 class TestConfig:
@@ -101,11 +112,11 @@ class TestConfig:
 
 class TestModulate:
     def test_average_power(self):
-        s = modulate(100000, seed=0)
+        s = modulate(100000, substream(0, 0))
         assert np.mean(np.abs(s) ** 2) == pytest.approx(1.0, rel=0.01)
 
     def test_alphabet(self):
-        s = modulate(1000, seed=1)
+        s = modulate(1000, substream(1, 0))
         expected = {
             complex(a, b)
             for a in (1 / np.sqrt(2), -1 / np.sqrt(2))
@@ -114,7 +125,7 @@ class TestModulate:
         assert set(np.round(s, 12)) == {complex(np.round(z.real, 12), np.round(z.imag, 12)) for z in expected}
 
     def test_deterministic(self):
-        assert np.array_equal(modulate(64, seed=2), modulate(64, seed=2))
+        assert np.array_equal(modulate(64, substream(2, 0)), modulate(64, substream(2, 0)))
 
     def test_table_matches_closed_form(self):
         # the lookup table holds the closed-form symbol of every bit pair,
@@ -122,7 +133,7 @@ class TestModulate:
         pairs = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
         assert _QPSK.tobytes() == closed_form_qpsk(pairs).tobytes()
         bits = substream(20, 0).integers(0, 2, size=(4099, 2))
-        assert modulate(4099, seed=20).tobytes() == closed_form_qpsk(bits).tobytes()
+        assert modulate(4099, substream(20, 0)).tobytes() == closed_form_qpsk(bits).tobytes()
 
 
 class TestDftSpread:
@@ -130,8 +141,8 @@ class TestDftSpread:
         # spreading and synthesis are unitary: each antenna of a truncated
         # identity precoder carries its stream's symbol energy
         cfg = WaveformConfig(n_used=624, n_fft=1024, oversample=2, waveform="dft-s-ofdm")
-        signals = time_order(_frame_signals(np.eye(4, dtype=complex)[:, :2], cfg, substream(3, 0)))
-        symbols = modulate(2 * 624, rng=substream(3, 0)).reshape(2, 624)
+        signals = frame_signals(np.eye(4, dtype=complex)[:, :2], cfg, substream(3, 0))
+        symbols = modulate(2 * 624, substream(3, 0)).reshape(2, 624)
         np.testing.assert_allclose(np.linalg.norm(signals[:2], axis=1), np.linalg.norm(symbols, axis=1), atol=1e-10)
 
 
@@ -141,8 +152,8 @@ class TestPrecodeGrid:
     @staticmethod
     def frame(w, seed, n_used):
         cfg = WaveformConfig(n_used=n_used, n_fft=2 * n_used, oversample=2)
-        streams = modulate(w.shape[1] * n_used, rng=substream(seed, 0)).reshape(w.shape[1], n_used)
-        return time_order(_frame_signals(w, cfg, substream(seed, 0))), streams, cfg
+        streams = modulate(w.shape[1] * n_used, substream(seed, 0)).reshape(w.shape[1], n_used)
+        return frame_signals(w, cfg, substream(seed, 0)), streams, cfg
 
     def test_truncated_identity_routes_streams(self):
         signals, streams, cfg = self.frame(np.eye(4, dtype=complex)[:, :2], 4, 16)
@@ -213,19 +224,20 @@ class TestSynthesis:
     @given(synthesis_case())
     def test_polyphase_matches_reference(self, case):
         # the folded short transforms equal the zero-padded long one, for odd
-        # and even bands up to the full grid, also on a second grid through
-        # the same reused buffers
+        # and even bands up to the full grid, also on a second grid and on
+        # fewer rows through the same reused buffers, sized for 3 rows
         cfg, grid, w = case
-        scratch = {}
-        for rows in (grid, grid[::-1] * 1j):
+        buffers = _buffers(cfg, 3)
+        for rows in (grid, grid[::-1] * 1j, grid[:1] * 2.0):
             want = reference_synthesis(rows, cfg)
-            got = time_order(_synthesize(rows, cfg, scratch))
+            got = time_order(_synthesize(rows, cfg, *buffers))
+            assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
-        symbols = modulate(2 * cfg.n_used, rng=substream(1, 0)).reshape(2, cfg.n_used)
+        symbols = modulate(2 * cfg.n_used, substream(1, 0)).reshape(2, cfg.n_used)
         if cfg.waveform == "dft-s-ofdm":
             symbols = np.fft.fft(symbols, axis=1, norm="ortho")
         want = reference_synthesis(w @ symbols, cfg)
-        got = time_order(_frame_signals(w, cfg, substream(1, 0), scratch))
+        got = time_order(_synthesize(w @ _streams(2, cfg, substream(1, 0)), cfg, *buffers))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
@@ -249,10 +261,13 @@ class TestPapr:
         assert np.all(np.isclose(got, 1.0, rtol=0, atol=1e-12) | np.isclose(got, 2.0, rtol=0, atol=1e-12))
         assert 1.5 < got.max() and got.min() < 1.5
 
+    @pytest.mark.filterwarnings("error")
     def test_zero_signal(self):
-        # an all-zero precoder drives no antenna, so it gives no samples
+        # an all-zero precoder drives no antenna, so it gives no samples,
+        # pooled or averaged per frame, and no mean of an empty slice
         cfg = WaveformConfig(n_used=5, n_fft=8, oversample=2)
         assert papr_experiment(np.zeros((3, 2)), cfg, 4, seed=33).shape == (0,)
+        assert papr_experiment(np.zeros((3, 2)), cfg, 3, antenna_mean=True).shape == (0,)
 
 
 class TestCcdf:
@@ -422,7 +437,7 @@ class TestPaprExperiment:
         got = papr_experiment(src, cfg, 40, seed=23, antenna_mean=antenna_mean)
         expected = reference_papr_experiment(src, cfg, 40, 23, antenna_mean)
         assert got.shape == expected.shape
-        assert [k for k, _, _ in _frames(src, 40, 23)] == reference_draws(src, 40, 23)
+        assert draws(src, 40, 23) == reference_draws(src, 40, 23)
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
 
     def test_matches_reference_at_benchmark_size(self):
@@ -430,7 +445,7 @@ class TestPaprExperiment:
         got = papr_experiment(QUARTER_SPARSE_2_8, cfg, 6, seed=24)
         expected = reference_papr_experiment(QUARTER_SPARSE_2_8, cfg, 6, 24)
         assert got.shape == expected.shape == (6 * 4,)
-        assert [k for k, _, _ in _frames(QUARTER_SPARSE_2_8, 6, 24)] == reference_draws(QUARTER_SPARSE_2_8, 6, 24)
+        assert draws(QUARTER_SPARSE_2_8, 6, 24) == reference_draws(QUARTER_SPARSE_2_8, 6, 24)
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
 
     def test_scale_classes(self):
@@ -454,11 +469,11 @@ class TestPaprExperiment:
         # other 4 rows only, and the samples still match the reference
         synthesized = []
 
-        def spy(rows, *args):
-            synthesized.append(rows.shape[0])
-            return _frame_signals(rows, *args)
+        def spy(grid, *args):
+            synthesized.append(grid.shape[0])
+            return _synthesize(grid, *args)
 
-        monkeypatch.setattr(wavesim, "_frame_signals", spy)
+        monkeypatch.setattr(wavesim, "_synthesize", spy)
         cfg = WaveformConfig(n_used=5, n_fft=8, oversample=8)
         got = papr_experiment(_zero_row_precoder(), cfg, 40, seed=23)
         assert synthesized == [4] * 40
@@ -511,7 +526,7 @@ class TestPaprExperiment:
         unprecoded = []
         for frame in range(60):
             rng = substream(13, frame)
-            symbols = modulate(4 * 128, rng=rng).reshape(4, 128)
+            symbols = modulate(4 * 128, rng).reshape(4, 128)
             time = reference_synthesis(np.fft.fft(symbols[0], norm="ortho"), cfg)
             unprecoded.append(peak_to_mean(time))
         np.testing.assert_allclose(precoded, np.repeat(np.sort(unprecoded), 8), rtol=1e-12, atol=0)
@@ -522,7 +537,7 @@ class TestPaprExperiment:
         w = row_sparse_precoder(4, 2, 2, thetas=FIG_THETAS)
         samples = []
         for frame in range(400):
-            signals = w @ modulate(2 * 256, rng=substream(14, frame)).reshape(2, 256)
+            signals = w @ modulate(2 * 256, substream(14, frame)).reshape(2, 256)
             samples.append(reference_synthesis(signals[0], cfg))
         x = np.concatenate(samples)  # ~1e5 samples
         assert stats.kurtosis(x.real, fisher=False) == pytest.approx(3.0, abs=0.2)
