@@ -210,7 +210,7 @@ def cmd_gain_cdf(args):
         ktag = "inf" if np.isinf(k) else _fmt(k).replace(".", "p")
         header += [f"gain_{name}_K{ktag}" for name in names]
     columns = gains.reshape(-1, args.trials)
-    rows = [[r + 1] + [col[r] for col in columns] for r in range(args.trials)]
+    rows = [[r, *vals] for r, vals in enumerate(zip(*columns.tolist()), 1)]
     _write_csv(args.out, header, rows)
     print(f"wrote {args.out}: {args.trials} sorted gains per column")
     return [args.out]

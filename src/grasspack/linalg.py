@@ -25,6 +25,11 @@ def fro_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=np.complex128)))
 
 
+def is_int(n) -> bool:
+    """Whether ``n`` is a Python or numpy integer; a bool is not a count."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 

@@ -5,10 +5,13 @@ The paired Monte Carlo sweeps behind the rate and gain comparisons:
 log2 det(I + (rho/M) W^H H^H H W) under Rayleigh fading, and ``gain_cdf``
 the codeword of highest effective gain ||H W||_F^2 under Rician fading.
 Channels are (N, T) complex arrays drawn in chunks of trials and scored
-for every codeword at once through the channel Grams H^H H. Every trial
-draws its channel from a counter-based substream of the run seed, so results
-are reproducible bit-for-bit regardless of chunking or thread count, and all
-codebooks in one sweep see the same channel sequence (common random numbers).
+for every codeword at once through the channel Grams G = H^H H: the
+codeword Grams W_k^H G W_k and the gains tr(W_k^H G W_k) are the flattened
+Grams times a table built from the codebook, one stacked matrix product per
+chunk (see ``_gram_dot``). Every trial draws its channel from a
+counter-based substream of the run seed, so results are reproducible
+bit-for-bit regardless of chunking or thread count, and all codebooks in
+one sweep see the same channel sequence (common random numbers).
 A gain sweep over several Rician factors draws each trial's angles and
 scattering block once and mixes them for every K, so every codebook and
 every K see the same per-trial draw. ``effective_gram`` is the instrumented
@@ -25,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig, InvalidK, TooFewCodewords
 from .grassmann import Codebook
-from .linalg import as_cmatrix
+from .linalg import as_cmatrix, is_int
 from .rng import substream
 
 _CHUNK = 512
@@ -56,8 +59,13 @@ class RateSweep:
     diff_se: dict
 
 
-def _rayleigh(n, t, rng):
-    return (rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t))) / math.sqrt(2.0)
+def _rayleigh_chunk(rngs, n, t):
+    """(len(rngs), N, T) Rayleigh channels with unit-variance complex Gaussian
+    entries; each generator draws its trial's real block, then its imaginary one."""
+    buf = np.empty((len(rngs), 2, n, t))
+    for i, rng in enumerate(rngs):
+        rng.standard_normal(out=buf[i])
+    return (buf[:, 0] + 1j * buf[:, 1]) / math.sqrt(2.0)
 
 
 def _steering(count, angles):
@@ -86,17 +94,15 @@ def _rician_chunk(rngs, n, t, ks):
     """
     scattered = any(not math.isinf(k) for k in ks)
     angles = np.empty((len(rngs), 2))
-    re = np.empty((len(rngs), n, t))
-    im = np.empty((len(rngs), n, t))
+    buf = np.empty((len(rngs), 2, n, t))
     for i, rng in enumerate(rngs):
-        angles[i] = rng.uniform(-np.pi / 2, np.pi / 2), rng.uniform(-np.pi / 2, np.pi / 2)
+        angles[i] = rng.uniform(-np.pi / 2, np.pi / 2, 2)
         if scattered:
-            rng.standard_normal(out=re[i])
-            rng.standard_normal(out=im[i])
+            rng.standard_normal(out=buf[i])
     ar = _steering(n, angles[:, 0])
     at = _steering(t, angles[:, 1])
     los = ar[:, :, None] * at.conj()[:, None, :]  # unit-modulus entries, ||los||_F^2 = N*T
-    ray = (re + 1j * im) / math.sqrt(2.0) if scattered else None
+    ray = (buf[:, 0] + 1j * buf[:, 1]) / math.sqrt(2.0) if scattered else None
     out = []
     for k in ks:
         h = los if math.isinf(k) else math.sqrt(k / (k + 1)) * los + math.sqrt(1 / (k + 1)) * ray
@@ -134,23 +140,51 @@ def effective_gram(h, w, counter=None):
 
 def _grams(hh):
     # channel Grams H^H H of a (batch, N, T) stack
-    return np.einsum("bnt,bnu->btu", hh.conj(), hh)
+    return hh.conj().mT @ hh
+
+
+def _gram_dot(g, table):
+    """Every row of ``table`` (T*T, C) weighted by the entries of its channel
+    Gram and summed, as (batch, C): sum over t, u of g[b, t, u] * table[t*T + u].
+
+    The product keeps a batch axis of (1, T*T) rows, so each trial is its own
+    vector-matrix product and its bits do not depend on the chunk size; a 2-D
+    (batch, T*T) GEMM takes another BLAS path for a batch of one.
+    """
+    b, t = g.shape[0], g.shape[1]
+    return (g.reshape(b, 1, t * t) @ table)[:, 0]
 
 
 def _rates(g, stack, rho):
     """Rates log2 det(I + (rho/M) W_k^H G W_k) as (len(rho), batch, K), for
-    channel Grams g (batch, T, T), codewords (K, T, M) and a 1-D rho array."""
-    grams = np.einsum("kti,btu,kum->bkim", stack.conj(), g, stack)
+    channel Grams g (batch, T, T), codewords (K, T, M) and a 1-D rho array.
+
+    The codeword Grams W_k^H G W_k of every k come from one product with the
+    (T*T, K*M*M) table of conj(W_k[t, i]) * W_k[u, m] (see ``_gram_dot``)."""
+    k, t, m = stack.shape
+    w = stack.transpose(1, 0, 2)
+    table = (w.conj()[:, None, :, :, None] * w[None, :, :, None, :]).reshape(t * t, k * m * m)
+    grams = _gram_dot(g, table).reshape(-1, k, m, m)
     lam = np.clip(np.linalg.eigvalsh(grams), 0.0, None)
     # in place: a fresh multi-MB temporary per step page-faults on every chunk
-    x = rho[:, None, None, None] / stack.shape[2] * lam
+    x = rho[:, None, None, None] / m * lam
     x += 1.0
-    return np.sum(np.log2(x, out=x), axis=-1)
+    np.log2(x, out=x)
+    # explicit adds over the M eigenvalues; a reduce over that short axis is slower
+    rates = x[..., 0].copy()
+    for i in range(1, m):
+        rates += x[..., i]
+    return rates
 
 
 def _gains(g, stack):
-    """Effective gains ||H W_k||_F^2 = tr(W_k^H G W_k), shape (batch, K)."""
-    return np.einsum("kti,btu,kui->bk", stack.conj(), g, stack).real
+    """Effective gains ||H W_k||_F^2 = tr(W_k^H G W_k), shape (batch, K).
+
+    The trace is sum over t, u of G[t, u] (W_k W_k^H)[u, t], one product of
+    the Grams with the transposed projectors flattened to (T*T, K)."""
+    k, t, _ = stack.shape
+    proj = stack.conj() @ stack.mT  # (W_k W_k^H)^T
+    return _gram_dot(g, proj.reshape(k, t * t).T).real
 
 
 def _chunks(trials, seed):
@@ -164,10 +198,10 @@ def _check_books(codebooks, n, trials):
     books = list(codebooks)
     if not books:
         raise TooFewCodewords("need at least one codebook")
-    if n < 1:
-        raise InvalidConfig(f"receive antenna count N must be >= 1, got {n}")
-    if trials < 1:
-        raise InvalidConfig(f"trials must be >= 1, got {trials}")
+    if not is_int(n) or n < 1:
+        raise InvalidConfig(f"receive antenna count N must be an integer >= 1, got {n!r}")
+    if not is_int(trials) or trials < 1:
+        raise InvalidConfig(f"trials must be an integer >= 1, got {trials!r}")
     if any(b.T != books[0].T for b in books):
         raise DimensionMismatch("all codebooks must share the antenna count T")
     return books
@@ -192,7 +226,7 @@ def rate_curve(codebooks, n: int, snr_db, trials: int, seed: int = 0, names=None
     # per-trial best rates, reduced once below so the sums do not depend on chunking
     best = np.empty((trials, ncb, snr_db.size))
     for rows, rngs in _chunks(trials, seed):
-        g = _grams(np.stack([_rayleigh(n, t, rng) for rng in rngs]))
+        g = _grams(_rayleigh_chunk(rngs, n, t))
         for c, stack in enumerate(stacks):
             best[rows, c] = _rates(g, stack, rho).max(axis=-1).T
     rate_sum = best.sum(axis=0)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidArgument, InvalidConfig, InvalidEll, ShapeMismatch
 from .grassmann import Codebook
-from .linalg import as_cmatrix, is_power_of_two
+from .linalg import as_cmatrix, is_int, is_power_of_two
 from .rng import substream
 
 _WAVEFORMS = ("ofdm", "dft-s-ofdm")
@@ -52,6 +52,8 @@ class WaveformConfig:
     waveform: str = "ofdm"
 
     def __post_init__(self):
+        if not all(is_int(v) for v in (self.n_used, self.n_fft, self.oversample)):
+            raise InvalidConfig("n_used, n_fft and oversample must be integers")
         if self.n_used < 1:
             raise InvalidConfig("n_used must be >= 1")
         if not is_power_of_two(self.n_fft) or self.n_fft < self.n_used:
@@ -68,8 +70,8 @@ _QPSK = ((1.0 - 2.0 * np.array([0, 0, 1, 1])) + 1j * (1.0 - 2.0 * np.array([0, 1
 
 def modulate(count: int, rng: np.random.Generator) -> np.ndarray:
     """Unit-average-power Gray-mapped 4-QAM symbols, i.i.d. uniform, drawn from ``rng``."""
-    if count < 1:
-        raise InvalidArgument("count must be >= 1")
+    if not is_int(count) or count < 1:
+        raise InvalidArgument(f"count must be an integer >= 1, got {count!r}")
     bits = rng.integers(0, 2, size=(count, 2))
     return _QPSK[2 * bits[:, 0] + bits[:, 1]]
 
@@ -145,6 +147,8 @@ def row_sparse_precoder(t: int, m: int, ell: int, thetas=None, seed: int = 0) ->
     drawn per row and the active streams are rotated across rows. This is an
     analysis device for the sparsity-PAPR study, not a Stiefel codeword.
     """
+    if not all(is_int(v) for v in (t, m, ell)):
+        raise InvalidArgument(f"T, M and ell must be integers, got {t!r}, {m!r}, {ell!r}")
     if t < 1:
         raise InvalidArgument(f"need T >= 1 antennas, got T={t}")
     if not 1 <= ell <= m:
@@ -218,8 +222,8 @@ def papr_experiment(source, cfg: WaveformConfig, trials: int, seed: int = 0, ant
     one row per class of rows equal up to a complex scale and skips zero
     rows (see the module docstring).
     """
-    if trials < 1:
-        raise InvalidConfig("trials must be >= 1")
+    if not is_int(trials) or trials < 1:
+        raise InvalidConfig(f"trials must be an integer >= 1, got {trials!r}")
     stack = _precoders(source)
     classes = [_scale_classes(w) for w in stack]
     width = max(first.size for first, _ in classes)
@@ -250,8 +254,8 @@ def constellation_samples(source, cfg: WaveformConfig, frames: int, seed: int = 
     ``source`` is a codebook or a matrix, and each frame draws its codeword
     as ``papr_experiment`` does.
     """
-    if frames < 1:
-        raise InvalidConfig("frames must be >= 1")
+    if not is_int(frames) or frames < 1:
+        raise InvalidConfig(f"frames must be an integer >= 1, got {frames!r}")
     nyquist = replace(cfg, oversample=1)
     stack = _precoders(source)
     buffers = _buffers(nyquist, 1)

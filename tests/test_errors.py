@@ -1,7 +1,15 @@
 import ast
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import grasspack
+from grasspack.codebooks import nr_codebook_4_2
+from grasspack.errors import InvalidArgument, InvalidConfig
+from grasspack.linksim import gain_cdf, rate_curve
+from grasspack.rng import substream
+from grasspack.wavesim import WaveformConfig, constellation_samples, modulate, papr_experiment, row_sparse_precoder
 
 SRC = Path(grasspack.__file__).resolve().parent
 ROOT = SRC.parents[1]
@@ -188,3 +196,48 @@ def test_every_parameter_default_is_set_by_a_caller():
         if not any(_sets(call, param, position) for call in calls.get(func, []))
     ]
     assert [name for name in unset if name not in DEFAULT_WITHOUT_CALLER] == []
+
+
+NR = nr_codebook_4_2()
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: rate_curve([NR], 2, [0.0], 2.5), InvalidConfig),
+        (lambda: rate_curve([NR], True, [0.0], 3), InvalidConfig),
+        (lambda: gain_cdf(NR, 2.5, 1.0, 3), InvalidConfig),
+        (lambda: gain_cdf(NR, 2, 1.0, np.float64(3)), InvalidConfig),
+        (lambda: papr_experiment(np.eye(4)[:, :2], WaveformConfig(4, 4), 2.5), InvalidConfig),
+        (lambda: constellation_samples(np.eye(4)[:, :2], WaveformConfig(4, 4), True), InvalidConfig),
+        (lambda: WaveformConfig(4.0, 4), InvalidConfig),
+        (lambda: WaveformConfig(4, 4, oversample=2.0), InvalidConfig),
+        (lambda: row_sparse_precoder(4, 2, 1.5), InvalidArgument),
+        (lambda: row_sparse_precoder(4.0, 2, 1), InvalidArgument),
+        (lambda: row_sparse_precoder(4, 2.5, 1), InvalidArgument),
+        (lambda: modulate(2.5, substream(0, 0)), InvalidArgument),
+    ],
+    ids=[
+        "rate_curve-trials-float",
+        "rate_curve-n-bool",
+        "gain_cdf-n-float",
+        "gain_cdf-trials-numpy-float",
+        "papr_experiment-trials-float",
+        "constellation_samples-frames-bool",
+        "WaveformConfig-n_used-float",
+        "WaveformConfig-oversample-float",
+        "row_sparse_precoder-ell-float",
+        "row_sparse_precoder-t-float",
+        "row_sparse_precoder-m-float",
+        "modulate-count-float",
+    ],
+)
+def test_non_integer_counts_raise_package_errors(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_numpy_integer_counts_are_accepted():
+    sweep = rate_curve([NR], np.int64(2), [0.0], np.int32(3))
+    assert sweep.results[0].trials == 3
+    assert papr_experiment(np.eye(4)[:, :2], WaveformConfig(np.int64(4), 4), np.int64(2)).size == 4

@@ -8,7 +8,7 @@ from grasspack.errors import DimensionMismatch, InvalidConfig, InvalidK, TooFewC
 from grasspack.grassmann import Codebook
 from grasspack.linalg import random_stiefel
 from grasspack.rng import substream
-from grasspack.linksim import _gains, _grams, _rates, _rayleigh, _rician_chunk, effective_gram, gain_cdf, rate_curve
+from grasspack.linksim import _gains, _grams, _rates, _rayleigh_chunk, _rician_chunk, effective_gram, gain_cdf, rate_curve
 
 
 def e_cols(t, cols):
@@ -47,7 +47,7 @@ def kernel_gains(h, stack):
 
 
 def rayleigh(n, t, seed, trial=0):
-    return _rayleigh(n, t, substream(seed, trial))
+    return _rayleigh_chunk([substream(seed, trial)], n, t)[0]
 
 
 def rician(n, t, k, seed):
@@ -71,6 +71,15 @@ class TestSampleRayleigh:
         a = rayleigh(4, 3, seed=7)
         b = rayleigh(4, 3, seed=7)
         assert np.array_equal(a, b)
+
+    def test_chunk_matches_two_draws_per_trial(self):
+        # each trial draws its real block, then its imaginary block
+        got = _rayleigh_chunk([substream(3, i) for i in range(50)], 5, 3)
+        want = []
+        for i in range(50):
+            rng = substream(3, i)
+            want.append((rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))) / np.sqrt(2.0))
+        assert np.array_equal(got, np.stack(want))
 
 
 class TestSampleRician:
@@ -130,6 +139,23 @@ class TestAchievableRate:
         u = random_stiefel(2, 2, rng)
         rates = kernel_rates(h, np.stack([w, w @ u]), 3.0)[0]
         assert rates[0] == pytest.approx(rates[1], abs=1e-9)
+
+
+class TestKernelsMatchFormulas:
+    @pytest.mark.parametrize("t, m, k", [(4, 1, 8), (6, 3, 32), (8, 2, 16)])
+    def test_rates_and_gains(self, t, m, k):
+        rng = np.random.default_rng(t * 100 + m * 10 + k)
+        stack = np.stack([random_stiefel(t, m, rng) for _ in range(k)])
+        hh = rng.standard_normal((9, 5, t)) + 1j * rng.standard_normal((9, 5, t))
+        rhos = np.array([0.3, 1.0, 30.0])
+        g = _grams(hh)
+        rates, gains = _rates(g, stack, rhos), _gains(g, stack)
+        assert rates.shape == (3, 9, k) and gains.shape == (9, k)
+        for b, h in enumerate(hh):
+            for si, rho in enumerate(rhos):
+                want = [rate_formula(h, w, rho) for w in stack]
+                np.testing.assert_allclose(rates[si, b], want, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(gains[b], [gain_formula(h, w) for w in stack], rtol=1e-12, atol=0)
 
 
 class TestSelection:
@@ -319,7 +345,7 @@ class TestChunkIndependence:
         books = [nr_codebook_4_2(), proposed_codebook_4_2()]
         runs = {}
         with pytest.MonkeyPatch.context() as mp:
-            for chunk in (2048, 512, 7):
+            for chunk in (2048, 512, 7, 1):
                 mp.setattr(linksim, "_CHUNK", chunk)
                 runs[chunk] = (
                     rate_curve(books, 8, [0.0, 10.0, 20.0], trials=600, seed=10),
@@ -327,13 +353,13 @@ class TestChunkIndependence:
                 )
         return runs
 
-    @pytest.mark.parametrize("chunk", [512, 7])
+    @pytest.mark.parametrize("chunk", [512, 7, 1])
     def test_rate_curve(self, outputs, chunk):
         ref, got = outputs[2048][0], outputs[chunk][0]
         assert got.results == ref.results
         assert got.diff_mean == ref.diff_mean
         assert got.diff_se == ref.diff_se
 
-    @pytest.mark.parametrize("chunk", [512, 7])
+    @pytest.mark.parametrize("chunk", [512, 7, 1])
     def test_gain_cdf(self, outputs, chunk):
         assert np.array_equal(outputs[chunk][1], outputs[2048][1])
