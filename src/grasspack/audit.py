@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InstrumentationDisabled, InvalidConfig, InvalidForMethod
+from .errors import InvalidArgument
 
 
 @dataclass
@@ -27,7 +27,7 @@ class MultCounter:
 
 def _check_dims(*dims):
     if any(d < 1 for d in dims):
-        raise InvalidConfig(f"dimensions must be positive, got {dims}")
+        raise InvalidArgument(f"dimensions must be positive, got {dims}")
 
 
 def gram_mult_count(t: int, m: int, n: int, sparse: bool) -> int:
@@ -52,7 +52,7 @@ def storage_count(t: int, m: int, size: int, sparse: bool) -> int:
     (value, column-index) record per row in the ELLPACK-style layout."""
     _check_dims(t, m)
     if size < 0:
-        raise InvalidConfig("size must be nonnegative")
+        raise InvalidArgument("size must be nonnegative")
     return size * t if sparse else size * t * m
 
 
@@ -60,21 +60,21 @@ def real_variable_count(method: str, t: int, m: int, size: int) -> int:
     """Free real scalars each design method optimizes for a codebook."""
     _check_dims(t, m)
     if size < 0:
-        raise InvalidConfig("size must be nonnegative")
+        raise InvalidArgument("size must be nonnegative")
     name = method.lower()
     if name == "manopt":
         return 2 * size * m * (t - m)
     if name == "proposed2m":
         if t != 2 * m:
-            raise InvalidForMethod(f"proposed2m requires T = 2M, got T={t}, M={m}")
+            raise InvalidArgument(f"proposed2m requires T = 2M, got T={t}, M={m}")
         return math.ceil(size / (2 * m - 1)) * m
-    raise InvalidForMethod(f"unknown method {method!r}")
+    raise InvalidArgument(f"unknown method {method!r}")
 
 
 def measured_mult_count(counter) -> int:
     """Multiplies recorded by an instrumented run; see ``MultCounter``."""
     if counter is None:
-        raise InstrumentationDisabled("no counter was attached to the Gram path")
+        raise InvalidArgument("no counter was attached to the Gram path")
     return int(counter.count)
 
 

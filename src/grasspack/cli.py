@@ -96,8 +96,10 @@ def _parse_indices(text):
     try:
         for part in text.split(","):
             if "-" in part:
-                a, b = part.split("-")
-                out.extend(range(int(a), int(b) + 1))
+                lo, hi = (int(v) for v in part.split("-"))
+                if lo > hi:
+                    raise ParseError(f"--indices range {part!r} holds no entry")
+                out.extend(range(lo, hi + 1))
             else:
                 out.append(int(part))
     except ValueError:

@@ -22,13 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    AlphabetExhausted,
-    DimensionMismatch,
-    InvalidConfig,
-    NotStiefel,
-    ParseError,
-)
+from .errors import DimensionMismatch, InvalidArgument, NotStiefel, ParseError, SizeLimit
 from .grassmann import (
     Codebook,
     _chordal_from_gram_sq,
@@ -81,14 +75,14 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.max_iters < 1 or self.restarts < 1 or not 0 < self.expmap_scale < np.inf:
-            raise InvalidConfig("max_iters and restarts must be >= 1, expmap_scale positive and finite")
+            raise InvalidArgument("max_iters and restarts must be >= 1, expmap_scale positive and finite")
         grid = self.phase_grid
         if grid is not None:
             if not np.all(np.isfinite(np.asarray(grid, dtype=float))):
-                raise InvalidConfig(f"phase_grid entries must be finite, got {grid}")
+                raise InvalidArgument(f"phase_grid entries must be finite, got {grid}")
             grid = tuple(float(g) for g in _wrap_phase(tuple(grid)))
             if len(set(grid)) != len(grid) or not grid:
-                raise InvalidConfig("phase_grid must be nonempty without repeats")
+                raise InvalidArgument("phase_grid must be nonempty without repeats")
         object.__setattr__(self, "phase_grid", grid)
 
 
@@ -196,7 +190,7 @@ def optimize_manopt(t: int, m: int, size: int, cfg: OptimizerConfig = None) -> C
     """
     cfg = cfg or DEFAULT_CONFIG
     if size < 2 or not 1 <= m < t:
-        raise InvalidConfig(f"need size >= 2 and 1 <= M < T, got {(t, m, size)}")
+        raise InvalidArgument(f"need size >= 2 and 1 <= M < T, got {(t, m, size)}")
     best_mcd, best_stack = -1.0, None  # best iterate over all restarts
 
     def keep_best(stack, s):
@@ -310,7 +304,7 @@ def _optimize_phases_discrete(m, ell, cfg):
     pts, f = _grid_points(grid, m)
     n = pts.shape[0]
     if ell > n:
-        raise InvalidConfig(f"{ell} instances need more than the {n} grid points")
+        raise InvalidArgument(f"{ell} instances need more than the {n} grid points")
     # exact maximin at every size: greedy seeding gives a lower bound, then a
     # clique search over descending distance thresholds tries to beat it
     best = _greedy_subset(f, ell, 0)
@@ -345,7 +339,7 @@ def optimize_phases_2M(m: int, ell: int, cfg: OptimizerConfig = None) -> np.ndar
     """
     cfg = cfg or DEFAULT_CONFIG
     if m < 2 or ell < 1:
-        raise InvalidConfig(f"need M >= 2 and L >= 1, got M={m}, L={ell}")
+        raise InvalidArgument(f"need M >= 2 and L >= 1, got M={m}, L={ell}")
     if ell == 1:
         grid = np.asarray(cfg.phase_grid or (0.0,))
         th = np.full((1, m), grid[np.argmin(np.abs(grid))])
@@ -365,7 +359,7 @@ def build_sparse_2M(m: int, size: int, cfg: OptimizerConfig = None) -> Codebook:
     """
     cfg = cfg or DEFAULT_CONFIG
     if m < 2 or size < 1:
-        raise InvalidConfig(f"need M >= 2 and size >= 1, got M={m}, size={size}")
+        raise InvalidArgument(f"need M >= 2 and size >= 1, got M={m}, size={size}")
     patterns = matching_patterns(m)
     npat = len(patterns)
     ell = -(-size // npat)
@@ -412,7 +406,7 @@ def build_general_sparse(t: int, m: int, s: int, size: int, cfg: OptimizerConfig
     """
     cfg = cfg or DEFAULT_CONFIG
     if not (t > m > 1) or not m <= s <= t or size < 2:
-        raise InvalidConfig(f"need T > M > 1, M <= s <= T, size >= 2, got {(t, m, s, size)}")
+        raise InvalidArgument(f"need T > M > 1, M <= s <= T, size >= 2, got {(t, m, s, size)}")
     layout = _layout(_general_layout(size, enumerate_patterns(t, m, s)))
     free = layout[4] != np.arange(s)  # pivot phases stay at the zero gauge
 
@@ -496,10 +490,10 @@ def build_expmap(t: int, m: int, size: int, cfg: OptimizerConfig = None) -> Code
     """Exponential-map codebook with 4-QAM blocks, duplicate draws rejected."""
     cfg = cfg or DEFAULT_CONFIG
     if size < 2 or not 1 <= m < t:
-        raise InvalidConfig(f"need size >= 2 and 1 <= M < T, got {(t, m, size)}")
+        raise InvalidArgument(f"need size >= 2 and 1 <= M < T, got {(t, m, size)}")
     capacity = 4 ** (m * (t - m))
     if size > capacity:
-        raise AlphabetExhausted(f"size {size} exceeds the {capacity} distinct QAM blocks")
+        raise SizeLimit(f"size {size} exceeds the {capacity} distinct QAM blocks")
     rng = substream(cfg.seed, 0xE1)
     words = np.empty((size, t, m), dtype=np.complex128)  # the accepted words, then the candidate
     count = 0
@@ -508,7 +502,7 @@ def build_expmap(t: int, m: int, size: int, cfg: OptimizerConfig = None) -> Code
     while count < size:
         attempts += 1
         if attempts > limit:
-            raise AlphabetExhausted(f"could not draw {size} distinct codewords")
+            raise SizeLimit(f"could not draw {size} distinct codewords")
         q = rng.integers(0, 4, size=(m, t - m))
         re = 1.0 - 2.0 * (q % 2)
         im = 1.0 - 2.0 * (q // 2)

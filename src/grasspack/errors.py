@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one class per kind of fault.
+
+- ``GrasspackError``: the base of every error the package raises.
+- ``InvalidArgument``: a value, count, range, setting or method name a
+  function rejects; also a ``ValueError``.
+- ``DimensionMismatch``: shapes or sizes that must agree and do not.
+- ``NotStiefel``: a codeword whose columns are not orthonormal.
+- ``SizeLimit``: a request beyond a fixed capacity.
+- ``ParseError``: file or command-line text that does not parse.
+"""
 
 
 class GrasspackError(Exception):
@@ -6,71 +15,20 @@ class GrasspackError(Exception):
 
 
 class InvalidArgument(GrasspackError, ValueError):
-    """An argument value or shape a function rejects; also a ValueError for callers that catch one."""
+    """A value, count, range, setting or method name a function rejects."""
 
 
-# linear algebra layer
-class NotSkewHermitian(GrasspackError):
-    pass
+class DimensionMismatch(InvalidArgument):
+    """Shapes or sizes that must agree and do not."""
 
 
-# Grassmann geometry
-class DimensionMismatch(GrasspackError):
-    pass
-
-
-class NotStiefel(GrasspackError):
-    pass
-
-
-class TooFewCodewords(GrasspackError):
-    pass
-
-
-# sparsity patterns
-class InvalidRange(GrasspackError):
-    pass
+class NotStiefel(InvalidArgument):
+    """A codeword whose columns are not orthonormal."""
 
 
 class SizeLimit(GrasspackError):
-    pass
-
-
-class InvalidM(GrasspackError):
-    pass
-
-
-class ShapeMismatch(GrasspackError):
-    pass
-
-
-# codebook construction
-class InvalidConfig(GrasspackError):
-    pass
-
-
-class AlphabetExhausted(GrasspackError):
-    pass
+    """A request beyond a fixed capacity."""
 
 
 class ParseError(GrasspackError):
-    pass
-
-
-# link simulation
-class InvalidK(GrasspackError):
-    pass
-
-
-# waveform simulation
-class InvalidEll(GrasspackError):
-    pass
-
-
-# complexity audit
-class InvalidForMethod(GrasspackError):
-    pass
-
-
-class InstrumentationDisabled(GrasspackError):
-    pass
+    """File or command-line text that does not parse."""

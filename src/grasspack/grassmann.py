@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, InvalidRange, NotStiefel, TooFewCodewords
+from .errors import DimensionMismatch, InvalidArgument, NotStiefel
 from .linalg import as_cmatrix, fro_norm
 
 STIEFEL_TOL = 1e-8
@@ -58,7 +58,7 @@ class Codebook:
                     raise DimensionMismatch(f"codeword {i + 1} has shape {w.shape}, expected {words[0].shape}")
         stack = np.array(words, dtype=np.complex128)
         if stack.ndim and stack.shape[0] == 0:
-            raise TooFewCodewords("codebook must contain at least one codeword")
+            raise InvalidArgument("codebook must contain at least one codeword")
         if stack.ndim != 3:
             raise InvalidArgument(f"expected a (K, T, M) stack of codewords, got shape {stack.shape}")
         t, m = stack.shape[1:]
@@ -94,7 +94,7 @@ class Codebook:
         indices = list(indices)
         bad = [i for i in indices if not 1 <= i <= len(self)]
         if bad:
-            raise InvalidRange(f"codeword indices must lie in 1..{len(self)}, got {bad}")
+            raise InvalidArgument(f"codeword indices must lie in 1..{len(self)}, got {bad}")
         meta = dict(self.meta)
         meta["subset_indices"] = [int(i) for i in indices]
         return Codebook(self.codewords[np.array(indices, dtype=int) - 1], meta)
@@ -201,6 +201,6 @@ def min_chordal_distance(b: Codebook):
     codeword must be Stiefel-valid at the default tolerance.
     """
     if len(b) < 2:
-        raise TooFewCodewords("need at least two codewords for a distance")
+        raise InvalidArgument("need at least two codewords for a distance")
     _check_stiefel(*b.codewords)
     return _closest_pair(pairwise_chordal(b.stack()))

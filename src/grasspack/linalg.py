@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgument, NotSkewHermitian
+from .errors import InvalidArgument
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -44,7 +44,7 @@ def matexp_skew_hermitian(a) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise InvalidArgument(f"expected a square matrix, got shape {m.shape}")
     if fro_norm(m + m.conj().T) > 1e-10:
-        raise NotSkewHermitian("A + A^H exceeds tolerance 1e-10")
+        raise InvalidArgument("A + A^H exceeds tolerance 1e-10")
     herm = -1j * m
     lam, vec = np.linalg.eigh(herm)
     return (vec * np.exp(1j * lam)) @ vec.conj().T

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig, InvalidK, TooFewCodewords
+from .errors import DimensionMismatch, InvalidArgument
 from .grassmann import Codebook
 from .linalg import as_cmatrix, is_int
 from .rng import substream
@@ -74,9 +75,11 @@ def _steering(count, angles):
 
 
 def _check_k(k: float) -> float:
+    if not isinstance(k, numbers.Real) or isinstance(k, bool):
+        raise InvalidArgument(f"Rician factor must be a real number, got {k!r}")
     k = float(k)
     if math.isnan(k) or k < 0:
-        raise InvalidK(f"Rician factor must be >= 0 or +inf, got {k}")
+        raise InvalidArgument(f"Rician factor must be >= 0 or +inf, got {k}")
     return k
 
 
@@ -197,11 +200,11 @@ def _chunks(trials, seed):
 def _check_books(codebooks, n, trials):
     books = list(codebooks)
     if not books:
-        raise TooFewCodewords("need at least one codebook")
+        raise InvalidArgument("need at least one codebook")
     if not is_int(n) or n < 1:
-        raise InvalidConfig(f"receive antenna count N must be an integer >= 1, got {n!r}")
+        raise InvalidArgument(f"receive antenna count N must be an integer >= 1, got {n!r}")
     if not is_int(trials) or trials < 1:
-        raise InvalidConfig(f"trials must be an integer >= 1, got {trials!r}")
+        raise InvalidArgument(f"trials must be an integer >= 1, got {trials!r}")
     if any(b.T != books[0].T for b in books):
         raise DimensionMismatch("all codebooks must share the antenna count T")
     return books
@@ -219,7 +222,7 @@ def rate_curve(codebooks, n: int, snr_db, trials: int, seed: int = 0, names=None
     names = list(names) if names else [f"codebook{i + 1}" for i in range(len(books))]
     snr_db = np.atleast_1d(np.asarray(snr_db, dtype=float))
     if not np.all(np.isfinite(snr_db)):
-        raise InvalidConfig(f"SNR points must be finite, got {snr_db.tolist()}")
+        raise InvalidArgument(f"SNR points must be finite, got {snr_db.tolist()}")
     rho = 10.0 ** (snr_db / 10.0)
     stacks = [b.stack() for b in books]
     ncb = len(books)
@@ -270,7 +273,7 @@ def gain_cdf(b, n: int, k, trials: int, seed: int = 0) -> np.ndarray:
     books = _check_books([b] if isinstance(b, Codebook) else b, n, trials)
     ks = [_check_k(v) for v in ([k] if np.ndim(k) == 0 else k)]
     if not ks:
-        raise InvalidK("need at least one Rician factor")
+        raise InvalidArgument("need at least one Rician factor")
     t = books[0].T
     stacks = [book.stack() for book in books]
     out = np.empty((len(ks), len(books), trials))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidM, InvalidRange, ShapeMismatch, SizeLimit
+from .errors import DimensionMismatch, InvalidArgument, SizeLimit
 
 ENUMERATION_CAP = 10**6
 
@@ -42,19 +42,21 @@ class SparsityPattern:
     def __post_init__(self):
         sups = tuple(tuple(sorted(int(r) for r in s)) for s in self.supports)
         if len(sups) != self.M:
-            raise ShapeMismatch(f"expected {self.M} supports, got {len(sups)}")
+            raise DimensionMismatch(f"expected {self.M} supports, got {len(sups)}")
         seen = set()
         for s in sups:
             if not s:
-                raise ShapeMismatch("every column support must be nonempty")
+                raise DimensionMismatch("every column support must be nonempty")
+            if len(set(s)) < len(s):
+                raise DimensionMismatch(f"a column support repeats a row: {s}")
             if any(not 1 <= r <= self.T for r in s):
-                raise ShapeMismatch(f"row index out of range 1..{self.T}: {s}")
+                raise DimensionMismatch(f"row index out of range 1..{self.T}: {s}")
             if seen & set(s):
-                raise ShapeMismatch("column supports must be pairwise disjoint")
+                raise DimensionMismatch("column supports must be pairwise disjoint")
             seen |= set(s)
         total = len(seen)
         if not self.M <= total <= self.T:
-            raise ShapeMismatch(f"total support size {total} outside [M, T]")
+            raise DimensionMismatch(f"total support size {total} outside [M, T]")
         # canonical echelon order: columns sorted by minimal row index
         sups = tuple(sorted(sups, key=lambda s: s[0]))
         object.__setattr__(self, "supports", sups)
@@ -75,10 +77,10 @@ class PairPattern:
     def __post_init__(self):
         ps = tuple(tuple(sorted((int(a), int(b)))) for a, b in self.pairs)
         if len(ps) != self.M:
-            raise ShapeMismatch(f"expected {self.M} pairs, got {len(ps)}")
+            raise DimensionMismatch(f"expected {self.M} pairs, got {len(ps)}")
         flat = [r for p in ps for r in p]
         if sorted(flat) != list(range(1, 2 * self.M + 1)):
-            raise ShapeMismatch("pairs must cover 1..2M exactly once")
+            raise DimensionMismatch("pairs must cover 1..2M exactly once")
         ps = tuple(sorted(ps))
         object.__setattr__(self, "pairs", ps)
 
@@ -88,7 +90,7 @@ class PairPattern:
 
 def _check_range(t: int, m: int, s: int):
     if not (1 <= m < t and m <= s <= t):
-        raise InvalidRange(f"need 1 <= M < T and M <= s <= T, got T={t}, M={m}, s={s}")
+        raise InvalidArgument(f"need 1 <= M < T and M <= s <= T, got T={t}, M={m}, s={s}")
 
 
 def count_patterns(t: int, m: int, s: int) -> int:
@@ -155,7 +157,7 @@ def matching_patterns(m: int) -> list:
     pattern.
     """
     if m < 2:
-        raise InvalidM(f"need M >= 2, got {m}")
+        raise InvalidArgument(f"need M >= 2, got {m}")
     n = 2 * m
     out = []
     for r in range(n - 1):
@@ -211,7 +213,7 @@ def pattern_to_codeword(pattern, phases) -> np.ndarray:
         pattern = pattern.to_sparsity()
     ph = np.asarray(phases, dtype=np.float64).reshape(-1)
     if ph.size != pattern.size:
-        raise ShapeMismatch(f"expected {pattern.size} phases, got {ph.size}")
+        raise DimensionMismatch(f"expected {pattern.size} phases, got {ph.size}")
     layout = _layout([pattern])
     return _fill(layout, ph - ph[layout[4]], pattern.T, pattern.M)[0]
 
@@ -220,7 +222,7 @@ def pair_codeword(pattern: PairPattern, thetas) -> np.ndarray:
     """Equal-amplitude codeword (e_a + e^{j theta} e_b)/sqrt(2) per column."""
     th = np.asarray(thetas, dtype=np.float64).reshape(-1)
     if th.size != pattern.M:
-        raise ShapeMismatch(f"expected {pattern.M} phases, got {th.size}")
+        raise DimensionMismatch(f"expected {pattern.M} phases, got {th.size}")
     phases = np.zeros(2 * pattern.M)
     phases[1::2] = th
     return pattern_to_codeword(pattern, phases)

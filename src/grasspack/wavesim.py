@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidConfig, InvalidEll, ShapeMismatch
+from .errors import DimensionMismatch, InvalidArgument
 from .grassmann import Codebook
 from .linalg import as_cmatrix, is_int, is_power_of_two
 from .rng import substream
@@ -53,15 +53,15 @@ class WaveformConfig:
 
     def __post_init__(self):
         if not all(is_int(v) for v in (self.n_used, self.n_fft, self.oversample)):
-            raise InvalidConfig("n_used, n_fft and oversample must be integers")
+            raise InvalidArgument("n_used, n_fft and oversample must be integers")
         if self.n_used < 1:
-            raise InvalidConfig("n_used must be >= 1")
+            raise InvalidArgument("n_used must be >= 1")
         if not is_power_of_two(self.n_fft) or self.n_fft < self.n_used:
-            raise InvalidConfig("n_fft must be a power of two >= n_used")
+            raise InvalidArgument("n_fft must be a power of two >= n_used")
         if self.oversample < 1 or not is_power_of_two(self.oversample * self.n_fft):
-            raise InvalidConfig("oversample * n_fft must be a power of two")
+            raise InvalidArgument("oversample * n_fft must be a power of two")
         if self.waveform not in _WAVEFORMS:
-            raise InvalidConfig(f"waveform must be one of {_WAVEFORMS}")
+            raise InvalidArgument(f"waveform must be one of {_WAVEFORMS}")
 
 
 # Gray-mapped 4-QAM symbol of the bit pair (b0, b1), at index 2 * b0 + b1
@@ -127,6 +127,8 @@ def ccdf(samples, thresholds_db) -> np.ndarray:
     """Empirical Pr(PAPR > threshold) per threshold, as (threshold, prob) rows."""
     db = 10.0 * np.log10(_papr_values(samples))
     thr = np.atleast_1d(np.asarray(thresholds_db, dtype=float))
+    if not np.all(np.isfinite(thr)):
+        raise InvalidArgument(f"PAPR thresholds must be finite, got {thr.tolist()}")
     ranked = np.sort(db)
     probs = (ranked.size - np.searchsorted(ranked, thr, side="right")) / db.size
     return np.column_stack([thr, probs])
@@ -152,19 +154,21 @@ def row_sparse_precoder(t: int, m: int, ell: int, thetas=None, seed: int = 0) ->
     if t < 1:
         raise InvalidArgument(f"need T >= 1 antennas, got T={t}")
     if not 1 <= ell <= m:
-        raise InvalidEll(f"need 1 <= ell <= M, got ell={ell}, M={m}")
+        raise InvalidArgument(f"need 1 <= ell <= M, got ell={ell}, M={m}")
     mag = np.sqrt(m / (ell * t))
     w = np.zeros((t, m), dtype=np.complex128)
     if thetas is not None:
         th = np.asarray(thetas, dtype=float).reshape(-1)
         if th.size < ell:
-            raise ShapeMismatch(f"need at least {ell} phases, got {th.size}")
+            raise DimensionMismatch(f"need at least {ell} phases, got {th.size}")
         if not np.all(np.isfinite(th)):
             raise InvalidArgument(f"thetas must be finite phases in radians, got {th.tolist()}")
         w[:, :ell] = mag * np.exp(1j * th[:ell])
     else:
         rows = np.arange(t)[:, None]
-        phases = substream(seed, 0).uniform(-np.pi, np.pi, (t, ell))
+        # its own tag, as the optimizers have; the trailing 1 keeps the stream
+        # off every frame's (seed, frame), since trailing zero ids change nothing
+        phases = substream(seed, 0x9A5E, 1).uniform(-np.pi, np.pi, (t, ell))
         w[rows, (rows + np.arange(ell)) % m] = mag * np.exp(1j * phases)
     return w
 
@@ -223,7 +227,7 @@ def papr_experiment(source, cfg: WaveformConfig, trials: int, seed: int = 0, ant
     rows (see the module docstring).
     """
     if not is_int(trials) or trials < 1:
-        raise InvalidConfig(f"trials must be an integer >= 1, got {trials!r}")
+        raise InvalidArgument(f"trials must be an integer >= 1, got {trials!r}")
     stack = _precoders(source)
     classes = [_scale_classes(w) for w in stack]
     width = max(first.size for first, _ in classes)
@@ -255,7 +259,7 @@ def constellation_samples(source, cfg: WaveformConfig, frames: int, seed: int = 
     as ``papr_experiment`` does.
     """
     if not is_int(frames) or frames < 1:
-        raise InvalidConfig(f"frames must be an integer >= 1, got {frames!r}")
+        raise InvalidArgument(f"frames must be an integer >= 1, got {frames!r}")
     nyquist = replace(cfg, oversample=1)
     stack = _precoders(source)
     buffers = _buffers(nyquist, 1)

@@ -10,7 +10,7 @@ from grasspack.audit import (
     real_variable_count,
     storage_count,
 )
-from grasspack.errors import InstrumentationDisabled, InvalidConfig, InvalidForMethod
+from grasspack.errors import InvalidArgument
 from grasspack.linksim import effective_gram
 from grasspack.wavesim import row_sparse_precoder
 
@@ -39,9 +39,9 @@ class TestFormulas:
         assert real_variable_count("proposed2m", 8, 4, 24) == 16
 
     def test_proposed_requires_t_2m(self):
-        with pytest.raises(InvalidForMethod):
+        with pytest.raises(InvalidArgument):
             real_variable_count("proposed2m", 6, 2, 8)
-        with pytest.raises(InvalidForMethod):
+        with pytest.raises(InvalidArgument):
             real_variable_count("newton", 4, 2, 8)
 
     @pytest.mark.parametrize(
@@ -58,7 +58,7 @@ class TestFormulas:
         ids=["gram-m", "gram-n", "precode-t", "storage-m", "storage-size", "vars-dims", "vars-size"],
     )
     def test_bad_sizes_raise_invalid_config(self, call):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidArgument):
             call()
 
     def test_sparse_strictly_cheaper_for_m_ge_2(self):
@@ -109,7 +109,7 @@ class TestMeasuredCounts:
         assert measured_mult_count(MultCounter()) == 0
 
     def test_disabled_instrumentation(self):
-        with pytest.raises(InstrumentationDisabled):
+        with pytest.raises(InvalidArgument):
             measured_mult_count(None)
 
 

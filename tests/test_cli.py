@@ -55,7 +55,7 @@ class TestDesign:
         full = load_codebook(nr_full)
         assert np.array_equal(book[0], full[14])
 
-    @pytest.mark.parametrize("indices", ["0-2", "22-23"])
+    @pytest.mark.parametrize("indices", ["0-2", "22-23", "3-1"])
     def test_indices_out_of_range_usage_error(self, tmp_path, capsys, indices):
         out = tmp_path / "nr.json"
         assert run(["design", "--method", "nr42", "--indices", indices, "--out", out]) == 2

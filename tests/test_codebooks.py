@@ -32,12 +32,12 @@ from grasspack.codebooks import (
     save_codebook,
 )
 from grasspack.errors import (
-    AlphabetExhausted,
     DimensionMismatch,
     GrasspackError,
-    InvalidConfig,
+    InvalidArgument,
     NotStiefel,
     ParseError,
+    SizeLimit,
 )
 from grasspack.grassmann import (
     Codebook,
@@ -219,9 +219,9 @@ class TestOptimizeManopt:
         assert np.array_equal(b1.stack(), b2.stack())
 
     def test_invalid_config(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidArgument):
             optimize_manopt(4, 2, 1, FAST)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidArgument):
             OptimizerConfig(max_iters=0)
 
     @pytest.mark.parametrize(
@@ -236,7 +236,7 @@ class TestOptimizeManopt:
         ids=repr,
     )
     def test_non_finite_config_rejected(self, kwargs):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidArgument):
             OptimizerConfig(**kwargs)
 
 
@@ -332,9 +332,9 @@ class TestOptimizePhases:
         assert achieved == pytest.approx(best, abs=1e-12)
 
     def test_invalid(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidArgument):
             optimize_phases_2M(1, 2)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidArgument):
             optimize_phases_2M(2, 0)
 
 
@@ -395,9 +395,9 @@ class TestBuildSparse2M:
         assert np.array_equal(b1.stack(), b2.stack())
 
     def test_invalid(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidArgument):
             build_sparse_2M(2, 0, FAST)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidArgument):
             build_sparse_2M(1, 4, FAST)
 
 
@@ -440,9 +440,9 @@ class TestBuildGeneralSparse:
         assert np.all(dist < 1e-9)
 
     def test_invalid(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidArgument):
             build_general_sparse(4, 1, 2, 4, FAST)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidArgument):
             build_general_sparse(4, 2, 5, 4, FAST)
 
 
@@ -472,7 +472,7 @@ class TestBuildExpmap:
         assert np.array_equal(b1.stack(), b2.stack())
 
     def test_alphabet_exhausted(self):
-        with pytest.raises(AlphabetExhausted):
+        with pytest.raises(SizeLimit):
             build_expmap(2, 1, 5, FAST)  # only 4 distinct QAM scalars exist
 
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import grasspack
-from grasspack.codebooks import nr_codebook_4_2
-from grasspack.errors import InvalidArgument, InvalidConfig
+from grasspack import errors
+from grasspack.codebooks import OptimizerConfig, build_expmap, nr_codebook_4_2
+from grasspack.errors import DimensionMismatch, GrasspackError, InvalidArgument, NotStiefel
 from grasspack.linksim import gain_cdf, rate_curve
 from grasspack.rng import substream
 from grasspack.wavesim import WaveformConfig, constellation_samples, modulate, papr_experiment, row_sparse_precoder
@@ -202,20 +203,23 @@ NR = nr_codebook_4_2()
 
 
 @pytest.mark.parametrize(
-    "call, error",
+    "call",
     [
-        (lambda: rate_curve([NR], 2, [0.0], 2.5), InvalidConfig),
-        (lambda: rate_curve([NR], True, [0.0], 3), InvalidConfig),
-        (lambda: gain_cdf(NR, 2.5, 1.0, 3), InvalidConfig),
-        (lambda: gain_cdf(NR, 2, 1.0, np.float64(3)), InvalidConfig),
-        (lambda: papr_experiment(np.eye(4)[:, :2], WaveformConfig(4, 4), 2.5), InvalidConfig),
-        (lambda: constellation_samples(np.eye(4)[:, :2], WaveformConfig(4, 4), True), InvalidConfig),
-        (lambda: WaveformConfig(4.0, 4), InvalidConfig),
-        (lambda: WaveformConfig(4, 4, oversample=2.0), InvalidConfig),
-        (lambda: row_sparse_precoder(4, 2, 1.5), InvalidArgument),
-        (lambda: row_sparse_precoder(4.0, 2, 1), InvalidArgument),
-        (lambda: row_sparse_precoder(4, 2.5, 1), InvalidArgument),
-        (lambda: modulate(2.5, substream(0, 0)), InvalidArgument),
+        lambda: rate_curve([NR], 2, [0.0], 2.5),
+        lambda: rate_curve([NR], True, [0.0], 3),
+        lambda: gain_cdf(NR, 2.5, 1.0, 3),
+        lambda: gain_cdf(NR, 2, 1.0, np.float64(3)),
+        lambda: papr_experiment(np.eye(4)[:, :2], WaveformConfig(4, 4), 2.5),
+        lambda: constellation_samples(np.eye(4)[:, :2], WaveformConfig(4, 4), True),
+        lambda: WaveformConfig(4.0, 4),
+        lambda: WaveformConfig(4, 4, oversample=2.0),
+        lambda: row_sparse_precoder(4, 2, 1.5),
+        lambda: row_sparse_precoder(4.0, 2, 1),
+        lambda: row_sparse_precoder(4, 2.5, 1),
+        lambda: modulate(2.5, substream(0, 0)),
+        lambda: gain_cdf(NR, 2, 1.0, 3, seed=2.9),
+        lambda: rate_curve([NR], 2, [0.0], 3, seed=True),
+        lambda: build_expmap(4, 2, 4, OptimizerConfig(seed=1.5)),
     ],
     ids=[
         "rate_curve-trials-float",
@@ -230,10 +234,13 @@ NR = nr_codebook_4_2()
         "row_sparse_precoder-t-float",
         "row_sparse_precoder-m-float",
         "modulate-count-float",
+        "gain_cdf-seed-float",
+        "rate_curve-seed-bool",
+        "build_expmap-seed-float",
     ],
 )
-def test_non_integer_counts_raise_package_errors(call, error):
-    with pytest.raises(error):
+def test_non_integer_counts_raise_package_errors(call):
+    with pytest.raises(InvalidArgument):
         call()
 
 
@@ -241,3 +248,17 @@ def test_numpy_integer_counts_are_accepted():
     sweep = rate_curve([NR], np.int64(2), [0.0], np.int32(3))
     assert sweep.results[0].trials == 3
     assert papr_experiment(np.eye(4)[:, :2], WaveformConfig(np.int64(4), 4), np.int64(2)).size == 4
+
+
+def test_error_hierarchy():
+    classes = [obj for obj in vars(errors).values() if isinstance(obj, type) and obj.__module__ == errors.__name__]
+    assert sorted(cls.__name__ for cls in classes) == [
+        "DimensionMismatch",
+        "GrasspackError",
+        "InvalidArgument",
+        "NotStiefel",
+        "ParseError",
+        "SizeLimit",
+    ]
+    assert all(issubclass(cls, GrasspackError) for cls in classes)
+    assert all(issubclass(cls, ValueError) for cls in (InvalidArgument, DimensionMismatch, NotStiefel))

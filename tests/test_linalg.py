@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grasspack.errors import NotSkewHermitian
+from grasspack.errors import InvalidArgument
 from grasspack.linalg import (
     _qr_positive,
     fro_norm,
@@ -46,7 +46,7 @@ class TestMatexp:
             assert fro_norm(u.conj().T @ u - np.eye(n)) <= 1e-8
 
     def test_rejects_non_skew(self):
-        with pytest.raises(NotSkewHermitian):
+        with pytest.raises(InvalidArgument):
             matexp_skew_hermitian(np.eye(2))
 
     def test_rejects_non_square(self):

@@ -4,7 +4,7 @@ from scipy import stats
 
 from grasspack.codebooks import nr_codebook_4_2, proposed_codebook_4_2
 from grasspack import linksim
-from grasspack.errors import DimensionMismatch, InvalidConfig, InvalidK, TooFewCodewords
+from grasspack.errors import DimensionMismatch, InvalidArgument
 from grasspack.grassmann import Codebook
 from grasspack.linalg import random_stiefel
 from grasspack.rng import substream
@@ -238,17 +238,17 @@ class TestRateCurve:
         assert s1.diff_mean == s2.diff_mean and s1.diff_se == s2.diff_se
 
     def test_zero_trials_rejected(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidArgument):
             rate_curve([proposed_codebook_4_2()], 8, [0.0], trials=0)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_no_receive_antenna_rejected(self, n):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidArgument):
             rate_curve([proposed_codebook_4_2()], n, [0.0], trials=10)
 
     @pytest.mark.parametrize("snr_db", [[np.nan], [np.inf], [0.0, -np.inf]])
     def test_non_finite_snr_rejected(self, snr_db):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidArgument):
             rate_curve([proposed_codebook_4_2()], 4, snr_db, trials=5)
 
     def test_rates_nondecreasing_in_snr(self):
@@ -292,21 +292,24 @@ class TestGainCdf:
 
     def test_invalid_arguments(self):
         book = proposed_codebook_4_2()
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidArgument):
             gain_cdf(book, 4, 0.0, trials=0)
         for n in (0, -1):
-            with pytest.raises(InvalidConfig):
+            with pytest.raises(InvalidArgument):
                 gain_cdf(book, n, 0.0, trials=10)
-        with pytest.raises(TooFewCodewords):
+        with pytest.raises(InvalidArgument):
             gain_cdf([], 4, 0.0, trials=10)
         with pytest.raises(DimensionMismatch):
             gain_cdf([book, Codebook((e_cols(3, [0, 1]),))], 4, 0.0, trials=10)
-        with pytest.raises(InvalidK):
+        with pytest.raises(InvalidArgument):
             gain_cdf(book, 4, [], trials=10)
-        with pytest.raises(InvalidK):
+        with pytest.raises(InvalidArgument):
             gain_cdf(book, 4, [1.0, -1.0], trials=10)
-        with pytest.raises(InvalidK):
+        with pytest.raises(InvalidArgument):
             gain_cdf(book, 4, -0.5, trials=10)
+        for k in (True, "1"):
+            with pytest.raises(InvalidArgument):
+                gain_cdf(book, 4, k, trials=10)
 
 
 class TestSweepsMatchSingleTrials:

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from grasspack.errors import InvalidM, InvalidRange, ShapeMismatch, SizeLimit
+from grasspack.errors import DimensionMismatch, InvalidArgument, SizeLimit
 from grasspack.grassmann import validate_stiefel
 from grasspack.schubert import (
     ENUMERATION_CAP,
@@ -49,11 +49,11 @@ class TestCountPatterns:
         assert count_patterns(5, 3, 3) == math.comb(5, 3)
 
     def test_invalid_range(self):
-        with pytest.raises(InvalidRange):
+        with pytest.raises(InvalidArgument):
             count_patterns(4, 4, 4)
-        with pytest.raises(InvalidRange):
+        with pytest.raises(InvalidArgument):
             count_patterns(4, 2, 1)
-        with pytest.raises(InvalidRange):
+        with pytest.raises(InvalidArgument):
             count_patterns(4, 2, 5)
 
 
@@ -109,7 +109,7 @@ class TestMatchingPatterns:
             assert len(set(all_pairs)) == len(all_pairs) == m * (2 * m - 1)
 
     def test_invalid_m(self):
-        with pytest.raises(InvalidM):
+        with pytest.raises(InvalidArgument):
             matching_patterns(1)
 
 
@@ -119,11 +119,13 @@ class TestPatternTypes:
         assert p.supports == ((1, 3), (2, 4))
 
     def test_overlapping_supports_rejected(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DimensionMismatch):
             SparsityPattern(T=4, M=2, supports=((1, 2), (2, 3)))
+        with pytest.raises(DimensionMismatch):  # a row repeated within one column
+            SparsityPattern(T=4, M=2, supports=((1, 2), (3, 3)))
 
     def test_pair_pattern_must_cover(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DimensionMismatch):
             PairPattern(M=2, pairs=((1, 2), (3, 3)))
 
 
@@ -152,7 +154,7 @@ class TestPatternToCodeword:
 
     def test_phase_count_checked(self):
         p = SparsityPattern(T=4, M=2, supports=((1, 2), (3, 4)))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DimensionMismatch):
             pattern_to_codeword(p, phases=[0.0, 1.0, 2.0])
 
     @pytest.mark.parametrize("t, m, s", [(4, 2, 4), (6, 3, 5), (7, 3, 6)])
