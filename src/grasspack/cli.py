@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -38,6 +39,7 @@ from .grassmann import min_chordal_distance
 from .linksim import gain_cdf, rate_curve
 from .wavesim import (
     WaveformConfig,
+    _thresholds,
     ccdf,
     constellation_samples,
     papr_experiment,
@@ -62,13 +64,18 @@ def _write_csv(path, header, rows):
 
 
 def _write_manifest(args, outputs, t0):
+    # imported here: hashlib loads OpenSSL, about 5 ms, which every import of the CLI would pay
+    import hashlib
+
     params = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
         "command": args.command,
         "parameters": {k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()},
         "seed": getattr(args, "seed", None),
         "version": __version__,
+        "numpy": np.__version__,
         "outputs": [str(o) for o in outputs],
+        "outputs_sha256": {str(o): hashlib.sha256(Path(o).read_bytes()).hexdigest() for o in outputs},
         "wall_time_s": time.time() - t0,
     }
     path = Path(outputs[0]).with_suffix(Path(outputs[0]).suffix + ".manifest.json")
@@ -111,11 +118,14 @@ def _parse_axis(text):
     """start:stop:step (inclusive) or a comma list."""
     if ":" not in text:
         return _parse_floats(text, "axis")
+    malformed = f"axis must be start:stop:step of finite numbers with a nonzero step, got {text!r}"
     try:
         start, stop, step = (float(v) for v in text.split(":"))
         n = int(round((stop - start) / step)) + 1
     except (ValueError, ZeroDivisionError, OverflowError):
-        raise ParseError(f"axis must be start:stop:step with a nonzero finite step, got {text!r}") from None
+        raise ParseError(malformed) from None
+    if not all(map(math.isfinite, (start, stop, step))):  # an infinite step gives n = 1
+        raise ParseError(malformed)
     if n < 1:
         raise ParseError(f"axis {text!r} holds no point: the step points away from stop")
     return [start + i * step for i in range(n)]
@@ -238,7 +248,8 @@ def _papr_schemes(args):
 def cmd_papr(args):
     schemes = _papr_schemes(args)
     waveforms = ["ofdm", "dft-s-ofdm"] if args.waveform == "both" else [args.waveform]
-    thresholds = _parse_axis(args.thresholds)
+    # rejected here, before any frame is drawn, as ccdf would reject them
+    thresholds = _thresholds(_parse_axis(args.thresholds))
     header = ["threshold_db"]
     curves = []
     for wf in waveforms:

@@ -8,10 +8,11 @@ Channels are (N, T) complex arrays drawn in chunks of trials and scored
 for every codeword at once through the channel Grams G = H^H H: the
 codeword Grams W_k^H G W_k and the gains tr(W_k^H G W_k) are the flattened
 Grams times a table built from the codebook, one stacked matrix product per
-chunk (see ``_gram_dot``). Every trial draws its channel from a
-counter-based substream of the run seed, so results are reproducible
-bit-for-bit regardless of chunking or thread count, and all codebooks in
-one sweep see the same channel sequence (common random numbers).
+chunk (see ``_gram_dot``). Trial i draws its channel from substream
+(seed, i) of the run seed, opened for a chunk at once by
+``rng.substreams``, so results are reproducible bit-for-bit regardless of
+chunking or thread count, and all codebooks in one sweep see the same
+channel sequence (common random numbers).
 A gain sweep over several Rician factors draws each trial's angles and
 scattering block once and mixes them for every K, so every codebook and
 every K see the same per-trial draw. ``effective_gram`` is the instrumented
@@ -30,7 +31,8 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidArgument
 from .grassmann import Codebook
 from .linalg import as_cmatrix, is_int
-from .rng import substream
+# substream is not called here but stays bound: perfbench's tracer rebinds it by name
+from .rng import substream, substreams
 
 _CHUNK = 512
 
@@ -60,10 +62,11 @@ class RateSweep:
     diff_se: dict
 
 
-def _rayleigh_chunk(rngs, n, t):
-    """(len(rngs), N, T) Rayleigh channels with unit-variance complex Gaussian
-    entries; each generator draws its trial's real block, then its imaginary one."""
-    buf = np.empty((len(rngs), 2, n, t))
+def _rayleigh_chunk(rngs, b, n, t):
+    """(b, N, T) Rayleigh channels with unit-variance complex Gaussian entries
+    from b per-trial generators, consumed in trial order; each draws its
+    trial's real block, then its imaginary one."""
+    buf = np.empty((b, 2, n, t))
     for i, rng in enumerate(rngs):
         rng.standard_normal(out=buf[i])
     return (buf[:, 0] + 1j * buf[:, 1]) / math.sqrt(2.0)
@@ -83,8 +86,9 @@ def _check_k(k: float) -> float:
     return k
 
 
-def _rician_chunk(rngs, n, t, ks):
-    """One (len(rngs), N, T) normalized Rician channel stack per K factor in ``ks``.
+def _rician_chunk(rngs, b, n, t, ks):
+    """One (b, N, T) normalized Rician channel stack per K factor in ``ks``,
+    from b per-trial generators consumed in trial order.
 
     A channel is a rank-one line-of-sight part plus Rayleigh scattering. The
     LoS part is an outer product of half-wavelength ULA steering vectors with
@@ -96,8 +100,8 @@ def _rician_chunk(rngs, n, t, ks):
     the same draws.
     """
     scattered = any(not math.isinf(k) for k in ks)
-    angles = np.empty((len(rngs), 2))
-    buf = np.empty((len(rngs), 2, n, t))
+    angles = np.empty((b, 2))
+    buf = np.empty((b, 2, n, t))
     for i, rng in enumerate(rngs):
         angles[i] = rng.uniform(-np.pi / 2, np.pi / 2, 2)
         if scattered:
@@ -191,10 +195,11 @@ def _gains(g, stack):
 
 
 def _chunks(trials, seed):
-    """(trial slice, per-trial substreams) for each block of at most _CHUNK trials."""
+    """(trial slice, its size, its trials' substreams) for each block of at most
+    _CHUNK trials; the substreams are one reused generator (see ``substreams``)."""
     for start in range(0, trials, _CHUNK):
         stop = min(start + _CHUNK, trials)
-        yield slice(start, stop), [substream(seed, trial) for trial in range(start, stop)]
+        yield slice(start, stop), stop - start, substreams(seed, range(start, stop))
 
 
 def _check_books(codebooks, n, trials):
@@ -228,8 +233,8 @@ def rate_curve(codebooks, n: int, snr_db, trials: int, seed: int = 0, names=None
     ncb = len(books)
     # per-trial best rates, reduced once below so the sums do not depend on chunking
     best = np.empty((trials, ncb, snr_db.size))
-    for rows, rngs in _chunks(trials, seed):
-        g = _grams(_rayleigh_chunk(rngs, n, t))
+    for rows, size, rngs in _chunks(trials, seed):
+        g = _grams(_rayleigh_chunk(rngs, size, n, t))
         for c, stack in enumerate(stacks):
             best[rows, c] = _rates(g, stack, rho).max(axis=-1).T
     rate_sum = best.sum(axis=0)
@@ -277,8 +282,8 @@ def gain_cdf(b, n: int, k, trials: int, seed: int = 0) -> np.ndarray:
     t = books[0].T
     stacks = [book.stack() for book in books]
     out = np.empty((len(ks), len(books), trials))
-    for rows, rngs in _chunks(trials, seed):
-        for ki, hh in enumerate(_rician_chunk(rngs, n, t, ks)):
+    for rows, size, rngs in _chunks(trials, seed):
+        for ki, hh in enumerate(_rician_chunk(rngs, size, n, t, ks)):
             g = _grams(hh)
             for c, stack in enumerate(stacks):
                 out[ki, c, rows] = _gains(g, stack).max(axis=1)

@@ -2,11 +2,12 @@
 
 Per-antenna time-domain signals are generated with localized, DC-centered
 subcarrier mapping and frequency-domain zero padding for oversampling; PAPR
-is the peak-to-mean instantaneous power ratio of each antenna signal. Frames
-are independent substreams of the run seed, so pooled results do not depend
-on evaluation order. ``papr_experiment`` returns the pooled samples as a
-sorted 1-D array of linear ratios, which ``ccdf`` and ``ccdf_threshold_db``
-take as they are; both reject a sample that is not finite or lies below 1.
+is the peak-to-mean instantaneous power ratio of each antenna signal. Frame
+i draws from substream (seed, i) of the run seed, opened by
+``rng.substreams``, so pooled results do not depend on evaluation order.
+``papr_experiment`` returns the pooled samples as a sorted 1-D array of
+linear ratios, which ``ccdf`` and ``ccdf_threshold_db`` take as they are;
+both reject a sample that is not finite or lies below 1.
 
 Each signal is synthesized in polyphase form: the oversampled signal at
 time n * oversample + r is an n_fft-point inverse FFT of the band with a
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidArgument
 from .grassmann import Codebook
 from .linalg import as_cmatrix, is_int, is_power_of_two
-from .rng import substream
+from .rng import substream, substreams
 
 _WAVEFORMS = ("ofdm", "dft-s-ofdm")
 
@@ -123,12 +124,17 @@ def _papr_values(samples) -> np.ndarray:
     return vals
 
 
-def ccdf(samples, thresholds_db) -> np.ndarray:
-    """Empirical Pr(PAPR > threshold) per threshold, as (threshold, prob) rows."""
-    db = 10.0 * np.log10(_papr_values(samples))
+def _thresholds(thresholds_db) -> np.ndarray:
     thr = np.atleast_1d(np.asarray(thresholds_db, dtype=float))
     if not np.all(np.isfinite(thr)):
         raise InvalidArgument(f"PAPR thresholds must be finite, got {thr.tolist()}")
+    return thr
+
+
+def ccdf(samples, thresholds_db) -> np.ndarray:
+    """Empirical Pr(PAPR > threshold) per threshold, as (threshold, prob) rows."""
+    db = 10.0 * np.log10(_papr_values(samples))
+    thr = _thresholds(thresholds_db)
     ranked = np.sort(db)
     probs = (ranked.size - np.searchsorted(ranked, thr, side="right")) / db.size
     return np.column_stack([thr, probs])
@@ -190,10 +196,10 @@ def _precoders(source):
 
 
 def _frames(stack, frames, seed):
-    """(codeword index, rng) of each frame: the index is drawn uniformly from the
-    frame's substream first; a stack of one draws 0 and consumes nothing."""
-    for frame in range(frames):
-        rng = substream(seed, frame)
+    """(codeword index, rng) of each frame: the index is drawn uniformly from
+    substream (seed, frame) first; a stack of one draws 0 and consumes nothing.
+    The rng is one reused generator, valid until the next frame is drawn."""
+    for rng in substreams(seed, range(frames)):
         yield int(rng.integers(stack.shape[0])), rng
 
 

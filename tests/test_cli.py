@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import grasspack.cli
 from grasspack.cli import main
 from grasspack.codebooks import load_codebook, proposed_codebook_4_2, save_codebook
 from grasspack.wavesim import WaveformConfig, constellation_samples
@@ -70,6 +72,18 @@ class TestDesign:
         assert manifest["outputs"] == [str(out)]
         assert manifest["seed"] == 0
         assert manifest["parameters"]["size"] == 4
+        assert manifest["numpy"] == np.__version__
+
+    def test_manifest_checksums_match_outputs(self, tmp_path):
+        out, scatter = tmp_path / "p.csv", tmp_path / "s.csv"
+        assert run(
+            ["papr", "--row-sparse", "4,2,1", "--thetas", "0.5,1", "--waveform", "ofdm", "--subcarriers", 12,
+             "--fft", 16, "--trials", 3, "--scatter", scatter, "--scatter-frames", 2, "--out", out]
+        ) == 0
+        manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())
+        assert manifest["outputs_sha256"] == {
+            str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, scatter)
+        }
 
 
 class TestMcd:
@@ -192,6 +206,17 @@ class TestPapr:
         assert err.startswith("error: thetas must be finite") and "Traceback" not in err
         assert not out.exists()
 
+    def test_non_finite_thresholds_rejected_before_any_frame(self, tmp_path, capsys, monkeypatch):
+        def no_frames(*args, **kwargs):
+            raise AssertionError("papr_experiment ran")
+
+        monkeypatch.setattr(grasspack.cli, "papr_experiment", no_frames)
+        out = tmp_path / "y.csv"
+        assert run(["papr", "--row-sparse", "4,2,1", "--thresholds", "2,nan", "--trials", 2, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: PAPR thresholds must be finite, got [2.0, nan]")
+        assert not out.exists()
+
     def test_requires_some_scheme(self, tmp_path, capsys):
         assert run(["papr", "--out", tmp_path / "x.csv"]) != 0
 
@@ -249,6 +274,30 @@ def test_bad_argument_exits_2_without_traceback(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+# the axis text is the last argument; an infinite step once gave a [nan] axis
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rate", "--snr-db", "0:10:inf"],
+        ["rate", "--snr-db", "nan:10:1"],
+        ["papr", "--row-sparse", "4,2,1", "--thresholds", "0:6:inf"],
+        ["papr", "--row-sparse", "4,2,1", "--thresholds", "0:6:nan"],
+        ["papr", "--row-sparse", "4,2,1", "--thresholds", "0:inf:1"],
+    ],
+    ids=" ".join,
+)
+def test_non_finite_axis_named_in_error(tmp_path, capsys, argv):
+    out, text = tmp_path / "out.csv", argv[-1]
+    if argv[0] == "rate":
+        prop = tmp_path / "p.json"
+        run(["design", "--method", "prop42", "--out", prop])
+        argv = argv + ["--codebooks", prop]
+    assert run(argv + ["--trials", 2, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: axis must be start:stop:step") and repr(text) in err
+    assert "Traceback" not in err and not out.exists()
 
 
 class TestAudit:

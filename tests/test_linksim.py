@@ -47,13 +47,13 @@ def kernel_gains(h, stack):
 
 
 def rayleigh(n, t, seed, trial=0):
-    return _rayleigh_chunk([substream(seed, trial)], n, t)[0]
+    return _rayleigh_chunk([substream(seed, trial)], 1, n, t)[0]
 
 
 def rician(n, t, k, seed):
     """The channel of trial 0 under run seed ``seed``, as a sweep draws it,
     rescaled by sqrt(N T) to the unnormalized power ||H_LoS||_F^2 = N T."""
-    return _rician_chunk([substream(seed, 0)], n, t, [k])[0][0] * np.sqrt(n * t)
+    return _rician_chunk([substream(seed, 0)], 1, n, t, [k])[0][0] * np.sqrt(n * t)
 
 
 class TestSampleRayleigh:
@@ -74,7 +74,7 @@ class TestSampleRayleigh:
 
     def test_chunk_matches_two_draws_per_trial(self):
         # each trial draws its real block, then its imaginary block
-        got = _rayleigh_chunk([substream(3, i) for i in range(50)], 5, 3)
+        got = _rayleigh_chunk([substream(3, i) for i in range(50)], 50, 5, 3)
         want = []
         for i in range(50):
             rng = substream(3, i)
@@ -97,12 +97,12 @@ class TestSampleRician:
     def test_k_one_power_bookkeeping(self):
         trials = 20000
         # the sweep's channels are normalized to E||H||_F^2 = 1
-        (h,) = _rician_chunk([substream(seed, 0) for seed in range(trials)], 4, 4, [1.0])
+        (h,) = _rician_chunk([substream(seed, 0) for seed in range(trials)], trials, 4, 4, [1.0])
         total = np.sum(np.linalg.norm(h, axis=(1, 2)) ** 2)
         assert total / trials == pytest.approx(1.0, rel=0.02)
 
     def test_normalized_power(self):
-        h = _rician_chunk([substream(0, 0)], 4, 4, [float("inf")])[0][0]
+        h = _rician_chunk([substream(0, 0)], 1, 4, 4, [float("inf")])[0][0]
         assert np.linalg.norm(h) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -332,7 +332,7 @@ class TestSweepsMatchSingleTrials:
         n, ks, trials, seed = 5, [0.0, 1.0, float("inf")], 30, 13
         got = gain_cdf(list(self.BOOKS), n, ks, trials, seed)
         # trial i draws from substream (seed, i), as one chunk of the sweep does
-        stacks = _rician_chunk([substream(seed, i) for i in range(trials)], n, 4, ks)
+        stacks = _rician_chunk([substream(seed, i) for i in range(trials)], trials, n, 4, ks)
         for ki, channels in enumerate(stacks):
             for c, book in enumerate(self.BOOKS):
                 best = []
