@@ -21,7 +21,6 @@ from .codebooks import (
     save_codebook,
 )
 from .schubert import (
-    PairPattern,
     SparsityPattern,
     count_patterns,
     enumerate_patterns,
@@ -35,7 +34,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Codebook",
     "OptimizerConfig",
-    "PairPattern",
     "QUARTER_GRID",
     "SparsityPattern",
     "build_expmap",

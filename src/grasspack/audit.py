@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidArgument
+from .linalg import is_int
 
 
 @dataclass
@@ -25,9 +26,9 @@ class MultCounter:
         self.count += int(n)
 
 
-def _check_dims(*dims):
-    if any(d < 1 for d in dims):
-        raise InvalidArgument(f"dimensions must be positive, got {dims}")
+def _check_dims(t, m, *counts):
+    if not all(is_int(d) for d in (t, m, *counts)) or not 1 <= m < t or any(d < 1 for d in counts):
+        raise InvalidArgument(f"need integers T, M and counts with 1 <= M < T and counts >= 1, got {(t, m, *counts)}")
 
 
 def gram_mult_count(t: int, m: int, n: int, sparse: bool) -> int:
@@ -51,16 +52,16 @@ def storage_count(t: int, m: int, size: int, sparse: bool) -> int:
     """Stored scalars for a codebook: dense complex entries, or one
     (value, column-index) record per row in the ELLPACK-style layout."""
     _check_dims(t, m)
-    if size < 0:
-        raise InvalidArgument("size must be nonnegative")
+    if not is_int(size) or size < 0:
+        raise InvalidArgument(f"size must be an integer >= 0, got {size!r}")
     return size * t if sparse else size * t * m
 
 
 def real_variable_count(method: str, t: int, m: int, size: int) -> int:
     """Free real scalars each design method optimizes for a codebook."""
     _check_dims(t, m)
-    if size < 0:
-        raise InvalidArgument("size must be nonnegative")
+    if not is_int(size) or size < 0:
+        raise InvalidArgument(f"size must be an integer >= 0, got {size!r}")
     name = method.lower()
     if name == "manopt":
         return 2 * size * m * (t - m)

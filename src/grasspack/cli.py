@@ -47,6 +47,7 @@ from .wavesim import (
 )
 
 _METHODS = ("sparse2m", "sparse-general", "manopt", "expmap", "nr42", "prop42")
+_AXIS_POINTS = 10**6
 
 
 def _fmt(x) -> str:
@@ -128,6 +129,8 @@ def _parse_axis(text):
         raise ParseError(malformed)
     if n < 1:
         raise ParseError(f"axis {text!r} holds no point: the step points away from stop")
+    if n > _AXIS_POINTS:
+        raise ParseError(f"axis {text!r} holds {n} points, more than {_AXIS_POINTS}")
     return [start + i * step for i in range(n)]
 
 
@@ -197,13 +200,13 @@ def cmd_rate(args):
     books = [load_codebook(p) for p in args.codebooks]
     names = [_stem(p) for p in args.codebooks]
     snr_db = _parse_axis(args.snr_db)
-    sweep = rate_curve(books, args.N, snr_db, args.trials, args.seed, names)
+    sweep = rate_curve(books, args.N, snr_db, args.trials, args.seed)
     header = ["snr_db"] + [f"rate_{n}" for n in names]
     for j in range(1, len(names)):
         header += [f"diff_{names[j]}_vs_{names[0]}", f"se_{names[j]}_vs_{names[0]}"]
     rows = []
     for si, snr in enumerate(snr_db):
-        row = [snr] + [res.mean_rates[si] for res in sweep.results]
+        row = [snr, *sweep.mean_rates[:, si]]
         for j in range(1, len(names)):
             row += [sweep.diff_mean[(0, j)][si], sweep.diff_se[(0, j)][si]]
         rows.append(row)
@@ -250,33 +253,23 @@ def cmd_papr(args):
     waveforms = ["ofdm", "dft-s-ofdm"] if args.waveform == "both" else [args.waveform]
     # rejected here, before any frame is drawn, as ccdf would reject them
     thresholds = _thresholds(_parse_axis(args.thresholds))
+    cfgs = [WaveformConfig(args.subcarriers, args.fft, args.oversample, wf) for wf in waveforms]
+    # drawn before the sweep, so an oversized request fails before any frame of it
+    if args.scatter:
+        pts = constellation_samples(schemes[0][1], cfgs[0], args.scatter_frames, args.seed)
     header = ["threshold_db"]
     curves = []
-    for wf in waveforms:
-        cfg = WaveformConfig(
-            n_used=args.subcarriers,
-            n_fft=args.fft,
-            oversample=args.oversample,
-            waveform=wf,
-        )
+    for cfg in cfgs:
         for name, source in schemes:
             samples = papr_experiment(
                 source, cfg, args.trials, args.seed, antenna_mean=args.antenna_mean
             )
-            header.append(f"ccdf_{name}_{wf.replace('-', '')}")
-            curves.append(ccdf(samples, thresholds)[:, 1])
+            header.append(f"ccdf_{name}_{cfg.waveform.replace('-', '')}")
+            curves.append(ccdf(samples, thresholds))
     rows = [[thr] + [c[i] for c in curves] for i, thr in enumerate(thresholds)]
     _write_csv(args.out, header, rows)
     outputs = [args.out]
     if args.scatter:
-        name, source = schemes[0]
-        cfg = WaveformConfig(
-            n_used=args.subcarriers,
-            n_fft=args.fft,
-            oversample=1,
-            waveform=waveforms[0],
-        )
-        pts = constellation_samples(source, cfg, args.scatter_frames, args.seed)
         _write_csv(args.scatter, ["re", "im"], [[z.real, z.imag] for z in pts])
         outputs.append(args.scatter)
     print(f"wrote {args.out}: {len(curves)} CCDF curves, {args.trials} frames each")

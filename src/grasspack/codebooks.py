@@ -32,7 +32,7 @@ from .grassmann import (
     pairwise_gram_sq,
     validate_stiefel,
 )
-from .linalg import _qr_positive, matexp_skew_hermitian
+from .linalg import _qr_positive, is_int, matexp_skew_hermitian
 from .rng import substream
 from .schubert import _fill, _layout, enumerate_patterns, matching_patterns, pair_codeword
 
@@ -74,8 +74,9 @@ class OptimizerConfig:
     expmap_scale: float = 0.5
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.restarts < 1 or not 0 < self.expmap_scale < np.inf:
-            raise InvalidArgument("max_iters and restarts must be >= 1, expmap_scale positive and finite")
+        counts = (self.max_iters, self.restarts)
+        if not all(is_int(v) and v >= 1 for v in counts) or not 0 < self.expmap_scale < np.inf:
+            raise InvalidArgument("max_iters and restarts must be integers >= 1, expmap_scale positive and finite")
         grid = self.phase_grid
         if grid is not None:
             if not np.all(np.isfinite(np.asarray(grid, dtype=float))):
@@ -189,8 +190,8 @@ def optimize_manopt(t: int, m: int, size: int, cfg: OptimizerConfig = None) -> C
     falls below that of its own initialization.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if size < 2 or not 1 <= m < t:
-        raise InvalidArgument(f"need size >= 2 and 1 <= M < T, got {(t, m, size)}")
+    if not all(is_int(v) for v in (t, m, size)) or size < 2 or not 1 <= m < t:
+        raise InvalidArgument(f"need integers size >= 2 and 1 <= M < T, got {(t, m, size)}")
     best_mcd, best_stack = -1.0, None  # best iterate over all restarts
 
     def keep_best(stack, s):
@@ -244,7 +245,7 @@ def _optimize_phases_continuous(m, ell, cfg):
         th = rng.uniform(-np.pi, np.pi, size=(ell, m))
         th[0] = 0.0  # gauge: first instance pinned, distances use differences only
         th = _descend(_phase_value_grad, th, cfg)
-        val = _subset_min(_phase_objective(th)[0], range(ell))
+        val = _closest_pair(_phase_objective(th)[0])[0]
         if val > best_val + 1e-15:
             best_val, best_th = val, th
     return best_th
@@ -271,11 +272,6 @@ def _greedy_subset(f, ell, start):
         mind[chosen] = -np.inf
         chosen.append(int(np.argmax(mind)))
     return chosen
-
-
-def _subset_min(f, idx):
-    sub = f[np.ix_(idx, idx)]
-    return float(sub[np.triu_indices(len(idx), 1)].min())
 
 
 def _clique_of_size(adj, ell, fix_zero):
@@ -308,7 +304,7 @@ def _optimize_phases_discrete(m, ell, cfg):
     # exact maximin at every size: greedy seeding gives a lower bound, then a
     # clique search over descending distance thresholds tries to beat it
     best = _greedy_subset(f, ell, 0)
-    best_val = _subset_min(f, best)
+    best_val = _closest_pair(f[np.ix_(best, best)])[0]
     fix_zero = _is_cyclic_grid(grid) and bool(np.all(np.abs(pts[0]) < 1e-12))
     # distinct distances, largest first; np.unique would pull in numpy.ma
     values = sorted(set(np.round(f[np.triu_indices(n, 1)], 12).tolist()), reverse=True)
@@ -338,8 +334,8 @@ def optimize_phases_2M(m: int, ell: int, cfg: OptimizerConfig = None) -> np.ndar
     serves every pattern.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if m < 2 or ell < 1:
-        raise InvalidArgument(f"need M >= 2 and L >= 1, got M={m}, L={ell}")
+    if not (is_int(m) and is_int(ell)) or m < 2 or ell < 1:
+        raise InvalidArgument(f"need integers M >= 2 and L >= 1, got M={m!r}, L={ell!r}")
     if ell == 1:
         grid = np.asarray(cfg.phase_grid or (0.0,))
         th = np.full((1, m), grid[np.argmin(np.abs(grid))])
@@ -358,8 +354,8 @@ def build_sparse_2M(m: int, size: int, cfg: OptimizerConfig = None) -> Codebook:
     multiple). Cross-pattern chordal distances are sqrt(M/2) by construction.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if m < 2 or size < 1:
-        raise InvalidArgument(f"need M >= 2 and size >= 1, got M={m}, size={size}")
+    if not (is_int(m) and is_int(size)) or m < 2 or size < 1:
+        raise InvalidArgument(f"need integers M >= 2 and size >= 1, got M={m!r}, size={size!r}")
     patterns = matching_patterns(m)
     npat = len(patterns)
     ell = -(-size // npat)
@@ -400,13 +396,14 @@ def build_general_sparse(t: int, m: int, s: int, size: int, cfg: OptimizerConfig
     """Sparse codebook for arbitrary T > M > 1 and sparsity level s.
 
     Patterns are taken round-robin, most balanced column supports first (so
-    s = 2M with T = 2M picks exactly the perfect-matching family), and the
-    per-entry phases are tuned with the same smoothed min-distance surrogate
-    used by the dense optimizer. Amplitudes stay equal within each column.
+    s = 2M with T = 2M takes the (2M - 1)!! perfect matchings before any
+    pattern with uneven supports), and the per-entry phases are tuned with
+    the same smoothed min-distance surrogate used by the dense optimizer.
+    Amplitudes stay equal within each column.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if not (t > m > 1) or not m <= s <= t or size < 2:
-        raise InvalidArgument(f"need T > M > 1, M <= s <= T, size >= 2, got {(t, m, s, size)}")
+    if not all(is_int(v) for v in (t, m, s, size)) or not (t > m > 1) or not m <= s <= t or size < 2:
+        raise InvalidArgument(f"need integers T > M > 1, M <= s <= T, size >= 2, got {(t, m, s, size)}")
     layout = _layout(_general_layout(size, enumerate_patterns(t, m, s)))
     free = layout[4] != np.arange(s)  # pivot phases stay at the zero gauge
 
@@ -489,8 +486,8 @@ def expmap_codeword(theta: np.ndarray) -> np.ndarray:
 def build_expmap(t: int, m: int, size: int, cfg: OptimizerConfig = None) -> Codebook:
     """Exponential-map codebook with 4-QAM blocks, duplicate draws rejected."""
     cfg = cfg or DEFAULT_CONFIG
-    if size < 2 or not 1 <= m < t:
-        raise InvalidArgument(f"need size >= 2 and 1 <= M < T, got {(t, m, size)}")
+    if not all(is_int(v) for v in (t, m, size)) or size < 2 or not 1 <= m < t:
+        raise InvalidArgument(f"need integers size >= 2 and 1 <= M < T, got {(t, m, size)}")
     capacity = 4 ** (m * (t - m))
     if size > capacity:
         raise SizeLimit(f"size {size} exceeds the {capacity} distinct QAM blocks")

@@ -7,9 +7,14 @@ pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, SizeLimit
+
+#: bytes a sweep may allocate up front for its result array
+_RESULT_BYTES = 2**31
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -28,6 +33,15 @@ def fro_norm(a) -> float:
 def is_int(n) -> bool:
     """Whether ``n`` is a Python or numpy integer; a bool is not a count."""
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
+def _bounded_empty(shape, dtype=np.float64) -> np.ndarray:
+    """``np.empty(shape, dtype)``, or ``SizeLimit`` naming the shape when it
+    would exceed ``_RESULT_BYTES``; checked before anything is allocated."""
+    nbytes = np.dtype(dtype).itemsize * math.prod(int(d) for d in shape)
+    if nbytes > _RESULT_BYTES:
+        raise SizeLimit(f"a result of shape {shape} needs {nbytes} bytes, over the budget of {_RESULT_BYTES}")
+    return np.empty(shape, dtype)
 
 
 def is_power_of_two(n: int) -> bool:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument
 from .grassmann import Codebook
-from .linalg import as_cmatrix, is_int
+from .linalg import _bounded_empty, as_cmatrix, is_int
 # substream is not called here but stays bound: perfbench's tracer rebinds it by name
 from .rng import substream, substreams
 
@@ -38,26 +38,16 @@ _CHUNK = 512
 
 
 @dataclass(frozen=True)
-class RateResult:
-    """Mean achievable rate of one codebook over an SNR grid."""
-
-    name: str
-    snr_db: tuple
-    mean_rates: tuple
-    trials: int
-    seed: int
-
-
-@dataclass(frozen=True)
 class RateSweep:
     """Paired rate curves plus per-pair difference statistics.
 
+    ``mean_rates`` is the (codebook, SNR) array of mean selected rates.
     ``diff_mean[(i, j)]`` holds the per-SNR mean of (rate_j - rate_i) and
     ``diff_se[(i, j)]`` its paired standard error, for 0-based codebook
     positions i < j in the sweep argument order.
     """
 
-    results: tuple
+    mean_rates: np.ndarray
     diff_mean: dict
     diff_se: dict
 
@@ -215,7 +205,7 @@ def _check_books(codebooks, n, trials):
     return books
 
 
-def rate_curve(codebooks, n: int, snr_db, trials: int, seed: int = 0, names=None) -> RateSweep:
+def rate_curve(codebooks, n: int, snr_db, trials: int, seed: int = 0) -> RateSweep:
     """Paired mean achievable rate over an SNR grid for several codebooks.
 
     Every codebook is evaluated on the same per-trial Rayleigh channels; the
@@ -224,7 +214,6 @@ def rate_curve(codebooks, n: int, snr_db, trials: int, seed: int = 0, names=None
     """
     books = _check_books(codebooks, n, trials)
     t = books[0].T
-    names = list(names) if names else [f"codebook{i + 1}" for i in range(len(books))]
     snr_db = np.atleast_1d(np.asarray(snr_db, dtype=float))
     if not np.all(np.isfinite(snr_db)):
         raise InvalidArgument(f"SNR points must be finite, got {snr_db.tolist()}")
@@ -232,22 +221,11 @@ def rate_curve(codebooks, n: int, snr_db, trials: int, seed: int = 0, names=None
     stacks = [b.stack() for b in books]
     ncb = len(books)
     # per-trial best rates, reduced once below so the sums do not depend on chunking
-    best = np.empty((trials, ncb, snr_db.size))
+    best = _bounded_empty((trials, ncb, snr_db.size))
     for rows, size, rngs in _chunks(trials, seed):
         g = _grams(_rayleigh_chunk(rngs, size, n, t))
         for c, stack in enumerate(stacks):
             best[rows, c] = _rates(g, stack, rho).max(axis=-1).T
-    rate_sum = best.sum(axis=0)
-    results = tuple(
-        RateResult(
-            name=names[c],
-            snr_db=tuple(snr_db),
-            mean_rates=tuple(rate_sum[c] / trials),
-            trials=trials,
-            seed=seed,
-        )
-        for c in range(ncb)
-    )
     diff_mean, diff_se = {}, {}
     for i, j in itertools.combinations(range(ncb), 2):
         d = best[:, j, :] - best[:, i, :]
@@ -257,9 +235,9 @@ def rate_curve(codebooks, n: int, snr_db, trials: int, seed: int = 0, names=None
             se = np.sqrt(var / trials)
         else:
             se = np.full_like(mean, np.inf)
-        diff_mean[(i, j)] = tuple(mean)
-        diff_se[(i, j)] = tuple(se)
-    return RateSweep(results, diff_mean, diff_se)
+        diff_mean[(i, j)] = mean
+        diff_se[(i, j)] = se
+    return RateSweep(best.sum(axis=0) / trials, diff_mean, diff_se)
 
 
 def gain_cdf(b, n: int, k, trials: int, seed: int = 0) -> np.ndarray:
@@ -281,7 +259,7 @@ def gain_cdf(b, n: int, k, trials: int, seed: int = 0) -> np.ndarray:
         raise InvalidArgument("need at least one Rician factor")
     t = books[0].T
     stacks = [book.stack() for book in books]
-    out = np.empty((len(ks), len(books), trials))
+    out = _bounded_empty((len(ks), len(books), trials))
     for rows, size, rngs in _chunks(trials, seed):
         for ki, hh in enumerate(_rician_chunk(rngs, size, n, t, ks)):
             g = _grams(hh)

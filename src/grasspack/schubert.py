@@ -6,9 +6,10 @@ phase/amplitude fill produces an exact Stiefel matrix. Patterns are kept in
 column echelon order (columns sorted by their minimal row index) so pattern
 identity is canonical and testable.
 
-For T = 2M every admissible pattern is a perfect matching of the 2M rows, and
-a round-robin 1-factorization of K_{2M} yields 2M - 1 patterns that share no
-row pair.
+For T = 2M the perfect matchings of the 2M rows are the patterns whose
+supports are all row pairs; at s = 2M the other patterns split the rows
+unevenly (sizes 1 and 3 for M = 2). A round-robin 1-factorization of K_{2M}
+yields 2M - 1 matchings that share no row pair.
 
 Every sparse codeword in the package comes from one vectorised kernel:
 :func:`_layout` lists the nonzero positions of a batch of equal-size
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument, SizeLimit
+from .linalg import is_int
 
 ENUMERATION_CAP = 10**6
 
@@ -67,30 +69,9 @@ class SparsityPattern:
         return sum(len(s) for s in self.supports)
 
 
-@dataclass(frozen=True)
-class PairPattern:
-    """Perfect matching of {1, ..., 2M}: one row pair per column."""
-
-    M: int
-    pairs: tuple
-
-    def __post_init__(self):
-        ps = tuple(tuple(sorted((int(a), int(b)))) for a, b in self.pairs)
-        if len(ps) != self.M:
-            raise DimensionMismatch(f"expected {self.M} pairs, got {len(ps)}")
-        flat = [r for p in ps for r in p]
-        if sorted(flat) != list(range(1, 2 * self.M + 1)):
-            raise DimensionMismatch("pairs must cover 1..2M exactly once")
-        ps = tuple(sorted(ps))
-        object.__setattr__(self, "pairs", ps)
-
-    def to_sparsity(self) -> SparsityPattern:
-        return SparsityPattern(T=2 * self.M, M=self.M, supports=self.pairs)
-
-
 def _check_range(t: int, m: int, s: int):
-    if not (1 <= m < t and m <= s <= t):
-        raise InvalidArgument(f"need 1 <= M < T and M <= s <= T, got T={t}, M={m}, s={s}")
+    if not all(is_int(v) for v in (t, m, s)) or not (1 <= m < t and m <= s <= t):
+        raise InvalidArgument(f"need integers 1 <= M < T and M <= s <= T, got T={t!r}, M={m!r}, s={s!r}")
 
 
 def count_patterns(t: int, m: int, s: int) -> int:
@@ -156,8 +137,8 @@ def matching_patterns(m: int) -> list:
     of the complete graph K_{2M}, so every row pair occurs in exactly one
     pattern.
     """
-    if m < 2:
-        raise InvalidArgument(f"need M >= 2, got {m}")
+    if not is_int(m) or m < 2:
+        raise InvalidArgument(f"need an integer M >= 2, got {m!r}")
     n = 2 * m
     out = []
     for r in range(n - 1):
@@ -166,7 +147,7 @@ def matching_patterns(m: int) -> list:
             a = (r + i) % (n - 1) + 1
             b = (r - i) % (n - 1) + 1
             pairs.append((a, b))
-        out.append(PairPattern(M=m, pairs=tuple(pairs)))
+        out.append(SparsityPattern(T=n, M=m, supports=pairs))
     return out
 
 
@@ -179,8 +160,6 @@ def _layout(patterns):
     """
     ridx, cidx, amps, pivot = [], [], [], []
     for pat in patterns:
-        if isinstance(pat, PairPattern):
-            pat = pat.to_sparsity()
         pos = 0
         for col, sup in enumerate(pat.supports):
             ridx += [row - 1 for row in sup]
@@ -209,8 +188,6 @@ def pattern_to_codeword(pattern, phases) -> np.ndarray:
     ascending order within each column. Each column is rotated so its first
     (pivot) entry is real positive, which removes the right-unitary gauge.
     """
-    if isinstance(pattern, PairPattern):
-        pattern = pattern.to_sparsity()
     ph = np.asarray(phases, dtype=np.float64).reshape(-1)
     if ph.size != pattern.size:
         raise DimensionMismatch(f"expected {pattern.size} phases, got {ph.size}")
@@ -218,8 +195,11 @@ def pattern_to_codeword(pattern, phases) -> np.ndarray:
     return _fill(layout, ph - ph[layout[4]], pattern.T, pattern.M)[0]
 
 
-def pair_codeword(pattern: PairPattern, thetas) -> np.ndarray:
-    """Equal-amplitude codeword (e_a + e^{j theta} e_b)/sqrt(2) per column."""
+def pair_codeword(pattern: SparsityPattern, thetas) -> np.ndarray:
+    """Equal-amplitude codeword (e_a + e^{j theta} e_b)/sqrt(2) per column
+    of a perfect matching: T = 2M and every support a row pair."""
+    if pattern.T != 2 * pattern.M or any(len(s) != 2 for s in pattern.supports):
+        raise DimensionMismatch(f"expected a perfect matching of 1..2M, got {pattern.supports} with T={pattern.T}")
     th = np.asarray(thetas, dtype=np.float64).reshape(-1)
     if th.size != pattern.M:
         raise DimensionMismatch(f"expected {pattern.M} phases, got {th.size}")

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument
 from .grassmann import Codebook
-from .linalg import as_cmatrix, is_int, is_power_of_two
+from .linalg import _bounded_empty, as_cmatrix, is_int, is_power_of_two
 from .rng import substream, substreams
 
 _WAVEFORMS = ("ofdm", "dft-s-ofdm")
@@ -132,12 +132,10 @@ def _thresholds(thresholds_db) -> np.ndarray:
 
 
 def ccdf(samples, thresholds_db) -> np.ndarray:
-    """Empirical Pr(PAPR > threshold) per threshold, as (threshold, prob) rows."""
+    """Empirical Pr(PAPR > threshold), one probability per threshold."""
     db = 10.0 * np.log10(_papr_values(samples))
-    thr = _thresholds(thresholds_db)
     ranked = np.sort(db)
-    probs = (ranked.size - np.searchsorted(ranked, thr, side="right")) / db.size
-    return np.column_stack([thr, probs])
+    return (ranked.size - np.searchsorted(ranked, _thresholds(thresholds_db), side="right")) / db.size
 
 
 def ccdf_threshold_db(samples, prob: float) -> float:
@@ -269,7 +267,7 @@ def constellation_samples(source, cfg: WaveformConfig, frames: int, seed: int = 
     nyquist = replace(cfg, oversample=1)
     stack = _precoders(source)
     buffers = _buffers(nyquist, 1)
-    out = np.empty((frames, nyquist.n_fft), dtype=np.complex128)
+    out = _bounded_empty((frames, nyquist.n_fft), np.complex128)
     for frame, (k, rng) in enumerate(_frames(stack, frames, seed)):
         out[frame] = _synthesize(stack[k, :1] @ _streams(stack.shape[2], nyquist, rng), nyquist, *buffers).reshape(-1)
     return out.reshape(-1)

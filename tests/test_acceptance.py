@@ -125,7 +125,7 @@ def test_criterion_04_one_factorization():
     ok = True
     for m in range(2, 9):
         patterns = matching_patterns(m)
-        pairs = [p for pat in patterns for p in pat.pairs]
+        pairs = [p for pat in patterns for p in pat.supports]
         ok &= len(patterns) == 2 * m - 1
         ok &= len(pairs) == len(set(pairs)) == math.comb(2 * m, 2)
     check(4, "matching_patterns is a 1-factorization of K_2M for M in 2..8", ok)
@@ -195,13 +195,12 @@ def test_criterion_08_mcd_ordering():
 
 def test_criterion_09_achievable_rate_ordering(manopt_22):
     books = [nr_codebook_4_2(), proposed_codebook_4_2(), manopt_22]
-    sweep = rate_curve(books, 32, [10.0, 10.01], trials=100_000, seed=13,
-                       names=["nr", "prop", "manopt"])
+    sweep = rate_curve(books, 32, [10.0, 10.01], trials=100_000, seed=13)
     d_pn = sweep.diff_mean[(0, 1)][0]
     se_pn = sweep.diff_se[(0, 1)][0]
     d_mp = sweep.diff_mean[(1, 2)][0]
     se_mp = sweep.diff_se[(1, 2)][0]
-    prop_rates = sweep.results[1].mean_rates
+    prop_rates = sweep.mean_rates[1]
     rate_equiv_001db = prop_rates[1] - prop_rates[0]
     ok_gain = d_pn > 0 and d_pn > 3 * se_pn
     ok_gap = abs(d_mp) < 3 * se_mp or abs(d_mp) < rate_equiv_001db

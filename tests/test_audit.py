@@ -54,8 +54,9 @@ class TestFormulas:
             lambda: storage_count(4, 2, -1, sparse=False),
             lambda: real_variable_count("manopt", 0, 0, 22),
             lambda: real_variable_count("manopt", 4, 2, -1),
+            lambda: real_variable_count("manopt", 2, 3, 22),
         ],
-        ids=["gram-m", "gram-n", "precode-t", "storage-m", "storage-size", "vars-dims", "vars-size"],
+        ids=["gram-m", "gram-n", "precode-t", "storage-m", "storage-size", "vars-dims", "vars-size", "vars-m-ge-t"],
     )
     def test_bad_sizes_raise_invalid_config(self, call):
         with pytest.raises(InvalidArgument):

@@ -256,6 +256,7 @@ class TestPapr:
         ["audit", "-T", "4", "-M", "2", "--sweep", "1.5,2"],
         ["audit", "-T", "0", "-M", "0"],
         ["audit", "-T", "4", "-M", "2", "--size", "-1"],
+        ["audit", "-T", "2", "-M", "3"],
         ["mcd", "DIR"],
         ["design", "--method", "nr42", "--out", "DIR"],
     ],
@@ -274,6 +275,28 @@ def test_bad_argument_exits_2_without_traceback(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+# refused before the result array or the axis list is built
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rate", "--snr-db", "0:1e6:1", "--trials", "5"],
+        ["rate", "--trials", "1000000000000"],
+        ["gain-cdf", "--trials", "1000000000000"],
+        ["papr", "--subcarriers", "4", "--fft", "4", "--oversample", "1", "--trials", "2",
+         "--scatter", "scatter.csv", "--scatter-frames", "1000000000000"],
+    ],
+    ids=" ".join,
+)
+def test_oversized_request_exits_2_without_traceback(tmp_path, capsys, argv):
+    out, prop = tmp_path / "out.csv", tmp_path / "p.json"
+    run(["design", "--method", "prop42", "--out", prop])
+    argv = [tmp_path / a if a.endswith(".csv") else a for a in argv]
+    assert run(argv + ["--codebooks", prop, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "scatter.csv").exists()
 
 
 # the axis text is the last argument; an infinite step once gave a [nan] axis

@@ -426,6 +426,14 @@ class TestBuildGeneralSparse:
         book = build_general_sparse(4, 2, 4, 3, FAST)
         assert min_chordal_distance(book)[0] == pytest.approx(1.0, abs=1e-12)
 
+    def test_layout_takes_matchings_then_uneven_patterns_then_wraps(self):
+        order = [p.supports for p in _general_layout(8, enumerate_patterns(4, 2, 4))]
+        assert order == [
+            ((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3)),
+            ((1,), (2, 3, 4)), ((1, 2, 3), (4,)), ((1, 2, 4), (3,)), ((1, 3, 4), (2,)),
+            ((1, 2), (3, 4)),
+        ]
+
     def test_beats_expmap_on_6_2(self):
         sparse = build_general_sparse(6, 2, 4, 16, FAST)
         dense = build_expmap(6, 2, 16, FAST)

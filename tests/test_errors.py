@@ -6,10 +6,20 @@ import pytest
 
 import grasspack
 from grasspack import errors
-from grasspack.codebooks import OptimizerConfig, build_expmap, nr_codebook_4_2
+from grasspack.audit import real_variable_count, storage_count
+from grasspack.codebooks import (
+    OptimizerConfig,
+    build_expmap,
+    build_general_sparse,
+    build_sparse_2M,
+    nr_codebook_4_2,
+    optimize_manopt,
+    optimize_phases_2M,
+)
 from grasspack.errors import DimensionMismatch, GrasspackError, InvalidArgument, NotStiefel
 from grasspack.linksim import gain_cdf, rate_curve
 from grasspack.rng import substream
+from grasspack.schubert import enumerate_patterns, matching_patterns
 from grasspack.wavesim import WaveformConfig, constellation_samples, modulate, papr_experiment, row_sparse_precoder
 
 SRC = Path(grasspack.__file__).resolve().parent
@@ -200,6 +210,7 @@ def test_every_parameter_default_is_set_by_a_caller():
 
 
 NR = nr_codebook_4_2()
+FAST = OptimizerConfig(restarts=1, max_iters=5)
 
 
 @pytest.mark.parametrize(
@@ -220,6 +231,17 @@ NR = nr_codebook_4_2()
         lambda: gain_cdf(NR, 2, 1.0, 3, seed=2.9),
         lambda: rate_curve([NR], 2, [0.0], 3, seed=True),
         lambda: build_expmap(4, 2, 4, OptimizerConfig(seed=1.5)),
+        lambda: OptimizerConfig(max_iters=2.5),
+        lambda: OptimizerConfig(restarts=True),
+        lambda: optimize_manopt(4, 2, 8.0, FAST),
+        lambda: build_expmap(4.0, 2, 8, FAST),
+        lambda: build_sparse_2M(2.0, 8, FAST),
+        lambda: build_general_sparse(4, 2, 4.0, 8, FAST),
+        lambda: optimize_phases_2M(2, 2.0, FAST),
+        lambda: enumerate_patterns(4.0, 2, 4),
+        lambda: matching_patterns(np.float64(2)),
+        lambda: real_variable_count("manopt", 4.5, 2, 8),
+        lambda: storage_count(4, 2, 8.0, sparse=True),
     ],
     ids=[
         "rate_curve-trials-float",
@@ -237,6 +259,17 @@ NR = nr_codebook_4_2()
         "gain_cdf-seed-float",
         "rate_curve-seed-bool",
         "build_expmap-seed-float",
+        "OptimizerConfig-max_iters-float",
+        "OptimizerConfig-restarts-bool",
+        "optimize_manopt-size-float",
+        "build_expmap-t-float",
+        "build_sparse_2M-m-float",
+        "build_general_sparse-s-float",
+        "optimize_phases_2M-ell-float",
+        "enumerate_patterns-t-float",
+        "matching_patterns-m-numpy-float",
+        "real_variable_count-t-float",
+        "storage_count-size-float",
     ],
 )
 def test_non_integer_counts_raise_package_errors(call):
@@ -246,7 +279,7 @@ def test_non_integer_counts_raise_package_errors(call):
 
 def test_numpy_integer_counts_are_accepted():
     sweep = rate_curve([NR], np.int64(2), [0.0], np.int32(3))
-    assert sweep.results[0].trials == 3
+    assert sweep.mean_rates.shape == (1, 1)
     assert papr_experiment(np.eye(4)[:, :2], WaveformConfig(np.int64(4), 4), np.int64(2)).size == 4
 
 

@@ -7,7 +7,6 @@ from grasspack.errors import DimensionMismatch, InvalidArgument, SizeLimit
 from grasspack.grassmann import validate_stiefel
 from grasspack.schubert import (
     ENUMERATION_CAP,
-    PairPattern,
     SparsityPattern,
     _fill,
     _layout,
@@ -87,25 +86,25 @@ class TestEnumeratePatterns:
 
 class TestMatchingPatterns:
     def test_m2_all_three(self):
-        got = {p.pairs for p in matching_patterns(2)}
+        got = {p.supports for p in matching_patterns(2)}
         assert got == {((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))}
 
     def test_m3_covers_k6_once(self):
         pats = matching_patterns(3)
         assert len(pats) == 5
-        all_pairs = [pair for p in pats for pair in p.pairs]
+        all_pairs = [pair for p in pats for pair in p.supports]
         assert len(all_pairs) == len(set(all_pairs)) == 15
 
     def test_m4_perfect_matchings(self):
         for p in matching_patterns(4):
-            seen = sorted(r for pair in p.pairs for r in pair)
+            seen = sorted(r for pair in p.supports for r in pair)
             assert seen == list(range(1, 9))
 
     def test_one_factorization_up_to_8(self):
         for m in range(2, 9):
             pats = matching_patterns(m)
             assert len(pats) == 2 * m - 1
-            all_pairs = [pair for p in pats for pair in p.pairs]
+            all_pairs = [pair for p in pats for pair in p.supports]
             assert len(set(all_pairs)) == len(all_pairs) == m * (2 * m - 1)
 
     def test_invalid_m(self):
@@ -126,13 +125,13 @@ class TestPatternTypes:
 
     def test_pair_pattern_must_cover(self):
         with pytest.raises(DimensionMismatch):
-            PairPattern(M=2, pairs=((1, 2), (3, 3)))
+            SparsityPattern(4, 2, ((1, 2), (3, 3)))
 
 
 class TestPatternToCodeword:
     def test_reproduces_reference_entry(self):
         # equal-amplitude pattern {(1,3),(2,4)} with second-entry phases (-pi/2, 0)
-        w = pair_codeword(PairPattern(2, ((1, 3), (2, 4))), [-np.pi / 2, 0.0])
+        w = pair_codeword(SparsityPattern(4, 2, ((1, 3), (2, 4))), [-np.pi / 2, 0.0])
         expected = np.array(
             [[1, 0], [0, 1], [-1j, 0], [0, 1]], dtype=complex
         ) / np.sqrt(2)
@@ -156,6 +155,15 @@ class TestPatternToCodeword:
         p = SparsityPattern(T=4, M=2, supports=((1, 2), (3, 4)))
         with pytest.raises(DimensionMismatch):
             pattern_to_codeword(p, phases=[0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [SparsityPattern(4, 2, ((1,), (2, 3, 4))), SparsityPattern(5, 2, ((1, 2), (3, 4)))],
+        ids=["uneven-supports", "T-not-2M"],
+    )
+    def test_pair_codeword_needs_a_perfect_matching(self, pattern):
+        with pytest.raises(DimensionMismatch):
+            pair_codeword(pattern, [0.0, 0.0])
 
     @pytest.mark.parametrize("t, m, s", [(4, 2, 4), (6, 3, 5), (7, 3, 6)])
     def test_matches_per_column_formula(self, t, m, s):
