@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -69,12 +70,16 @@ def _write_manifest(args, outputs, t0):
     import hashlib
 
     params = {k: v for k, v in vars(args).items() if k != "func"}
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     manifest = {
         "command": args.command,
         "parameters": {k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()},
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        # numpy exposes no runtime BLAS thread count; the variables that set it are recorded as given
+        "thread_env": {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
         "outputs": [str(o) for o in outputs],
         "outputs_sha256": {str(o): hashlib.sha256(Path(o).read_bytes()).hexdigest() for o in outputs},
         "wall_time_s": time.time() - t0,

@@ -95,21 +95,33 @@ DEFAULT_CONFIG = OptimizerConfig()
 # ---------------------------------------------------------------------------
 
 def _lse_pairs(d, eps):
-    """log sum_{i<j} exp(-d_ij / eps), stabilized, and its symmetric softmax pair weights."""
+    """log sum_{i<j} exp(-d_ij / eps), stabilized, and a closure building its
+    symmetric (K, K) softmax pair weights."""
     k = d.shape[0]
-    iu, ju = _triu(k)
-    z = -d[iu, ju] / eps
+    flat = _triu(k)[2]
+    z = -d.take(flat) / eps
     zmax = z.max()
     expz = np.exp(z - zmax)
-    value = zmax + np.log(expz.sum())
-    weights = np.zeros((k, k))
-    weights[iu, ju] = expz / expz.sum()
-    weights += weights.T
-    return value, weights
+    total = expz.sum()
+
+    def weights():
+        w = np.zeros((k, k))
+        w.put(flat, expz / total)
+        w += w.T
+        return w
+
+    return zmax + np.log(total), weights
 
 
 def _surrogate_egrad(stack, eps):
-    """Surrogate value, Euclidean gradient, Gram norms ||W_i^H W_j||_F^2 and projectors W_k W_k^H of a stack.
+    """Surrogate value of a stack, and a closure giving its Euclidean gradient,
+    Gram norms ||W_i^H W_j||_F^2 and projectors W_k W_k^H.
+
+    The value needs only the Gram norms and the log-sum-exp; the closure
+    finishes the gradient from them, so a rejected line-search candidate
+    never pays for it. The Gram norms come from :func:`pairwise_gram_sq`,
+    whose summation order is pinned and tested, so a numpy whose reduce
+    order moves cannot move the books unnoticed.
 
     The Wirtinger gradient is -(1/eps) sum_j w_kj / d_kj * (W_k - W_j (W_j^H W_k)).
     Both sums run as matrix products over the K codewords (T x M each): the
@@ -120,26 +132,32 @@ def _surrogate_egrad(stack, eps):
     """
     k, t, m = stack.shape
     s = pairwise_gram_sq(stack)
-    d = np.sqrt(np.clip(2.0 * (m - s), 0.0, None))
+    d = np.sqrt(np.maximum(2.0 * (m - s), 0.0))
     value, weights = _lse_pairs(d, eps)
-    coef = weights / (eps * np.maximum(d, 1e-12))
-    np.fill_diagonal(coef, 0.0)
-    rowsum = coef.sum(axis=1)
-    proj = stack @ stack.conj().transpose(0, 2, 1)
-    term = (coef @ proj.reshape(k, t * t)).reshape(k, t, t) @ stack
-    egrad = term - stack * rowsum[:, None, None]
-    return value, egrad, s, proj
+
+    def finish():
+        coef = weights() / (eps * np.maximum(d, 1e-12))
+        np.fill_diagonal(coef, 0.0)
+        rowsum = coef.sum(axis=1)
+        proj = stack @ stack.conj().transpose(0, 2, 1)
+        term = (coef @ proj.reshape(k, t * t)).reshape(k, t, t) @ stack
+        return term - stack * rowsum[:, None, None], s, proj
+
+    return value, finish
 
 
 def _descend(value_grad, x, cfg, retract=None, on_accept=None, stall_limit=None):
     """Armijo descent through the smoothing schedule; returns the last iterate.
 
-    ``value_grad(x, eps)`` returns (value, gradient, aux). Per eps of
-    ``EPS_SCHEDULE`` the step starts at 1 and halves until the candidate
-    x - step * gradient (through ``retract`` if given) lowers the value by
-    1e-4 * step * ||gradient||^2; after each accepted step ``on_accept(x,
-    aux)`` sees the new iterate and the step grows 1.5x, capped at 100. A
-    stage ends at the first of:
+    ``value_grad(x, eps)`` returns (value, finish), and ``finish()`` returns
+    (gradient, aux) from the intermediates the value left behind. Sufficient
+    decrease needs only the value at a candidate, so ``finish`` runs once at
+    each stage start and once per accepted step, never for a rejected
+    candidate. Per eps of ``EPS_SCHEDULE`` the step starts at 1 and halves
+    until the candidate x - step * gradient (through ``retract`` if given)
+    lowers the value by 1e-4 * step * ||gradient||^2; after each accepted
+    step ``on_accept(x, aux)`` sees the new iterate and the step grows 1.5x,
+    capped at 100. A stage ends at the first of:
 
     * vanishing gradient: ||gradient||^2 < 1e-24;
     * failed line search: the step falls to 1e-14 with no candidate accepted;
@@ -149,24 +167,26 @@ def _descend(value_grad, x, cfg, retract=None, on_accept=None, stall_limit=None)
     """
     for eps in EPS_SCHEDULE:
         step = _STEP_INIT
-        value, grad, _ = value_grad(x, eps)
+        value, finish = value_grad(x, eps)
+        grad, _ = finish()
         stall = 0
         for _ in range(cfg.max_iters):
-            gnorm2 = float(np.sum(np.abs(grad) ** 2))
+            gnorm2 = float((np.abs(grad) ** 2).sum())
             if gnorm2 < 1e-24:
                 break
             while step > 1e-14:
                 cand = x - step * grad
                 if retract is not None:
                     cand = retract(cand)
-                cand_value, cand_grad, aux = value_grad(cand, eps)
+                cand_value, finish = value_grad(cand, eps)
                 if cand_value <= value - 1e-4 * step * gnorm2:
                     break
                 step *= _BACKTRACK
             else:  # no candidate accepted
                 break
             stall = stall + 1 if value - cand_value < 1e-13 else 0
-            x, value, grad = cand, cand_value, cand_grad
+            x, value = cand, cand_value
+            grad, aux = finish()
             if on_accept is not None:
                 on_accept(x, aux)
             step = min(step * 1.5, 100.0)
@@ -176,9 +196,15 @@ def _descend(value_grad, x, cfg, retract=None, on_accept=None, stall_limit=None)
 
 
 def _manopt_grad(stack, eps):
-    """Surrogate value, Riemannian gradient and Gram norms on the product manifold."""
-    value, egrad, s, proj = _surrogate_egrad(stack, eps)
-    return value, egrad - proj @ egrad, s
+    """Surrogate value on the product manifold, and a closure giving the
+    Riemannian gradient and the Gram norms."""
+    value, egrad_parts = _surrogate_egrad(stack, eps)
+
+    def finish():
+        egrad, s, proj = egrad_parts()
+        return egrad - proj @ egrad, s
+
+    return value, finish
 
 
 def optimize_manopt(t: int, m: int, size: int, cfg: OptimizerConfig = None) -> Codebook:
@@ -226,16 +252,21 @@ def optimize_manopt(t: int, m: int, size: int, cfg: OptimizerConfig = None) -> C
 def _phase_objective(th):
     """Pairwise matrix of sum_m sin^2((theta_i,m - theta_j,m)/2)."""
     diff = th[:, None, :] - th[None, :, :]
-    return np.sum(np.sin(diff / 2.0) ** 2, axis=-1), diff
+    return (np.sin(diff / 2.0) ** 2).sum(axis=-1), diff
 
 
 def _phase_value_grad(th, eps):
-    """Phase surrogate value and gradient, with the first (gauge) row pinned."""
+    """Phase surrogate value, and a closure giving its gradient with the first
+    (gauge) row pinned."""
     f, diff = _phase_objective(th)
     value, weights = _lse_pairs(f, eps)
-    grad = -(0.5 / eps) * np.einsum("ij,ijm->im", weights, np.sin(diff))
-    grad[0] = 0.0
-    return value, grad, None
+
+    def finish():
+        grad = -(0.5 / eps) * np.einsum("ij,ijm->im", weights(), np.sin(diff))
+        grad[0] = 0.0
+        return grad, None
+
+    return value, finish
 
 
 def _optimize_phases_continuous(m, ell, cfg):
@@ -414,9 +445,14 @@ def build_general_sparse(t: int, m: int, s: int, size: int, cfg: OptimizerConfig
 
     def value_grad(phases, eps):
         stack = _fill(layout, phases, t, m)
-        value, egrad, _, _ = _surrogate_egrad(stack, eps)
-        # d/dtheta of F for W = amp * exp(j theta): -2 Im(conj(egrad) * W)
-        return value, -2.0 * np.imag(egrad[idx].conj() * stack[idx]) * free, None
+        value, egrad_parts = _surrogate_egrad(stack, eps)
+
+        def finish():
+            # d/dtheta of F for W = amp * exp(j theta): -2 Im(conj(egrad) * W)
+            egrad = egrad_parts()[0]
+            return -2.0 * np.imag(egrad[idx].conj() * stack[idx]) * free, None
+
+        return value, finish
 
     best_val, best_ph = -1.0, np.zeros((size, s))
     for r in range(cfg.restarts):

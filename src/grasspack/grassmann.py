@@ -7,7 +7,8 @@ iff they span the same column space, i.e. have equal projectors W W^H.
 Every chordal distance and minimum chordal distance (MCD) in the package
 comes from one kernel. :func:`pairwise_gram_sq` forms the Gram norms
 s_ij = ||W_i^H W_j||_F^2 of a (K, T, M) stack with one (KM x T)(T x KM)
-matrix product, and :func:`pairwise_chordal` turns them into
+matrix product and a summation whose order is pinned and tested (see
+there), and :func:`pairwise_chordal` turns them into
 d_ij = sqrt(max(0, M - s_ij)). A roundoff of a few ulps of M in s_ij becomes
 an error of about M eps / d_ij in d_ij, which grows to 1e-8 as the pair
 coincides. So pairs with M - s_ij < 1e-8, that is d_ij < 1e-4, are recomputed
@@ -148,11 +149,25 @@ def pairwise_gram_sq(stack: np.ndarray) -> np.ndarray:
     """Matrix of ||Wi^H Wj||_F^2 for a (size, T, M) stack.
 
     All Gram blocks Wi^H Wj come from one (KM x T)(T x KM) matrix product.
+    The squared moduli are summed with explicit slice adds, over the column
+    of Wj first and then over the column of Wi, each left to right. For
+    M <= 7 that is the order of numpy 2.4's
+    ``np.sum(np.abs(gram) ** 2, axis=(1, 3))``, bit for bit, at a fraction of
+    its cost; a test pins the equality, so a numpy whose reduce order moves
+    fails it. From M = 8 numpy's reduce switches to pairwise blocks, which
+    this sum does not follow.
     """
     k, t, m = stack.shape
     f = stack.transpose(1, 0, 2).reshape(t, k * m)
-    gram = (f.conj().T @ f).reshape(k, m, k, m)
-    return np.sum(np.abs(gram) ** 2, axis=(1, 3))
+    sq = np.abs((f.conj().T @ f).reshape(k, m, k, m))
+    sq *= sq
+    rows = sq[..., 0].copy()
+    for j in range(1, m):
+        rows += sq[..., j]
+    s = rows[:, 0].copy()
+    for i in range(1, m):
+        s += rows[:, i]
+    return s
 
 
 def _chordal_from_gram_sq(stack, s):
@@ -176,18 +191,22 @@ def pairwise_chordal(stack: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _triu(k):
-    """Read-only strict upper-triangle indices of a k x k matrix, built once per k."""
-    pair = np.triu_indices(k, 1)
-    for a in pair:
+    """Read-only strict upper-triangle indices (rows, columns, C-order flat
+    positions) of a k x k matrix, built once per k. ``take`` and ``put`` at
+    the flat positions visit the same entries in the same order as indexing
+    with the row and column arrays, at a fraction of the cost."""
+    iu, ju = np.triu_indices(k, 1)
+    out = (iu, ju, iu * k + ju)
+    for a in out:
         a.flags.writeable = False
-    return pair
+    return out
 
 
 def _closest_pair(d):
     """Minimum of a distance matrix over i < j, with the lexicographically first
     1-based pair within 1e-12 of it."""
-    iu, ju = _triu(d.shape[0])
-    vals = d[iu, ju]
+    iu, ju, flat = _triu(d.shape[0])
+    vals = d.take(flat)
     dmin = float(vals.min())
     hit = int(np.argmax(vals <= dmin + 1e-12))
     return dmin, (int(iu[hit]) + 1, int(ju[hit]) + 1)

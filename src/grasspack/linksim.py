@@ -35,6 +35,8 @@ from .linalg import _bounded_empty, as_cmatrix, is_int
 from .rng import substream, substreams
 
 _CHUNK = 512
+# working bytes of one SNR block in _rates: (points, batch, K, M) floats
+_RATE_BLOCK_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -152,26 +154,36 @@ def _gram_dot(g, table):
     return (g.reshape(b, 1, t * t) @ table)[:, 0]
 
 
-def _rates(g, stack, rho):
+def _rates(g, stack, rho, best=None):
     """Rates log2 det(I + (rho/M) W_k^H G W_k) as (len(rho), batch, K), for
     channel Grams g (batch, T, T), codewords (K, T, M) and a 1-D rho array.
 
     The codeword Grams W_k^H G W_k of every k come from one product with the
-    (T*T, K*M*M) table of conj(W_k[t, i]) * W_k[u, m] (see ``_gram_dot``)."""
+    (T*T, K*M*M) table of conj(W_k[t, i]) * W_k[u, m] (see ``_gram_dot``),
+    and their eigenvalues from one ``eigvalsh`` call. The SNR points then run
+    in blocks whose (points, batch, K, M) floats stay under
+    ``_RATE_BLOCK_BYTES``; each point is elementwise, so the blocks do not
+    change a bit. Given ``best``, a writable (len(rho), batch) array, each
+    block's maximum over the K codewords goes there instead and ``best`` is
+    returned, so no more than one block of per-codeword rates is held."""
     k, t, m = stack.shape
     w = stack.transpose(1, 0, 2)
     table = (w.conj()[:, None, :, :, None] * w[None, :, :, None, :]).reshape(t * t, k * m * m)
     grams = _gram_dot(g, table).reshape(-1, k, m, m)
     lam = np.clip(np.linalg.eigvalsh(grams), 0.0, None)
-    # in place: a fresh multi-MB temporary per step page-faults on every chunk
-    x = rho[:, None, None, None] / m * lam
-    x += 1.0
-    np.log2(x, out=x)
-    # explicit adds over the M eigenvalues; a reduce over that short axis is slower
-    rates = x[..., 0].copy()
-    for i in range(1, m):
-        rates += x[..., i]
-    return rates
+    out = np.empty((rho.size,) + lam.shape[:2]) if best is None else best
+    step = max(1, _RATE_BLOCK_BYTES // lam.nbytes)
+    for lo in range(0, rho.size, step):
+        # in place: a fresh multi-MB temporary per step page-faults on every chunk
+        x = rho[lo : lo + step, None, None, None] / m * lam
+        x += 1.0
+        np.log2(x, out=x)
+        # explicit adds over the M eigenvalues; a reduce over that short axis is slower
+        rates = x[..., 0].copy()
+        for i in range(1, m):
+            rates += x[..., i]
+        out[lo : lo + step] = rates if best is None else rates.max(axis=-1)
+    return out
 
 
 def _gains(g, stack):
@@ -225,7 +237,7 @@ def rate_curve(codebooks, n: int, snr_db, trials: int, seed: int = 0) -> RateSwe
     for rows, size, rngs in _chunks(trials, seed):
         g = _grams(_rayleigh_chunk(rngs, size, n, t))
         for c, stack in enumerate(stacks):
-            best[rows, c] = _rates(g, stack, rho).max(axis=-1).T
+            _rates(g, stack, rho, best=best[rows, c].T)
     diff_mean, diff_se = {}, {}
     for i, j in itertools.combinations(range(ncb), 2):
         d = best[:, j, :] - best[:, i, :]

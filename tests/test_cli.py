@@ -64,7 +64,9 @@ class TestDesign:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
-    def test_manifest_written(self, tmp_path):
+    def test_manifest_written(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         out = tmp_path / "e.json"
         run(["design", "--method", "expmap", "-T", 4, "-M", 2, "--size", 4, "--out", out])
         manifest = json.loads((tmp_path / "e.json.manifest.json").read_text())
@@ -73,6 +75,9 @@ class TestDesign:
         assert manifest["seed"] == 0
         assert manifest["parameters"]["size"] == 4
         assert manifest["numpy"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert manifest["thread_env"] == {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None}
 
     def test_manifest_checksums_match_outputs(self, tmp_path):
         out, scatter = tmp_path / "p.csv", tmp_path / "s.csv"

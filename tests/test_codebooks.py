@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -147,17 +148,18 @@ class TestSurrogateKernel:
     def test_matches_einsum_reference(self, name, eps):
         stack = _KERNEL_STACKS[name]()
         value, egrad, rgrad, s = _einsum_surrogate(stack, eps)
-        got_value, got_egrad, got_s, got_proj = _surrogate_egrad(stack, eps)
+        got_value, finish = _surrogate_egrad(stack, eps)
+        got_egrad, got_s, got_proj = finish()
         assert got_value == pytest.approx(value, rel=1e-13)
         np.testing.assert_allclose(got_s, s, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got_egrad, egrad, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got_proj, stack @ stack.conj().transpose(0, 2, 1), rtol=0, atol=1e-15)
-        np.testing.assert_allclose(_manopt_grad(stack, eps)[1], rgrad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_manopt_grad(stack, eps)[1]()[0], rgrad, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("eps", [1.0, 0.1])
     def test_riemannian_gradient_is_the_directional_derivative(self, eps):
         stack = _random_stack(6, 4, 2, 5)
-        _, rgrad, _ = _manopt_grad(stack, eps)
+        rgrad, _ = _manopt_grad(stack, eps)[1]()
         assert np.max(np.abs(stack.conj().transpose(0, 2, 1) @ rgrad)) <= 1e-12
         rng = np.random.default_rng(6)
         raw = rng.standard_normal(stack.shape) + 1j * rng.standard_normal(stack.shape)
@@ -218,6 +220,11 @@ class TestOptimizeManopt:
             assert validate_stiefel(w)
         assert np.array_equal(b1.stack(), b2.stack())
 
+    def test_book_bits_are_pinned(self):
+        # any change to the descent's arithmetic or to which iterate it keeps moves this digest
+        digest = hashlib.sha256(optimize_manopt(4, 2, 8, FAST).stack().tobytes()).hexdigest()
+        assert digest == "5cfb91e032e824f7ab18e4c11da6c9879e538d43a520833e91f4db7c91da8fa6"
+
     def test_invalid_config(self):
         with pytest.raises(InvalidArgument):
             optimize_manopt(4, 2, 1, FAST)
@@ -241,7 +248,7 @@ class TestOptimizeManopt:
 
 
 def _quadratic(x, eps):
-    return float(np.sum(x**2)), 2.0 * x, None
+    return float(np.sum(x**2)), lambda: (2.0 * x, None)
 
 
 def _accepted_steps(value_grad, cfg, stall_limit=None):
@@ -259,19 +266,41 @@ class TestDescend:
 
     def test_failed_line_search_keeps_the_iterate(self):
         def uphill(x, eps):  # the "gradient" points up, so no step lowers the value
-            return float(np.sum(x)), -np.ones_like(x), None
+            return float(np.sum(x)), lambda: (-np.ones_like(x), None)
 
         assert np.array_equal(_descend(uphill, np.ones(3), FAST), np.ones(3))
         assert _accepted_steps(uphill, FAST) == 0
 
     def test_max_iters_and_stall_end_a_stage(self):
         def tiny(x, eps):
-            return 1e-12 * float(np.sum(x**2)), 2e-12 * x, None
+            return 1e-12 * float(np.sum(x**2)), lambda: (2e-12 * x, None)
 
         cfg = OptimizerConfig(max_iters=7)
         assert _accepted_steps(tiny, cfg) == 7 * len(EPS_SCHEDULE)
         # every step lowers the value by less than 1e-13, so the stall rule ends each stage
         assert _accepted_steps(tiny, cfg, stall_limit=3) == 3 * len(EPS_SCHEDULE)
+
+    def test_gradient_runs_only_at_stage_starts_and_accepted_steps(self):
+        evaluated, finished, accepted = [], [], []
+
+        def counted(x, eps):
+            value, finish = _manopt_grad(x, eps)
+            evaluated.append(x)
+
+            def counted_finish():
+                finished.append(x)
+                return finish()
+
+            return value, counted_finish
+
+        stack = _random_stack(6, 4, 2, 7)
+        _descend(counted, stack, OptimizerConfig(max_iters=20), retract=_qr_positive,
+                 on_accept=lambda x, aux: accepted.append(x))
+        assert len(evaluated) > len(EPS_SCHEDULE) + len(accepted)  # some candidates were rejected
+        assert len(finished) == len(EPS_SCHEDULE) + len(accepted)
+        # each stage starts from the initial stack or the last accepted iterate
+        kept = [stack, *accepted]
+        assert all(any(x is y for y in kept) for x in finished)
 
 
 class TestOptimizePhases:

@@ -12,6 +12,7 @@ from grasspack.grassmann import (
     chordal_distance,
     min_chordal_distance,
     pairwise_chordal,
+    pairwise_gram_sq,
     projector_distance,
     validate_stiefel,
 )
@@ -89,6 +90,21 @@ class TestChordalDistance:
         u = random_unitary(3, rng)
         assert chordal_distance(w, w @ u) <= 1e-9
         assert abs(chordal_distance(w, v) - chordal_distance(w @ u, v)) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [2, 8, 22, 32])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_gram_norms_equal_numpys_two_axis_sum_bitwise(m, k):
+    # the kernel's slice adds follow numpy's reduce order; a numpy that
+    # reorders np.sum over axes (1, 3) fails here, not in a moved codebook
+    rng = np.random.default_rng(100 * m + k)
+    t = m + 3
+    for _ in range(20):
+        stack = rng.standard_normal((k, t, m)) + 1j * rng.standard_normal((k, t, m))
+        f = stack.transpose(1, 0, 2).reshape(t, k * m)
+        gram = (f.conj().T @ f).reshape(k, m, k, m)
+        want = np.sum(np.abs(gram) ** 2, axis=(1, 3))
+        assert pairwise_gram_sq(stack).tobytes() == want.tobytes()
 
 
 class TestMinChordalDistance:

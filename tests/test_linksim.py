@@ -345,6 +345,20 @@ class TestSweepsMatchSingleTrials:
                 np.testing.assert_allclose(got[ki, c], sorted(best), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("block_points", [1, 2])
+def test_snr_blocks_do_not_change_rate_curve(monkeypatch, block_points):
+    books = [nr_codebook_4_2(), proposed_codebook_4_2()]
+    snr = [0.0, 5.0, 10.0, 20.0, 30.0]
+    ref = rate_curve(books, 8, snr, trials=300, seed=12)
+    # bytes of one SNR point's eigenvalues for a 300-trial chunk of a 22-word M = 2 book
+    monkeypatch.setattr(linksim, "_RATE_BLOCK_BYTES", block_points * 300 * 22 * 2 * 8)
+    got = rate_curve(books, 8, snr, trials=300, seed=12)
+    assert got.mean_rates.tobytes() == ref.mean_rates.tobytes()
+    for pair in ref.diff_mean:
+        assert got.diff_mean[pair].tobytes() == ref.diff_mean[pair].tobytes()
+        assert got.diff_se[pair].tobytes() == ref.diff_se[pair].tobytes()
+
+
 class TestChunkIndependence:
     @pytest.fixture(scope="class")
     def outputs(self):
