@@ -121,13 +121,13 @@ def _parse_indices(text):
 
 
 def _parse_axis(text):
-    """start:stop:step (inclusive) or a comma list."""
+    """start:stop:step (stop inclusive, never passed by more than rounding) or a comma list."""
     if ":" not in text:
         return _parse_floats(text, "axis")
     malformed = f"axis must be start:stop:step of finite numbers with a nonzero step, got {text!r}"
     try:
         start, stop, step = (float(v) for v in text.split(":"))
-        n = int(round((stop - start) / step)) + 1
+        n = math.floor((stop - start) / step + 1e-9) + 1
     except (ValueError, ZeroDivisionError, OverflowError):
         raise ParseError(malformed) from None
     if not all(map(math.isfinite, (start, stop, step))):  # an infinite step gives n = 1

@@ -32,7 +32,7 @@ from .grassmann import (
     pairwise_gram_sq,
     validate_stiefel,
 )
-from .linalg import _qr_positive, is_int, matexp_skew_hermitian
+from .linalg import _qr_positive, is_int, is_real, matexp_skew_hermitian
 from .rng import substream
 from .schubert import _fill, _layout, enumerate_patterns, matching_patterns, pair_codeword
 
@@ -53,6 +53,7 @@ def _wrap_phase(theta):
 EPS_SCHEDULE = (1.0, 0.3, 0.1, 0.03, 0.01)
 _STEP_INIT = 1.0
 _BACKTRACK = 0.5
+_STALL_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,8 @@ class OptimizerConfig:
     expmap_scale: float = 0.5
 
     def __post_init__(self):
-        counts = (self.max_iters, self.restarts)
-        if not all(is_int(v) and v >= 1 for v in counts) or not 0 < self.expmap_scale < np.inf:
+        counts, scale = (self.max_iters, self.restarts), self.expmap_scale
+        if not all(is_int(v) and v >= 1 for v in counts) or not (is_real(scale) and 0 < scale < np.inf):
             raise InvalidArgument("max_iters and restarts must be integers >= 1, expmap_scale positive and finite")
         grid = self.phase_grid
         if grid is not None:
@@ -146,7 +147,7 @@ def _surrogate_egrad(stack, eps):
     return value, finish
 
 
-def _descend(value_grad, x, cfg, retract=None, on_accept=None, stall_limit=None):
+def _descend(value_grad, x, cfg, retract=None, on_accept=None):
     """Armijo descent through the smoothing schedule; returns the last iterate.
 
     ``value_grad(x, eps)`` returns (value, finish), and ``finish()`` returns
@@ -162,8 +163,8 @@ def _descend(value_grad, x, cfg, retract=None, on_accept=None, stall_limit=None)
     * vanishing gradient: ||gradient||^2 < 1e-24;
     * failed line search: the step falls to 1e-14 with no candidate accepted;
     * ``cfg.max_iters`` accepted steps;
-    * stall: ``stall_limit`` accepted steps in a row each lowering the value
-      by less than 1e-13 (never, when ``stall_limit`` is None).
+    * stall: ``_STALL_STEPS`` accepted steps in a row each lowering the value
+      by less than 1e-13 (on a flat surrogate the Armijo bound rounds away).
     """
     for eps in EPS_SCHEDULE:
         step = _STEP_INIT
@@ -172,7 +173,7 @@ def _descend(value_grad, x, cfg, retract=None, on_accept=None, stall_limit=None)
         stall = 0
         for _ in range(cfg.max_iters):
             gnorm2 = float((np.abs(grad) ** 2).sum())
-            if gnorm2 < 1e-24:
+            if gnorm2 < 1e-24 or stall >= _STALL_STEPS:
                 break
             while step > 1e-14:
                 cand = x - step * grad
@@ -190,8 +191,6 @@ def _descend(value_grad, x, cfg, retract=None, on_accept=None, stall_limit=None)
             if on_accept is not None:
                 on_accept(x, aux)
             step = min(step * 1.5, 100.0)
-            if stall_limit is not None and stall >= stall_limit:
-                break
     return x
 
 
@@ -231,7 +230,7 @@ def optimize_manopt(t: int, m: int, size: int, cfg: OptimizerConfig = None) -> C
         g = rng.standard_normal((size, t, m)) + 1j * rng.standard_normal((size, t, m))
         stack = _qr_positive(g)
         keep_best(stack, pairwise_gram_sq(stack))
-        _descend(_manopt_grad, stack, cfg, retract=_qr_positive, on_accept=keep_best, stall_limit=3)
+        _descend(_manopt_grad, stack, cfg, retract=_qr_positive, on_accept=keep_best)
     meta = {
         "method": "manopt",
         "T": t,

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument, NotStiefel
-from .linalg import as_cmatrix, fro_norm
+from .linalg import as_cmatrix, fro_norm, is_int
 
 STIEFEL_TOL = 1e-8
 
@@ -93,9 +93,9 @@ class Codebook:
         """New codebook from 1-based codeword indices, order preserved; the
         meta is copied and records ``subset_indices``."""
         indices = list(indices)
-        bad = [i for i in indices if not 1 <= i <= len(self)]
+        bad = [i for i in indices if not (is_int(i) and 1 <= i <= len(self))]
         if bad:
-            raise InvalidArgument(f"codeword indices must lie in 1..{len(self)}, got {bad}")
+            raise InvalidArgument(f"codeword indices must be integers in 1..{len(self)}, got {bad}")
         meta = dict(self.meta)
         meta["subset_indices"] = [int(i) for i in indices]
         return Codebook(self.codewords[np.array(indices, dtype=int) - 1], meta)

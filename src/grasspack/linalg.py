@@ -8,6 +8,7 @@ pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -33,6 +34,11 @@ def fro_norm(a) -> float:
 def is_int(n) -> bool:
     """Whether ``n`` is a Python or numpy integer; a bool is not a count."""
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
+def is_real(x) -> bool:
+    """Whether ``x`` is a real number, numpy scalars included; a bool is not one."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _bounded_empty(shape, dtype=np.float64) -> np.ndarray:

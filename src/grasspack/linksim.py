@@ -23,20 +23,21 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument
 from .grassmann import Codebook
-from .linalg import _bounded_empty, as_cmatrix, is_int
+from .linalg import _bounded_empty, as_cmatrix, is_int, is_real
 # substream is not called here but stays bound: perfbench's tracer rebinds it by name
 from .rng import substream, substreams
 
 _CHUNK = 512
 # working bytes of one SNR block in _rates: (points, batch, K, M) floats
 _RATE_BLOCK_BYTES = 1 << 26
+# 10 ** (snr / 10) overflows above about 3083 dB, and times a channel eigenvalue sooner
+_MAX_SNR_DB = 3000.0
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ def _steering(count, angles):
 
 
 def _check_k(k: float) -> float:
-    if not isinstance(k, numbers.Real) or isinstance(k, bool):
+    if not is_real(k):
         raise InvalidArgument(f"Rician factor must be a real number, got {k!r}")
     k = float(k)
     if math.isnan(k) or k < 0:
@@ -223,12 +224,14 @@ def rate_curve(codebooks, n: int, snr_db, trials: int, seed: int = 0) -> RateSwe
     Every codebook is evaluated on the same per-trial Rayleigh channels; the
     selected (maximum) rate is averaged per SNR point, and each codebook
     pair gets the mean and standard error of its per-trial rate difference.
+    SNR points are finite and at most 3000 dB, so the linear SNR times a
+    channel eigenvalue stays finite.
     """
     books = _check_books(codebooks, n, trials)
     t = books[0].T
     snr_db = np.atleast_1d(np.asarray(snr_db, dtype=float))
-    if not np.all(np.isfinite(snr_db)):
-        raise InvalidArgument(f"SNR points must be finite, got {snr_db.tolist()}")
+    if not (np.all(np.isfinite(snr_db)) and np.all(snr_db <= _MAX_SNR_DB)):
+        raise InvalidArgument(f"SNR points must be finite and at most {_MAX_SNR_DB:g} dB, got {snr_db.tolist()}")
     rho = 10.0 ** (snr_db / 10.0)
     stacks = [b.stack() for b in books]
     ncb = len(books)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument
 from .grassmann import Codebook
-from .linalg import _bounded_empty, as_cmatrix, is_int, is_power_of_two
+from .linalg import _bounded_empty, as_cmatrix, is_int, is_power_of_two, is_real
 from .rng import substream, substreams
 
 _WAVEFORMS = ("ofdm", "dft-s-ofdm")
@@ -140,7 +140,7 @@ def ccdf(samples, thresholds_db) -> np.ndarray:
 
 def ccdf_threshold_db(samples, prob: float) -> float:
     """PAPR threshold (dB) the samples exceed with the given probability."""
-    if not 0 < prob < 1:
+    if not (is_real(prob) and 0 < prob < 1):
         raise InvalidArgument("prob must lie in (0, 1)")
     return float(np.quantile(10.0 * np.log10(_papr_values(samples)), 1.0 - prob))
 
@@ -238,7 +238,9 @@ def papr_experiment(source, cfg: WaveformConfig, trials: int, seed: int = 0, ant
     buffers = _buffers(cfg, width)
     qn = cfg.oversample * cfg.n_fft
     real_sq, imag_sq = np.empty((2, width, qn))
-    samples = []
+    # at most T samples per frame, or one with antenna_mean; refused before any frame when oversized
+    samples = _bounded_empty((trials,) if antenna_mean else (trials * stack.shape[1],))
+    count = 0
     for k, rng in _frames(stack, trials, seed):
         first, inverse = classes[k]
         r = first.size
@@ -249,11 +251,11 @@ def papr_experiment(source, cfg: WaveformConfig, trials: int, seed: int = 0, ant
         peak = power.max(axis=1)[inverse]
         live = mean > 0
         vals = peak[live] / mean[live]
-        if not antenna_mean:
-            samples.extend(vals)
-        elif vals.size:
-            samples.append(vals.mean())
-    return np.sort(np.asarray(samples, dtype=float))
+        if antenna_mean and vals.size:
+            vals = vals.mean(keepdims=True)
+        samples[count : count + vals.size] = vals
+        count += vals.size
+    return np.sort(samples[:count])
 
 
 def constellation_samples(source, cfg: WaveformConfig, frames: int, seed: int = 0) -> np.ndarray:

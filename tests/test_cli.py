@@ -247,6 +247,7 @@ class TestPapr:
         ["rate", "--snr-db", "0:10:0"],
         ["rate", "--snr-db", "a:b:c"],
         ["rate", "--snr-db", "nan,inf"],
+        ["rate", "--snr-db", "4000"],
         ["design", "--method", "nr42", "--indices", "x"],
         ["design", "--method", "sparse2m", "-M", "2", "--size", "4", "--grid", "x"],
         ["papr", "--row-sparse", "4,2"],
@@ -291,6 +292,7 @@ def test_bad_argument_exits_2_without_traceback(tmp_path, capsys, argv):
         ["gain-cdf", "--trials", "1000000000000"],
         ["papr", "--subcarriers", "4", "--fft", "4", "--oversample", "1", "--trials", "2",
          "--scatter", "scatter.csv", "--scatter-frames", "1000000000000"],
+        ["papr", "--row-sparse", "4,2,1", "--trials", "1000000000000"],
     ],
     ids=" ".join,
 )
@@ -302,6 +304,24 @@ def test_oversized_request_exits_2_without_traceback(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists() and not (tmp_path / "scatter.csv").exists()
+
+
+# stop is inclusive; a rounded point count once took 0:14:4 on to 16 and 0:6:4 to 8
+@pytest.mark.parametrize(
+    "text, count, last",
+    [
+        ("0:14:4", 4, 12.0),
+        ("0:6:4", 2, 4.0),
+        ("0:20:2", 11, 20.0),
+        ("4:13:0.25", 37, 13.0),
+        ("0:1:0.1", 11, 1.0),
+        ("10:0:-4", 3, 2.0),
+        ("0:0.3:0.1", 4, 0.3),
+    ],
+)
+def test_axis_never_passes_stop(text, count, last):
+    axis = grasspack.cli._parse_axis(text)
+    assert len(axis) == count and axis[-1] == pytest.approx(last, rel=1e-12)
 
 
 # the axis text is the last argument; an infinite step once gave a [nan] axis

@@ -236,6 +236,8 @@ class TestOptimizeManopt:
         [
             {"expmap_scale": np.nan},
             {"expmap_scale": np.inf},
+            {"expmap_scale": "a"},  # not a number: once Python's TypeError
+            {"expmap_scale": None},
             {"phase_grid": (0.0, np.nan)},
             {"phase_grid": (np.inf,)},
             {"phase_grid": (0.0, -np.inf)},
@@ -251,9 +253,9 @@ def _quadratic(x, eps):
     return float(np.sum(x**2)), lambda: (2.0 * x, None)
 
 
-def _accepted_steps(value_grad, cfg, stall_limit=None):
+def _accepted_steps(value_grad, cfg):
     seen = []
-    _descend(value_grad, np.ones(3), cfg, on_accept=lambda x, aux: seen.append(x), stall_limit=stall_limit)
+    _descend(value_grad, np.ones(3), cfg, on_accept=lambda x, aux: seen.append(x))
     return len(seen)
 
 
@@ -271,14 +273,24 @@ class TestDescend:
         assert np.array_equal(_descend(uphill, np.ones(3), FAST), np.ones(3))
         assert _accepted_steps(uphill, FAST) == 0
 
-    def test_max_iters_and_stall_end_a_stage(self):
+    def test_max_iters_ends_a_stage(self):
+        def slope(x, eps):  # every step lowers the value by 3 * step
+            return float(np.sum(x)), lambda: (np.ones_like(x), None)
+
+        assert _accepted_steps(slope, OptimizerConfig(max_iters=7)) == 7 * len(EPS_SCHEDULE)
+
+    def test_stall_ends_a_stage(self):
         def tiny(x, eps):
             return 1e-12 * float(np.sum(x**2)), lambda: (2e-12 * x, None)
 
-        cfg = OptimizerConfig(max_iters=7)
-        assert _accepted_steps(tiny, cfg) == 7 * len(EPS_SCHEDULE)
-        # every step lowers the value by less than 1e-13, so the stall rule ends each stage
-        assert _accepted_steps(tiny, cfg, stall_limit=3) == 3 * len(EPS_SCHEDULE)
+        # every step lowers the value by less than 1e-13
+        assert _accepted_steps(tiny, OptimizerConfig(max_iters=7)) == 3 * len(EPS_SCHEDULE)
+
+    def test_flat_surrogate_stalls_instead_of_running_to_max_iters(self):
+        def flat(x, eps):  # 1e-4 * step * 3 rounds away against 1.0 once step < 2**-41
+            return 1.0, lambda: (np.ones_like(x), None)
+
+        assert _accepted_steps(flat, OptimizerConfig()) == 3 * len(EPS_SCHEDULE)
 
     def test_gradient_runs_only_at_stage_starts_and_accepted_steps(self):
         evaluated, finished, accepted = [], [], []

@@ -242,6 +242,8 @@ FAST = OptimizerConfig(restarts=1, max_iters=5)
         lambda: matching_patterns(np.float64(2)),
         lambda: real_variable_count("manopt", 4.5, 2, 8),
         lambda: storage_count(4, 2, 8.0, sparse=True),
+        lambda: NR.subset([2.9]),
+        lambda: NR.subset([True]),
     ],
     ids=[
         "rate_curve-trials-float",
@@ -270,6 +272,8 @@ FAST = OptimizerConfig(restarts=1, max_iters=5)
         "matching_patterns-m-numpy-float",
         "real_variable_count-t-float",
         "storage_count-size-float",
+        "Codebook.subset-index-float",
+        "Codebook.subset-index-bool",
     ],
 )
 def test_non_integer_counts_raise_package_errors(call):

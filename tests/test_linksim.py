@@ -249,10 +249,17 @@ class TestRateCurve:
         with pytest.raises(InvalidArgument):
             rate_curve([proposed_codebook_4_2()], n, [0.0], trials=10)
 
-    @pytest.mark.parametrize("snr_db", [[np.nan], [np.inf], [0.0, -np.inf]])
+    # 10 ** (snr / 10) overflows above about 3083 dB, and rho * lambda at 3080 dB
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("snr_db", [[np.nan], [np.inf], [0.0, -np.inf], [4000.0], [0.0, 3080.0], [3000.1]])
     def test_non_finite_snr_rejected(self, snr_db):
         with pytest.raises(InvalidArgument):
             rate_curve([proposed_codebook_4_2()], 4, snr_db, trials=5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_highest_snr_point_gives_finite_rates(self):
+        sweep = rate_curve([nr_codebook_4_2(), proposed_codebook_4_2()], 4, [3000.0], trials=50)
+        assert np.all(np.isfinite(sweep.mean_rates))
 
     def test_rates_nondecreasing_in_snr(self):
         sweep = rate_curve([proposed_codebook_4_2()], 8, [0, 5, 10, 15], trials=100, seed=4)

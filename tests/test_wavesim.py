@@ -319,6 +319,12 @@ class TestCcdf:
         assert ccdf(samples, [-1.0, 1.0]).tolist() == [1.0, 0.0]
         assert ccdf_threshold_db(samples, 0.5) == pytest.approx(0.0, abs=1e-11)
 
+    @pytest.mark.parametrize("prob", [None, "0.5", 0.0, 1.0])
+    def test_prob_outside_the_open_unit_interval_rejected(self, prob):
+        # a non-number once raised Python's TypeError
+        with pytest.raises(InvalidArgument):
+            ccdf_threshold_db([2.0, 3.0], prob)
+
     def test_empty_samples_rejected(self):
         with pytest.raises(InvalidArgument):
             ccdf([], [3.0])
