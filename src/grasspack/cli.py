@@ -57,12 +57,41 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _row_format(kinds):
+    """The ``%`` format of a row whose cells have these types: ``%.17g`` per
+    float and ``%d`` per integer, or None if some cell is neither."""
+    cells = []
+    for kind in kinds:
+        if issubclass(kind, float):
+            cells.append("%.17g")
+        elif issubclass(kind, (int, np.integer)) and not issubclass(kind, bool):
+            cells.append("%d")
+        else:
+            return None
+    return ",".join(cells) + "\n"
+
+
 def _write_csv(path, header, rows):
+    """Write ``header`` and ``rows`` as CSV, each cell as ``_fmt`` gives it.
+
+    A row of only float and integer cells takes one ``%`` operation: for
+    every float, ``"%.17g" % x`` is ``format(x, ".17g")``, and number text
+    never needs quoting. Other rows go through ``csv.writer``, which quotes
+    text cells as needed.
+    """
+    formats = {}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            kinds = tuple(map(type, row))
+            if kinds not in formats:
+                formats[kinds] = _row_format(kinds)
+            fmt = formats[kinds]
+            if fmt is None:
+                writer.writerow([_fmt(v) for v in row])
+            else:
+                fh.write(fmt % tuple(row))
 
 
 def _write_manifest(args, outputs, t0):
@@ -227,11 +256,11 @@ def cmd_gain_cdf(args):
     gains = gain_cdf(books, args.N, kfactors, args.trials, args.seed)
     header = ["rank"]
     for k in kfactors:
-        ktag = "inf" if np.isinf(k) else _fmt(k).replace(".", "p")
+        # shortest round-trip text, integral values without ".0": 0.1 -> 0p1, 1 -> 1, inf -> inf
+        ktag = repr(k).removesuffix(".0").replace(".", "p")
         header += [f"gain_{name}_K{ktag}" for name in names]
-    columns = gains.reshape(-1, args.trials)
-    rows = [[r, *vals] for r, vals in enumerate(zip(*columns.tolist()), 1)]
-    _write_csv(args.out, header, rows)
+    columns = gains.reshape(-1, args.trials).tolist()
+    _write_csv(args.out, header, zip(range(1, args.trials + 1), *columns))
     print(f"wrote {args.out}: {args.trials} sorted gains per column")
     return [args.out]
 

@@ -32,7 +32,7 @@ from .grassmann import (
     pairwise_gram_sq,
     validate_stiefel,
 )
-from .linalg import _qr_positive, is_int, is_real, matexp_skew_hermitian
+from .linalg import _qr_positive, as_real_array, is_int, is_real, matexp_skew_hermitian
 from .rng import substream
 from .schubert import _fill, _layout, enumerate_patterns, matching_patterns, pair_codeword
 
@@ -80,7 +80,7 @@ class OptimizerConfig:
             raise InvalidArgument("max_iters and restarts must be integers >= 1, expmap_scale positive and finite")
         grid = self.phase_grid
         if grid is not None:
-            if not np.all(np.isfinite(np.asarray(grid, dtype=float))):
+            if not np.all(np.isfinite(as_real_array(grid, "phase_grid"))):
                 raise InvalidArgument(f"phase_grid entries must be finite, got {grid}")
             grid = tuple(float(g) for g in _wrap_phase(tuple(grid)))
             if len(set(grid)) != len(grid) or not grid:

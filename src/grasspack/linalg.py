@@ -41,6 +41,15 @@ def is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def as_real_array(a, name: str) -> np.ndarray:
+    """``a`` as a float64 array, or ``InvalidArgument`` naming the argument
+    ``name`` when an entry is not a real number (text, complex, ragged)."""
+    try:
+        return np.asarray(a, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidArgument(f"{name} must hold real numbers only") from None
+
+
 def _bounded_empty(shape, dtype=np.float64) -> np.ndarray:
     """``np.empty(shape, dtype)``, or ``SizeLimit`` naming the shape when it
     would exceed ``_RESULT_BYTES``; checked before anything is allocated."""

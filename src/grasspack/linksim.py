@@ -14,8 +14,10 @@ chunk (see ``_gram_dot``). Trial i draws its channel from substream
 chunking or thread count, and all codebooks in one sweep see the same
 channel sequence (common random numbers).
 A gain sweep over several Rician factors draws each trial's angles and
-scattering block once and mixes them for every K, so every codebook and
-every K see the same per-trial draw. ``effective_gram`` is the instrumented
+scattering block once, so every codebook and every K see the same per-trial
+draw. It forms no Rician channel stack: each K's Grams are assembled from
+the line-of-sight and scattering parts that every K shares (see
+``_rician_grams``). ``effective_gram`` is the instrumented
 single-channel Gram product that the complexity audit counts.
 """
 
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument
 from .grassmann import Codebook
-from .linalg import _bounded_empty, as_cmatrix, is_int, is_real
+from .linalg import _bounded_empty, as_cmatrix, as_real_array, is_int, is_real
 # substream is not called here but stays bound: perfbench's tracer rebinds it by name
 from .rng import substream, substreams
 
@@ -79,18 +81,24 @@ def _check_k(k: float) -> float:
     return k
 
 
-def _rician_chunk(rngs, b, n, t, ks):
-    """One (b, N, T) normalized Rician channel stack per K factor in ``ks``,
-    from b per-trial generators consumed in trial order.
+def _rician_grams(rngs, b, n, t, ks):
+    """One (b, T, T) stack of channel Grams H^H H per K factor in ``ks``, for
+    normalized Rician channels drawn from b per-trial generators consumed in
+    trial order.
 
-    A channel is a rank-one line-of-sight part plus Rayleigh scattering. The
-    LoS part is an outer product of half-wavelength ULA steering vectors with
-    departure and arrival angles drawn uniformly on (-pi/2, pi/2), so
-    ||H_LoS||_F^2 = N*T matches the expected scattered power; the sum is
-    rescaled to E||H||_F^2 = 1, and K = +inf gives a pure LoS channel. Each
-    generator yields its trial's arrival and departure angles and then, if
-    some K is finite, the real and imaginary scattering blocks; every K mixes
-    the same draws.
+    A channel H = (a L + c R) / sqrt(N T), with a = sqrt(K / (K + 1)) and
+    c = sqrt(1 / (K + 1)), is a rank-one line-of-sight part L = a_r a_t^H plus
+    Rayleigh scattering R. The steering vectors a_r, a_t are half-wavelength
+    ULA responses to arrival and departure angles drawn uniformly on
+    (-pi/2, pi/2); their entries have unit modulus, so ||L||_F^2 = N T matches
+    the expected scattered power and E||H||_F^2 = 1. Each generator yields its
+    trial's arrival and departure angles and then, if some K is finite, the
+    real and imaginary scattering blocks; every K mixes the same draws.
+
+    No channel is formed. With v = a_r^H R, each Gram is assembled from parts
+    shared by every K:
+    H^H H = (a^2 N a_t a_t^H + a c (a_t v + (a_t v)^H) + c^2 R^H R) / (N T),
+    and K = +inf gives a_t a_t^H / T.
     """
     scattered = any(not math.isinf(k) for k in ks)
     angles = np.empty((b, 2))
@@ -99,14 +107,21 @@ def _rician_chunk(rngs, b, n, t, ks):
         angles[i] = rng.uniform(-np.pi / 2, np.pi / 2, 2)
         if scattered:
             rng.standard_normal(out=buf[i])
-    ar = _steering(n, angles[:, 0])
     at = _steering(t, angles[:, 1])
-    los = ar[:, :, None] * at.conj()[:, None, :]  # unit-modulus entries, ||los||_F^2 = N*T
-    ray = (buf[:, 0] + 1j * buf[:, 1]) / math.sqrt(2.0) if scattered else None
+    los = at[:, :, None] * at.conj()[:, None, :]  # a_t a_t^H
+    if scattered:
+        ray = (buf[:, 0] + 1j * buf[:, 1]) / math.sqrt(2.0)
+        scatter = _grams(ray)
+        v = _steering(n, angles[:, 0]).conj()[:, None, :] @ ray  # a_r^H R
+        cross = at[:, :, None] * v
+        cross += cross.conj().mT
     out = []
     for k in ks:
-        h = los if math.isinf(k) else math.sqrt(k / (k + 1)) * los + math.sqrt(1 / (k + 1)) * ray
-        out.append(h / math.sqrt(n * t))
+        if math.isinf(k):
+            out.append(los / t)
+        else:
+            a, c = math.sqrt(k / (k + 1)), math.sqrt(1 / (k + 1))
+            out.append(((a * a * n) * los + (a * c) * cross + (c * c) * scatter) / (n * t))
     return out
 
 
@@ -229,7 +244,7 @@ def rate_curve(codebooks, n: int, snr_db, trials: int, seed: int = 0) -> RateSwe
     """
     books = _check_books(codebooks, n, trials)
     t = books[0].T
-    snr_db = np.atleast_1d(np.asarray(snr_db, dtype=float))
+    snr_db = np.atleast_1d(as_real_array(snr_db, "snr_db"))
     if not (np.all(np.isfinite(snr_db)) and np.all(snr_db <= _MAX_SNR_DB)):
         raise InvalidArgument(f"SNR points must be finite and at most {_MAX_SNR_DB:g} dB, got {snr_db.tolist()}")
     rho = 10.0 ** (snr_db / 10.0)
@@ -276,8 +291,7 @@ def gain_cdf(b, n: int, k, trials: int, seed: int = 0) -> np.ndarray:
     stacks = [book.stack() for book in books]
     out = _bounded_empty((len(ks), len(books), trials))
     for rows, size, rngs in _chunks(trials, seed):
-        for ki, hh in enumerate(_rician_chunk(rngs, size, n, t, ks)):
-            g = _grams(hh)
+        for ki, g in enumerate(_rician_grams(rngs, size, n, t, ks)):
             for c, stack in enumerate(stacks):
                 out[ki, c, rows] = _gains(g, stack).max(axis=1)
     out.sort(axis=-1)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument
 from .grassmann import Codebook
-from .linalg import _bounded_empty, as_cmatrix, is_int, is_power_of_two, is_real
+from .linalg import _bounded_empty, as_cmatrix, as_real_array, is_int, is_power_of_two, is_real
 from .rng import substream, substreams
 
 _WAVEFORMS = ("ofdm", "dft-s-ofdm")
@@ -115,7 +115,7 @@ def _synthesize(grid, cfg, twiddle, spec, out) -> np.ndarray:
 
 
 def _papr_values(samples) -> np.ndarray:
-    vals = np.asarray(samples, dtype=float)
+    vals = as_real_array(samples, "samples")
     if vals.size < 1:
         raise InvalidArgument("need at least one PAPR sample")
     # a peak is never below the mean; roundoff leaves constant modulus within ulps of 1
@@ -125,7 +125,7 @@ def _papr_values(samples) -> np.ndarray:
 
 
 def _thresholds(thresholds_db) -> np.ndarray:
-    thr = np.atleast_1d(np.asarray(thresholds_db, dtype=float))
+    thr = np.atleast_1d(as_real_array(thresholds_db, "thresholds_db"))
     if not np.all(np.isfinite(thr)):
         raise InvalidArgument(f"PAPR thresholds must be finite, got {thr.tolist()}")
     return thr
@@ -162,7 +162,7 @@ def row_sparse_precoder(t: int, m: int, ell: int, thetas=None, seed: int = 0) ->
     mag = np.sqrt(m / (ell * t))
     w = np.zeros((t, m), dtype=np.complex128)
     if thetas is not None:
-        th = np.asarray(thetas, dtype=float).reshape(-1)
+        th = as_real_array(thetas, "thetas").reshape(-1)
         if th.size < ell:
             raise DimensionMismatch(f"need at least {ell} phases, got {th.size}")
         if not np.all(np.isfinite(th)):

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -11,13 +12,72 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import grasspack.cli
-from grasspack.cli import main
+from grasspack.cli import _fmt, _write_csv, main
 from grasspack.codebooks import load_codebook, proposed_codebook_4_2, save_codebook
 from grasspack.wavesim import WaveformConfig, constellation_samples
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def reference_csv(path, header, rows):
+    """The CSV of ``header`` and ``rows`` through ``csv.writer``, one ``_fmt`` per cell."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    rows = [
+        [1, np.int64(-7), 2.5, np.float64(0.1), 1.0 / 3.0],
+        [float("inf"), -float("inf"), float("nan"), -0.0, 5e-324, 1.7976931348623157e308],
+        (3, np.float64(-2e-300)),
+        [4, "", 0.5],
+        ['dir/a,b"c.json', 22, 1.0, 1, 2],
+        [""],
+        [True, np.float32(0.1)],
+        [],
+    ]
+    header = ["rank", "x,y", 'say "z"']
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    _write_csv(got, header, iter(rows))
+    reference_csv(want, header, rows)
+    assert got.read_bytes() == want.read_bytes()
+
+
+# SHA-256 of the CSVs the commands below write, as csv.writer wrote them with
+# one _fmt per cell
+CSV_SHA256 = {
+    "rate.csv": "e3b20e989b0a809e3a3cc051689dcc03645a2e11addeb2c237c586c45542d869",
+    "papr.csv": "2f7ffecb3b6d7ae4bff5ded78a0ec3881fcecbe3d77ab338471553b14687df12",
+    "scatter.csv": "f25b5a53ce9a8c65461bdbd48de3cd3f9069313869af2a0d5c92b39d35535d6f",
+    "mcd.csv": "2a90478b21ec6b5b5214262a0a1376da343cd7c5a19b547a36e8947383635099",
+    "audit.csv": "a7afbf0a23309f744740b0854449f31f87cde7fb65c5b76502897933afc42ce1",
+}
+
+
+def test_csv_outputs_keep_their_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["design", "--method", "prop42", "--out", "p.json"]) == 0
+    assert run(["design", "--method", "nr42", "--out", "n.json"]) == 0
+    (tmp_path / 'a,b"c.json').write_bytes((tmp_path / "p.json").read_bytes())
+    commands = [
+        ["rate", "--codebooks", "n.json", "p.json", "-N", 8, "--snr-db", "0:10:5", "--trials", 60, "--seed", 3,
+         "--out", "rate.csv"],
+        ["papr", "--codebooks", "p.json", "--row-sparse", "4,2,1", "--subcarriers", 16, "--fft", 32,
+         "--oversample", 2, "--trials", 20, "--seed", 4, "--thresholds", "3:9:1", "--scatter", "scatter.csv",
+         "--scatter-frames", 2, "--out", "papr.csv"],
+        # a path that csv quoting must escape, and blank cells where T != 2M
+        ["mcd", 'a,b"c.json', "n.json", "--out", "mcd.csv"],
+        ["audit", "-T", 6, "-M", 2, "--sweep", "4,8", "--out", "audit.csv"],
+    ]
+    for argv in commands:
+        assert run(argv) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in CSV_SHA256}
+    assert got == CSV_SHA256
 
 
 class TestDesign:
@@ -155,6 +215,17 @@ class TestGainCdf:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         for row in rows:
             assert row[1] == row[2] and row[3] == row[4]
+
+    def test_k_tags_are_shortest_round_trip_text(self, tmp_path):
+        prop = tmp_path / "p.json"
+        run(["design", "--method", "prop42", "--out", prop])
+        out = tmp_path / "gain.csv"
+        assert run(
+            ["gain-cdf", "--codebooks", prop, "-N", 2, "--k-factors", "0.1,2.5,1,inf",
+             "--trials", 5, "--out", out]
+        ) == 0
+        header = out.read_text().splitlines()[0]
+        assert header == "rank,gain_p_K0p1,gain_p_K2p5,gain_p_K1,gain_p_Kinf"
 
     def test_zero_trials_usage_error(self, tmp_path, capsys):
         prop = tmp_path / "p.json"

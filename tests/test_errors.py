@@ -20,7 +20,7 @@ from grasspack.errors import DimensionMismatch, GrasspackError, InvalidArgument,
 from grasspack.linksim import gain_cdf, rate_curve
 from grasspack.rng import substream
 from grasspack.schubert import enumerate_patterns, matching_patterns
-from grasspack.wavesim import WaveformConfig, constellation_samples, modulate, papr_experiment, row_sparse_precoder
+from grasspack.wavesim import WaveformConfig, ccdf, constellation_samples, modulate, papr_experiment, row_sparse_precoder
 
 SRC = Path(grasspack.__file__).resolve().parent
 ROOT = SRC.parents[1]
@@ -278,6 +278,22 @@ FAST = OptimizerConfig(restarts=1, max_iters=5)
 )
 def test_non_integer_counts_raise_package_errors(call):
     with pytest.raises(InvalidArgument):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: OptimizerConfig(phase_grid=("a",)), "phase_grid"),
+        (lambda: ccdf([1.5, 2.0], ["x"]), "thresholds_db"),
+        (lambda: ccdf(["a"], [1.0]), "samples"),
+        (lambda: row_sparse_precoder(4, 2, 1, thetas=["a"]), "thetas"),
+        (lambda: rate_curve([NR], 2, ["a"], 3), "snr_db"),
+    ],
+    ids=["OptimizerConfig-phase_grid", "ccdf-thresholds", "ccdf-samples", "row_sparse_precoder-thetas", "rate_curve-snr"],
+)
+def test_non_numeric_arrays_raise_package_errors(call, name):
+    with pytest.raises(InvalidArgument, match=name):
         call()
 
 

@@ -8,7 +8,7 @@ from grasspack.errors import DimensionMismatch, InvalidArgument
 from grasspack.grassmann import Codebook
 from grasspack.linalg import random_stiefel
 from grasspack.rng import substream
-from grasspack.linksim import _gains, _grams, _rates, _rayleigh_chunk, _rician_chunk, effective_gram, gain_cdf, rate_curve
+from grasspack.linksim import _gains, _grams, _rates, _rayleigh_chunk, _rician_grams, effective_gram, gain_cdf, rate_curve
 
 
 def e_cols(t, cols):
@@ -50,10 +50,29 @@ def rayleigh(n, t, seed, trial=0):
     return _rayleigh_chunk([substream(seed, trial)], 1, n, t)[0]
 
 
+def reference_rician(n, t, ks, seed, trial=0):
+    """The normalized Rician channels H = (a L + c R) / sqrt(N T) of one trial,
+    one per K in ``ks``, built from substream (seed, trial) in the documented
+    draw order: the arrival and departure angles, then, if some K is finite,
+    the real and imaginary scattering blocks."""
+    rng = substream(seed, trial)
+    arrival, departure = rng.uniform(-np.pi / 2, np.pi / 2, 2)
+    a_r = np.exp(1j * np.pi * np.sin(arrival) * np.arange(n))
+    a_t = np.exp(1j * np.pi * np.sin(departure) * np.arange(t))
+    los = np.outer(a_r, a_t.conj())
+    if any(not np.isinf(k) for k in ks):
+        ray = (rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t))) / np.sqrt(2.0)
+    out = []
+    for k in ks:
+        h = los if np.isinf(k) else np.sqrt(k / (k + 1)) * los + np.sqrt(1 / (k + 1)) * ray
+        out.append(h / np.sqrt(n * t))
+    return out
+
+
 def rician(n, t, k, seed):
-    """The channel of trial 0 under run seed ``seed``, as a sweep draws it,
-    rescaled by sqrt(N T) to the unnormalized power ||H_LoS||_F^2 = N T."""
-    return _rician_chunk([substream(seed, 0)], 1, n, t, [k])[0][0] * np.sqrt(n * t)
+    """The oracle channel of trial 0 under run seed ``seed``, rescaled by
+    sqrt(N T) to the unnormalized power ||H_LoS||_F^2 = N T."""
+    return reference_rician(n, t, [k], seed)[0] * np.sqrt(n * t)
 
 
 class TestSampleRayleigh:
@@ -97,13 +116,30 @@ class TestSampleRician:
     def test_k_one_power_bookkeeping(self):
         trials = 20000
         # the sweep's channels are normalized to E||H||_F^2 = 1
-        (h,) = _rician_chunk([substream(seed, 0) for seed in range(trials)], trials, 4, 4, [1.0])
-        total = np.sum(np.linalg.norm(h, axis=(1, 2)) ** 2)
+        total = sum(np.linalg.norm(reference_rician(4, 4, [1.0], seed)[0]) ** 2 for seed in range(trials))
         assert total / trials == pytest.approx(1.0, rel=0.02)
 
     def test_normalized_power(self):
-        h = _rician_chunk([substream(0, 0)], 1, 4, 4, [float("inf")])[0][0]
+        h = reference_rician(4, 4, [float("inf")], 0)[0]
         assert np.linalg.norm(h) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+class TestRicianGrams:
+    KS = (0.0, 0.5, 1.0, 10.0, float("inf"))
+
+    @pytest.mark.parametrize("t", [2, 4, 8])
+    @pytest.mark.parametrize("n", [1, 5, 32])
+    def test_grams_match_oracle_channels(self, n, t):
+        trials, seed = 40, 14
+        grams = _rician_grams([substream(seed, i) for i in range(trials)], trials, n, t, self.KS)
+        assert len(grams) == len(self.KS)
+        for i in range(trials):
+            for k, g, h in zip(self.KS, grams, reference_rician(n, t, self.KS, seed, trial=i)):
+                want = h.conj().T @ h
+                scale = np.linalg.norm(want)
+                assert np.linalg.norm(g[i] - want) <= 1e-13 * scale, (k, i)
+                assert np.linalg.norm(g[i] - g[i].conj().T) <= 1e-13 * scale, (k, i)
+                assert np.trace(g[i]).real == pytest.approx(np.linalg.norm(h) ** 2, rel=1e-13), (k, i)
 
 
 class TestAchievableRate:
@@ -341,9 +377,9 @@ class TestSweepsMatchSingleTrials:
     def test_gain_cdf(self):
         n, ks, trials, seed = 5, [0.0, 1.0, float("inf")], 30, 13
         got = gain_cdf(list(self.BOOKS), n, ks, trials, seed)
-        # trial i draws from substream (seed, i), as one chunk of the sweep does
-        stacks = _rician_chunk([substream(seed, i) for i in range(trials)], trials, n, 4, ks)
-        for ki, channels in enumerate(stacks):
+        # trial i draws from substream (seed, i) in the documented order
+        per_trial = [reference_rician(n, 4, ks, seed, trial=i) for i in range(trials)]
+        for ki, channels in enumerate(zip(*per_trial)):
             for c, book in enumerate(self.BOOKS):
                 best = []
                 for h in channels:
