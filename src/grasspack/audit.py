@@ -1,8 +1,8 @@
 """Analytic complexity accounting for dense versus row-sparse precoding.
 
 Counts are in complex multiplications (one complex multiply = one unit) and
-stored scalars/records; the instrumented counter in ``linksim.effective_gram``
-validates the Gram-path formulas against actually executed multiplies.
+stored scalars/records. ``effective_gram`` returns the multiplies it actually
+executed next to the Gram matrix, which validates the Gram-path formulas.
 ``complexity_report`` gathers every count of one scenario in a plain dict,
 which ``grasspack audit`` writes as JSON.
 """
@@ -10,20 +10,11 @@ which ``grasspack audit`` writes as JSON.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import InvalidArgument
-from .linalg import is_int
+import numpy as np
 
-
-@dataclass
-class MultCounter:
-    """Per-invocation accumulator of executed complex multiplications."""
-
-    count: int = 0
-
-    def add(self, n: int):
-        self.count += int(n)
+from .errors import DimensionMismatch, InvalidArgument
+from .linalg import as_cmatrix, is_int
 
 
 def _check_dims(t, m, *counts):
@@ -40,6 +31,33 @@ def gram_mult_count(t: int, m: int, n: int, sparse: bool) -> int:
     _check_dims(t, m, n)
     hw = n * t if sparse else n * t * m
     return hw + n * m * m
+
+
+def effective_gram(h, w):
+    """Gram matrix (HW)^H (HW) and the complex multiplies executed for it.
+
+    Codewords whose rows each carry at most one nonzero entry are multiplied
+    along the sparse path (a scaled column gather), the others densely. The
+    path follows from ``w`` alone, and the count is the work actually done:
+    N per nonzero row of ``w`` on the sparse path, N*T*M densely, plus N*M^2
+    for the Gram product.
+    """
+    hm, wm = as_cmatrix(h), as_cmatrix(w)
+    if hm.shape[1] != wm.shape[0]:
+        raise DimensionMismatch(f"channel {hm.shape} incompatible with codeword {wm.shape}")
+    n, t = hm.shape
+    m = wm.shape[1]
+    nz_rows = np.count_nonzero(wm, axis=1)
+    if np.all(nz_rows <= 1):
+        y = np.zeros((n, m), dtype=np.complex128)
+        for ti in np.nonzero(nz_rows)[0]:
+            mi = int(np.nonzero(wm[ti])[0][0])
+            y[:, mi] += hm[:, ti] * wm[ti, mi]
+        mults = n * int(np.count_nonzero(nz_rows))
+    else:
+        y = hm @ wm
+        mults = n * t * m
+    return y.conj().T @ y, mults + n * m * m
 
 
 def precode_mult_count(t: int, m: int, sparse: bool) -> int:
@@ -70,13 +88,6 @@ def real_variable_count(method: str, t: int, m: int, size: int) -> int:
             raise InvalidArgument(f"proposed2m requires T = 2M, got T={t}, M={m}")
         return math.ceil(size / (2 * m - 1)) * m
     raise InvalidArgument(f"unknown method {method!r}")
-
-
-def measured_mult_count(counter) -> int:
-    """Multiplies recorded by an instrumented run; see ``MultCounter``."""
-    if counter is None:
-        raise InvalidArgument("no counter was attached to the Gram path")
-    return int(counter.count)
 
 
 def complexity_report(t: int, m: int, n: int, size: int) -> dict:

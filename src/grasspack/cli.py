@@ -71,8 +71,9 @@ def _row_format(kinds):
     return ",".join(cells) + "\n"
 
 
-def _write_csv(path, header, rows):
-    """Write ``header`` and ``rows`` as CSV, each cell as ``_fmt`` gives it.
+def _write_rows(fh, header, rows):
+    """Write ``header`` and ``rows`` to the text stream ``fh`` as CSV, each
+    cell as ``_fmt`` gives it.
 
     A row of only float and integer cells takes one ``%`` operation: for
     every float, ``"%.17g" % x`` is ``format(x, ".17g")``, and number text
@@ -80,18 +81,23 @@ def _write_csv(path, header, rows):
     text cells as needed.
     """
     formats = {}
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        kinds = tuple(map(type, row))
+        if kinds not in formats:
+            formats[kinds] = _row_format(kinds)
+        fmt = formats[kinds]
+        if fmt is None:
+            writer.writerow([_fmt(v) for v in row])
+        else:
+            fh.write(fmt % tuple(row))
+
+
+def _write_csv(path, header, rows):
+    """Write ``header`` and ``rows`` as a UTF-8 CSV file (see ``_write_rows``)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            kinds = tuple(map(type, row))
-            if kinds not in formats:
-                formats[kinds] = _row_format(kinds)
-            fmt = formats[kinds]
-            if fmt is None:
-                writer.writerow([_fmt(v) for v in row])
-            else:
-                fh.write(fmt % tuple(row))
+        _write_rows(fh, header, rows)
 
 
 def _write_manifest(args, outputs, t0):
@@ -224,9 +230,7 @@ def cmd_mcd(args):
     if args.out:
         _write_csv(args.out, header, rows)
         return [args.out]
-    print(",".join(header))
-    for row in rows:
-        print(",".join(_fmt(v) for v in row))
+    _write_rows(sys.stdout, header, rows)
     return []
 
 

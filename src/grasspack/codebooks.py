@@ -25,6 +25,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidArgument, NotStiefel, ParseError, SizeLimit
 from .grassmann import (
     Codebook,
+    _check_pairwise,
     _chordal_from_gram_sq,
     _closest_pair,
     _triu,
@@ -32,7 +33,7 @@ from .grassmann import (
     pairwise_gram_sq,
     validate_stiefel,
 )
-from .linalg import _qr_positive, as_real_array, is_int, is_real, matexp_skew_hermitian
+from .linalg import _check_bytes, _qr_positive, as_real_array, is_int, is_real, matexp_skew_hermitian
 from .rng import substream
 from .schubert import _fill, _layout, enumerate_patterns, matching_patterns, pair_codeword
 
@@ -86,9 +87,6 @@ class OptimizerConfig:
             if len(set(grid)) != len(grid) or not grid:
                 raise InvalidArgument("phase_grid must be nonempty without repeats")
         object.__setattr__(self, "phase_grid", grid)
-
-
-DEFAULT_CONFIG = OptimizerConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +204,7 @@ def _manopt_grad(stack, eps):
     return value, finish
 
 
-def optimize_manopt(t: int, m: int, size: int, cfg: OptimizerConfig = None) -> Codebook:
+def optimize_manopt(t: int, m: int, size: int, cfg: OptimizerConfig) -> Codebook:
     """Riemannian descent of the smooth MCD surrogate on G(T, M)^size.
 
     Projected gradient with QR retraction and the epsilon continuation
@@ -214,9 +212,9 @@ def optimize_manopt(t: int, m: int, size: int, cfg: OptimizerConfig = None) -> C
     The returned codebook is the best-MCD iterate seen, so its MCD never
     falls below that of its own initialization.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not all(is_int(v) for v in (t, m, size)) or size < 2 or not 1 <= m < t:
         raise InvalidArgument(f"need integers size >= 2 and 1 <= M < T, got {(t, m, size)}")
+    _check_pairwise(size, m)
     best_mcd, best_stack = -1.0, None  # best iterate over all restarts
 
     def keep_best(stack, s):
@@ -351,7 +349,7 @@ def _optimize_phases_discrete(m, ell, cfg):
     return pts[list(best)]
 
 
-def optimize_phases_2M(m: int, ell: int, cfg: OptimizerConfig = None) -> np.ndarray:
+def optimize_phases_2M(m: int, ell: int, cfg: OptimizerConfig) -> np.ndarray:
     """Phase instances maximizing the minimum intra-pattern separation.
 
     Returns an (ell, M) array of phases wrapped into (-pi, pi]. A single
@@ -363,27 +361,28 @@ def optimize_phases_2M(m: int, ell: int, cfg: OptimizerConfig = None) -> np.ndar
     Cross-pattern distances are phase-independent, so one optimized set
     serves every pattern.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not (is_int(m) and is_int(ell)) or m < 2 or ell < 1:
         raise InvalidArgument(f"need integers M >= 2 and L >= 1, got M={m!r}, L={ell!r}")
     if ell == 1:
         grid = np.asarray(cfg.phase_grid or (0.0,))
         th = np.full((1, m), grid[np.argmin(np.abs(grid))])
     elif cfg.phase_grid is not None:
+        n = len(cfg.phase_grid) ** m
+        _check_bytes((n, n, m))  # the pairwise phase differences of every grid point
         th = _optimize_phases_discrete(m, ell, cfg)
     else:
+        _check_bytes((ell, ell, m))  # the pairwise phase differences of the instances
         th = _optimize_phases_continuous(m, ell, cfg)
     return _wrap_phase(th)
 
 
-def build_sparse_2M(m: int, size: int, cfg: OptimizerConfig = None) -> Codebook:
+def build_sparse_2M(m: int, size: int, cfg: OptimizerConfig) -> Codebook:
     """Sparse codebook on G(2M, M) from the 1-factorization patterns.
 
     Each of the 2M - 1 patterns receives L = ceil(size / (2M - 1)) optimized
     phase instances (trailing patterns one fewer when size is not a
     multiple). Cross-pattern chordal distances are sqrt(M/2) by construction.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not (is_int(m) and is_int(size)) or m < 2 or size < 1:
         raise InvalidArgument(f"need integers M >= 2 and size >= 1, got M={m!r}, size={size!r}")
     patterns = matching_patterns(m)
@@ -422,7 +421,7 @@ def _general_layout(size, patterns):
     return [order[c % len(order)] for c in range(size)]
 
 
-def build_general_sparse(t: int, m: int, s: int, size: int, cfg: OptimizerConfig = None) -> Codebook:
+def build_general_sparse(t: int, m: int, s: int, size: int, cfg: OptimizerConfig) -> Codebook:
     """Sparse codebook for arbitrary T > M > 1 and sparsity level s.
 
     Patterns are taken round-robin, most balanced column supports first (so
@@ -431,9 +430,9 @@ def build_general_sparse(t: int, m: int, s: int, size: int, cfg: OptimizerConfig
     the same smoothed min-distance surrogate used by the dense optimizer.
     Amplitudes stay equal within each column.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not all(is_int(v) for v in (t, m, s, size)) or not (t > m > 1) or not m <= s <= t or size < 2:
         raise InvalidArgument(f"need integers T > M > 1, M <= s <= T, size >= 2, got {(t, m, s, size)}")
+    _check_pairwise(size, m)
     layout = _layout(_general_layout(size, enumerate_patterns(t, m, s)))
     free = layout[4] != np.arange(s)  # pivot phases stay at the zero gauge
 
@@ -518,14 +517,14 @@ def expmap_codeword(theta: np.ndarray) -> np.ndarray:
     return matexp_skew_hermitian(a)[:, :m]
 
 
-def build_expmap(t: int, m: int, size: int, cfg: OptimizerConfig = None) -> Codebook:
+def build_expmap(t: int, m: int, size: int, cfg: OptimizerConfig) -> Codebook:
     """Exponential-map codebook with 4-QAM blocks, duplicate draws rejected."""
-    cfg = cfg or DEFAULT_CONFIG
     if not all(is_int(v) for v in (t, m, size)) or size < 2 or not 1 <= m < t:
         raise InvalidArgument(f"need integers size >= 2 and 1 <= M < T, got {(t, m, size)}")
     capacity = 4 ** (m * (t - m))
     if size > capacity:
         raise SizeLimit(f"size {size} exceeds the {capacity} distinct QAM blocks")
+    _check_pairwise(size, m)
     rng = substream(cfg.seed, 0xE1)
     words = np.empty((size, t, m), dtype=np.complex128)  # the accepted words, then the candidate
     count = 0

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument, NotStiefel
-from .linalg import as_cmatrix, fro_norm, is_int
+from .linalg import _check_bytes, as_cmatrix, fro_norm, is_int
 
 STIEFEL_TOL = 1e-8
 
@@ -170,6 +170,12 @@ def pairwise_gram_sq(stack: np.ndarray) -> np.ndarray:
     return s
 
 
+def _check_pairwise(size, m):
+    """``SizeLimit`` unless the (size M x size M) complex Gram product that
+    :func:`pairwise_gram_sq` forms for ``size`` codewords fits the byte budget."""
+    _check_bytes((size * m, size * m), np.complex128)
+
+
 def _chordal_from_gram_sq(stack, s):
     """Chordal distances of a stack from its Gram norms ``s``, guarded near coincidence."""
     r = stack.shape[2] - s
@@ -221,5 +227,6 @@ def min_chordal_distance(b: Codebook):
     """
     if len(b) < 2:
         raise InvalidArgument("need at least two codewords for a distance")
+    _check_pairwise(len(b), b.M)
     _check_stiefel(*b.codewords)
     return _closest_pair(pairwise_chordal(b.stack()))

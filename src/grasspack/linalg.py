@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import InvalidArgument, SizeLimit
 
-#: bytes a sweep may allocate up front for its result array
+#: bytes one array sized by a request may take: a sweep's result array, or
+#: the pairwise products of a design or a distance check
 _RESULT_BYTES = 2**31
 
 
@@ -50,12 +51,17 @@ def as_real_array(a, name: str) -> np.ndarray:
         raise InvalidArgument(f"{name} must hold real numbers only") from None
 
 
-def _bounded_empty(shape, dtype=np.float64) -> np.ndarray:
-    """``np.empty(shape, dtype)``, or ``SizeLimit`` naming the shape when it
-    would exceed ``_RESULT_BYTES``; checked before anything is allocated."""
+def _check_bytes(shape, dtype=np.float64) -> None:
+    """``SizeLimit`` naming the shape when an array of it would exceed
+    ``_RESULT_BYTES``; nothing is allocated."""
     nbytes = np.dtype(dtype).itemsize * math.prod(int(d) for d in shape)
     if nbytes > _RESULT_BYTES:
-        raise SizeLimit(f"a result of shape {shape} needs {nbytes} bytes, over the budget of {_RESULT_BYTES}")
+        raise SizeLimit(f"an array of shape {shape} needs {nbytes} bytes, over the budget of {_RESULT_BYTES}")
+
+
+def _bounded_empty(shape, dtype=np.float64) -> np.ndarray:
+    """``np.empty(shape, dtype)``, checked by ``_check_bytes`` before anything is allocated."""
+    _check_bytes(shape, dtype)
     return np.empty(shape, dtype)
 
 

@@ -17,8 +17,7 @@ A gain sweep over several Rician factors draws each trial's angles and
 scattering block once, so every codebook and every K see the same per-trial
 draw. It forms no Rician channel stack: each K's Grams are assembled from
 the line-of-sight and scattering parts that every K shares (see
-``_rician_grams``). ``effective_gram`` is the instrumented
-single-channel Gram product that the complexity audit counts.
+``_rician_grams``).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument
 from .grassmann import Codebook
-from .linalg import _bounded_empty, as_cmatrix, as_real_array, is_int, is_real
+from .linalg import _bounded_empty, as_real_array, is_int, is_real
 # substream is not called here but stays bound: perfbench's tracer rebinds it by name
 from .rng import substream, substreams
 
@@ -125,34 +124,6 @@ def _rician_grams(rngs, b, n, t, ks):
     return out
 
 
-def effective_gram(h, w, counter=None):
-    """Gram matrix (HW)^H (HW), optionally counting complex multiplies.
-
-    Codewords whose rows each carry at most one nonzero entry are multiplied
-    along the sparse path (a scaled column gather), the others densely. The
-    path follows from ``w`` alone, so attaching a counter never changes the
-    result, and the recorded count reflects the work actually done.
-    """
-    hm, wm = as_cmatrix(h), as_cmatrix(w)
-    if hm.shape[1] != wm.shape[0]:
-        raise DimensionMismatch(f"channel {hm.shape} incompatible with codeword {wm.shape}")
-    n, t = hm.shape
-    m = wm.shape[1]
-    nz_rows = np.count_nonzero(wm, axis=1)
-    if np.all(nz_rows <= 1):
-        y = np.zeros((n, m), dtype=np.complex128)
-        for ti in np.nonzero(nz_rows)[0]:
-            mi = int(np.nonzero(wm[ti])[0][0])
-            y[:, mi] += hm[:, ti] * wm[ti, mi]
-        mults = n * int(np.count_nonzero(nz_rows))
-    else:
-        y = hm @ wm
-        mults = n * t * m
-    if counter is not None:
-        counter.add(mults + n * m * m)
-    return y.conj().T @ y
-
-
 def _grams(hh):
     # channel Grams H^H H of a (batch, N, T) stack
     return hh.conj().mT @ hh
@@ -233,7 +204,7 @@ def _check_books(codebooks, n, trials):
     return books
 
 
-def rate_curve(codebooks, n: int, snr_db, trials: int, seed: int = 0) -> RateSweep:
+def rate_curve(codebooks, n: int, snr_db, trials: int, seed: int) -> RateSweep:
     """Paired mean achievable rate over an SNR grid for several codebooks.
 
     Every codebook is evaluated on the same per-trial Rayleigh channels; the
@@ -270,7 +241,7 @@ def rate_curve(codebooks, n: int, snr_db, trials: int, seed: int = 0) -> RateSwe
     return RateSweep(best.sum(axis=0) / trials, diff_mean, diff_se)
 
 
-def gain_cdf(b, n: int, k, trials: int, seed: int = 0) -> np.ndarray:
+def gain_cdf(b, n: int, k, trials: int, seed: int) -> np.ndarray:
     """Sorted per-trial best effective gains under normalized Rician fading.
 
     ``b`` is a codebook or a sequence of codebooks sharing T, and ``k`` a

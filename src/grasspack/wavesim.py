@@ -219,7 +219,7 @@ def _scale_classes(w):
     return live[first], inverse.reshape(-1)
 
 
-def papr_experiment(source, cfg: WaveformConfig, trials: int, seed: int = 0, antenna_mean: bool = False) -> np.ndarray:
+def papr_experiment(source, cfg: WaveformConfig, trials: int, seed: int, antenna_mean: bool = False) -> np.ndarray:
     """Pooled per-antenna PAPR samples over random frames, as a sorted 1-D array of linear ratios.
 
     ``source`` is either a codebook (one codeword drawn uniformly per frame,
@@ -258,7 +258,7 @@ def papr_experiment(source, cfg: WaveformConfig, trials: int, seed: int = 0, ant
     return np.sort(samples[:count])
 
 
-def constellation_samples(source, cfg: WaveformConfig, frames: int, seed: int = 0) -> np.ndarray:
+def constellation_samples(source, cfg: WaveformConfig, frames: int, seed: int) -> np.ndarray:
     """Nyquist-rate time samples of antenna 1, for constellation scatter plots.
 
     ``source`` is a codebook or a matrix, and each frame draws its codeword

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from grasspack.audit import (
-    MultCounter,
     complexity_report,
+    effective_gram,
     gram_mult_count,
-    measured_mult_count,
     precode_mult_count,
     real_variable_count,
     storage_count,
 )
-from grasspack.errors import InvalidArgument
-from grasspack.linksim import effective_gram
+from grasspack.codebooks import proposed_codebook_4_2
+from grasspack.errors import DimensionMismatch, InvalidArgument
 from grasspack.wavesim import row_sparse_precoder
 
 
@@ -82,18 +81,35 @@ class TestMeasuredCounts:
             n = int(rng.integers(1, 48))
             h = rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t))
             dense_w = rng.standard_normal((t, m)) + 1j * rng.standard_normal((t, m))
-            c = MultCounter()
-            effective_gram(h, dense_w, counter=c)
-            assert measured_mult_count(c) == gram_mult_count(t, m, n, sparse=False)
+            assert effective_gram(h, dense_w)[1] == gram_mult_count(t, m, n, sparse=False)
             sparse_w = row_sparse_precoder(t, m, 1, seed=int(rng.integers(1 << 30)))
-            c = MultCounter()
-            effective_gram(h, sparse_w, counter=c)
-            assert measured_mult_count(c) == gram_mult_count(t, m, n, sparse=True)
+            assert effective_gram(h, sparse_w)[1] == gram_mult_count(t, m, n, sparse=True)
+
+    @pytest.mark.parametrize("n", [1, 7, 32])
+    def test_zero_rows_cost_nothing(self, n):
+        # the six 2-sparse selections of the (4, 2) table leave two rows zero:
+        # N per live row plus the N * M^2 Gram product, below the formula's N * T + N * M^2
+        rng = np.random.default_rng(n)
+        h = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+        for w in proposed_codebook_4_2()[:6]:
+            gram, mults = effective_gram(h, w)
+            assert mults == 2 * n + 4 * n < gram_mult_count(4, 2, n, sparse=True)
+            hw = h @ w
+            np.testing.assert_allclose(gram, hw.conj().T @ hw, rtol=0, atol=1e-12)
+
+    def test_zero_rows_of_a_row_sparse_precoder(self):
+        # one nonzero per row on the rows kept, zero elsewhere: N per kept row,
+        # which differs from N * M when the kept rows are not M
+        rng = np.random.default_rng(3)
+        h = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
+        w = row_sparse_precoder(8, 4, 1, seed=0)
+        for kept in ([1, 6], [0, 2, 4, 6], [1, 3, 5, 6, 7]):
+            live = np.zeros_like(w)
+            live[kept] = w[kept]
+            assert effective_gram(h, live)[1] == 5 * len(kept) + 5 * 16
 
     def test_instrumented_paths_agree_numerically(self):
-        # the multiply path follows from the codeword alone, so a counter
-        # never changes the returned bytes, dense or row-sparse; both paths
-        # give the Gram of H @ W
+        # both paths give the Gram of H @ W, dense or row-sparse
         rng = np.random.default_rng(2)
         for case in range(40):
             m = 1 + case % 3
@@ -101,17 +117,12 @@ class TestMeasuredCounts:
             h = rng.standard_normal((16, t)) + 1j * rng.standard_normal((16, t))
             dense = rng.standard_normal((t, m)) + 1j * rng.standard_normal((t, m))
             for w in (dense, row_sparse_precoder(t, m, 1, seed=case)):
-                plain = effective_gram(h, w)
-                assert effective_gram(h, w, counter=MultCounter()).tobytes() == plain.tobytes()
                 hw = h @ w
-                np.testing.assert_allclose(plain, hw.conj().T @ hw, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(effective_gram(h, w)[0], hw.conj().T @ hw, rtol=0, atol=1e-12)
 
-    def test_empty_counter_reads_zero(self):
-        assert measured_mult_count(MultCounter()) == 0
-
-    def test_disabled_instrumentation(self):
-        with pytest.raises(InvalidArgument):
-            measured_mult_count(None)
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            effective_gram(np.ones((3, 5)), proposed_codebook_4_2()[0])
 
 
 class TestReport:

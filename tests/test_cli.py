@@ -5,6 +5,7 @@ import io
 import json
 import re
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -162,6 +163,18 @@ class TestMcd:
         assert lines[0] == "file,size,mcd,argmin_i,argmin_j"
         assert lines[1].endswith(",22,1,1,2")
         assert lines[2].endswith(",22,0,15,16")
+
+    def test_stdout_matches_out_file(self, tmp_path, monkeypatch, capfdbinary):
+        # a path that csv quoting must escape prints as --out writes it
+        monkeypatch.chdir(tmp_path)
+        run(["design", "--method", "prop42", "--out", 'a,b"c.json'])
+        run(["design", "--method", "nr42", "--out", "n.json"])
+        capfdbinary.readouterr()
+        assert run(["mcd", 'a,b"c.json', "n.json"]) == 0
+        printed = capfdbinary.readouterr().out
+        assert run(["mcd", 'a,b"c.json', "n.json", "--out", "mcd.csv"]) == 0
+        assert printed == (tmp_path / "mcd.csv").read_bytes()
+        assert printed.splitlines()[1] == b'"a,b""c.json",22,1,1,2'
 
     def test_single_codeword_file_errors(self, tmp_path, capsys):
         one = tmp_path / "one.json"
@@ -375,6 +388,32 @@ def test_oversized_request_exits_2_without_traceback(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists() and not (tmp_path / "scatter.csv").exists()
+
+
+# 62 distinct phases: sparse2m's grid search would take the pairwise differences of all 62^4 points
+GRID_62 = ",".join(repr(float(v)) for v in np.linspace(-3.0, 3.0, 62))
+
+
+# refused before the pairwise products are built, which once raised numpy's memory error
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--method", "manopt", "-T", "4", "-M", "2", "--size", "100000"],
+        ["--method", "sparse-general", "-T", "4", "-M", "2", "-s", "4", "--size", "100000"],
+        ["--method", "sparse2m", "-M", "4", "--size", "14", f"--grid={GRID_62}"],
+        ["--method", "sparse2m", "-M", "2", "--size", "100000"],
+        ["--method", "expmap", "-T", "8", "-M", "4", "--size", "20000"],
+    ],
+    ids=["manopt", "sparse-general", "sparse2m-grid", "sparse2m-continuous", "expmap"],
+)
+def test_oversized_design_exits_2_without_traceback(tmp_path, capsys, argv):
+    out = tmp_path / "book.json"
+    start = time.perf_counter()
+    assert run(["design", *argv, "--restarts", 1, "--iters", 1, "--out", out]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 # stop is inclusive; a rounded point count once took 0:14:4 on to 16 and 0:6:4 to 8

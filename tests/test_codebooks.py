@@ -318,7 +318,7 @@ class TestDescend:
 class TestOptimizePhases:
     def test_single_instance_is_zero(self):
         for m in (2, 3, 5):
-            (only,) = optimize_phases_2M(m, 1)
+            (only,) = optimize_phases_2M(m, 1, OptimizerConfig())
             assert only.tolist() == [0.0] * m
         quarter = OptimizerConfig(phase_grid=QUARTER_GRID)
         assert optimize_phases_2M(3, 1, quarter).tolist() == [[0.0] * 3]
@@ -374,9 +374,9 @@ class TestOptimizePhases:
 
     def test_invalid(self):
         with pytest.raises(InvalidArgument):
-            optimize_phases_2M(1, 2)
+            optimize_phases_2M(1, 2, OptimizerConfig())
         with pytest.raises(InvalidArgument):
-            optimize_phases_2M(2, 0)
+            optimize_phases_2M(2, 0, OptimizerConfig())
 
 
 class TestClosedFormDistances:

@@ -184,14 +184,10 @@ def _sets(call, param, position):
     return position is not None and (len(args) > position or any(isinstance(a, ast.Starred) for a in args))
 
 
-# "module:function.parameter" defaults kept although no such call sets them, each with its reason
-DEFAULT_WITHOUT_CALLER = {}
-
-
-def test_every_parameter_default_is_set_by_a_caller():
-    # a default that no call in the package, the benchmark or the acceptance
-    # tests overrides is a knob only unit tests turn; calls are matched to
-    # functions by name
+def _defaults_and_calls():
+    """Every defaulted parameter of the package as (module, function, parameter,
+    position), and the calls in the package, the benchmark and the acceptance
+    tests indexed by the name they call; calls are matched to functions by name."""
     defaulted = [(path.name, *item) for path in sorted(SRC.glob("*.py")) for item in _defaulted(_tree(path))]
     assert ("wavesim.py", "papr_experiment", "antenna_mean", 4) in defaulted  # the scan sees them
     outside = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
@@ -201,12 +197,44 @@ def test_every_parameter_default_is_set_by_a_caller():
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                 calls.setdefault(name, []).append(node)
+    return defaulted, calls
+
+
+# "module:function.parameter" defaults kept although no such call sets them, each with its reason
+DEFAULT_WITHOUT_CALLER = {}
+
+
+def test_every_parameter_default_is_set_by_a_caller():
+    # a default that no call in the package, the benchmark or the acceptance
+    # tests overrides is a knob only unit tests turn
+    defaulted, calls = _defaults_and_calls()
     unset = [
         f"{module}:{func}.{param}"
         for module, func, param, position in defaulted
         if not any(_sets(call, param, position) for call in calls.get(func, []))
     ]
     assert [name for name in unset if name not in DEFAULT_WITHOUT_CALLER] == []
+
+
+# "module:function.parameter" defaults that every such call overrides, kept each for its reason
+DEFAULT_ALWAYS_SET = {
+    "linksim.py:_rates.best": "without it _rates returns the per-codeword rates, which the kernel "
+    "tests take as their reference for the log-det formula",
+}
+
+
+def test_every_parameter_default_is_used_by_a_caller():
+    # the mirror rule: a default that every call in the package, the benchmark
+    # and the acceptance tests overrides is a value only unit tests rely on,
+    # and the parameter should be required
+    defaulted, calls = _defaults_and_calls()
+    always_set = [
+        f"{module}:{func}.{param}"
+        for module, func, param, position in defaulted
+        if all(_sets(call, param, position) for call in calls.get(func, []))
+    ]
+    assert set(DEFAULT_ALWAYS_SET) <= set(always_set)  # each exception is still needed
+    assert [name for name in always_set if name not in DEFAULT_ALWAYS_SET] == []
 
 
 NR = nr_codebook_4_2()
@@ -216,12 +244,12 @@ FAST = OptimizerConfig(restarts=1, max_iters=5)
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: rate_curve([NR], 2, [0.0], 2.5),
-        lambda: rate_curve([NR], True, [0.0], 3),
-        lambda: gain_cdf(NR, 2.5, 1.0, 3),
-        lambda: gain_cdf(NR, 2, 1.0, np.float64(3)),
-        lambda: papr_experiment(np.eye(4)[:, :2], WaveformConfig(4, 4), 2.5),
-        lambda: constellation_samples(np.eye(4)[:, :2], WaveformConfig(4, 4), True),
+        lambda: rate_curve([NR], 2, [0.0], 2.5, seed=0),
+        lambda: rate_curve([NR], True, [0.0], 3, seed=0),
+        lambda: gain_cdf(NR, 2.5, 1.0, 3, seed=0),
+        lambda: gain_cdf(NR, 2, 1.0, np.float64(3), seed=0),
+        lambda: papr_experiment(np.eye(4)[:, :2], WaveformConfig(4, 4), 2.5, seed=0),
+        lambda: constellation_samples(np.eye(4)[:, :2], WaveformConfig(4, 4), True, seed=0),
         lambda: WaveformConfig(4.0, 4),
         lambda: WaveformConfig(4, 4, oversample=2.0),
         lambda: row_sparse_precoder(4, 2, 1.5),
@@ -288,7 +316,7 @@ def test_non_integer_counts_raise_package_errors(call):
         (lambda: ccdf([1.5, 2.0], ["x"]), "thresholds_db"),
         (lambda: ccdf(["a"], [1.0]), "samples"),
         (lambda: row_sparse_precoder(4, 2, 1, thetas=["a"]), "thetas"),
-        (lambda: rate_curve([NR], 2, ["a"], 3), "snr_db"),
+        (lambda: rate_curve([NR], 2, ["a"], 3, seed=0), "snr_db"),
     ],
     ids=["OptimizerConfig-phase_grid", "ccdf-thresholds", "ccdf-samples", "row_sparse_precoder-thetas", "rate_curve-snr"],
 )
@@ -298,9 +326,9 @@ def test_non_numeric_arrays_raise_package_errors(call, name):
 
 
 def test_numpy_integer_counts_are_accepted():
-    sweep = rate_curve([NR], np.int64(2), [0.0], np.int32(3))
+    sweep = rate_curve([NR], np.int64(2), [0.0], np.int32(3), seed=0)
     assert sweep.mean_rates.shape == (1, 1)
-    assert papr_experiment(np.eye(4)[:, :2], WaveformConfig(np.int64(4), 4), np.int64(2)).size == 4
+    assert papr_experiment(np.eye(4)[:, :2], WaveformConfig(np.int64(4), 4), np.int64(2), seed=0).size == 4
 
 
 def test_error_hierarchy():

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grasspack.codebooks import nr_codebook_4_2, proposed_codebook_4_2
-from grasspack.errors import DimensionMismatch, InvalidArgument, NotStiefel
+from grasspack.errors import DimensionMismatch, InvalidArgument, NotStiefel, SizeLimit
 from grasspack.grassmann import (
     Codebook,
+    _check_pairwise,
     chordal_distance,
     min_chordal_distance,
     pairwise_chordal,
@@ -139,6 +140,21 @@ class TestMinChordalDistance:
         bad = np.array([[1, 0], [1, 0], [0, 1], [0, 0]], dtype=complex)
         with pytest.raises(NotStiefel):
             min_chordal_distance(Codebook((bad, e_cols(4, [0, 1]))))
+
+    def test_oversized_book_refused_before_the_gram(self):
+        # 10^5 codewords of M = 2 need a 596 GiB pairwise Gram product
+        book = Codebook(np.broadcast_to(e_cols(4, [0, 1]), (100000, 4, 2)))
+        with pytest.raises(SizeLimit):
+            min_chordal_distance(book)
+
+    def test_pairwise_budget_edge(self):
+        # (11585)^2 complex entries fit 2^31 bytes, (11586)^2 do not
+        _check_pairwise(11585, 1)
+        _check_pairwise(5, 2317)
+        with pytest.raises(SizeLimit):
+            _check_pairwise(11586, 1)
+        with pytest.raises(SizeLimit):
+            _check_pairwise(2, 5793)
 
 
 @st.composite

@@ -267,7 +267,7 @@ class TestPapr:
         # pooled or averaged per frame, and no mean of an empty slice
         cfg = WaveformConfig(n_used=5, n_fft=8, oversample=2)
         assert papr_experiment(np.zeros((3, 2)), cfg, 4, seed=33).shape == (0,)
-        assert papr_experiment(np.zeros((3, 2)), cfg, 3, antenna_mean=True).shape == (0,)
+        assert papr_experiment(np.zeros((3, 2)), cfg, 3, seed=0, antenna_mean=True).shape == (0,)
 
 
 class TestCcdf:
@@ -498,7 +498,7 @@ class TestPaprExperiment:
         # rejected before any arithmetic, so no numpy warning and no dropped antenna
         w = np.array([[bad, 0.0], [1.0, 0.0]])
         with pytest.raises(InvalidArgument):
-            papr_experiment(w, WaveformConfig(12, 16), 2)
+            papr_experiment(w, WaveformConfig(12, 16), 2, seed=0)
 
     @pytest.mark.parametrize("waveform", ["ofdm", "dft-s-ofdm"])
     @pytest.mark.parametrize("source", ["dense_book", "rows_random", "mixed_rows"])
@@ -518,7 +518,7 @@ class TestPaprExperiment:
     def test_zero_trials_rejected(self):
         cfg = WaveformConfig(n_used=32, n_fft=32)
         with pytest.raises(InvalidArgument):
-            papr_experiment(row_sparse_precoder(4, 2, 1, thetas=[0.5, 0.5]), cfg, 0)
+            papr_experiment(row_sparse_precoder(4, 2, 1, thetas=[0.5, 0.5]), cfg, 0, seed=0)
 
     def test_reproducible(self):
         cfg = WaveformConfig(n_used=64, n_fft=64, oversample=2, waveform="dft-s-ofdm")
@@ -596,7 +596,7 @@ class TestConstellation:
     def test_non_finite_matrix_source_rejected(self, bad):
         w = np.array([[0.0, 1.0], [1.0, bad]])
         with pytest.raises(InvalidArgument):
-            constellation_samples(w, WaveformConfig(12, 16), 2)
+            constellation_samples(w, WaveformConfig(12, 16), 2, seed=0)
 
     @pytest.mark.parametrize("waveform", ["ofdm", "dft-s-ofdm"])
     def test_codebook_source_draws_like_papr(self, waveform):
