@@ -149,16 +149,27 @@ def _descend(value_grad, x, cfg, retract=None, on_accept=None):
     """Armijo descent through the smoothing schedule; returns the last iterate.
 
     ``value_grad(x, eps)`` returns (value, finish), and ``finish()`` returns
-    (gradient, aux) from the intermediates the value left behind. Sufficient
-    decrease needs only the value at a candidate, so ``finish`` runs once at
-    each stage start and once per accepted step, never for a rejected
-    candidate. Per eps of ``EPS_SCHEDULE`` the step starts at 1 and halves
-    until the candidate x - step * gradient (through ``retract`` if given)
-    lowers the value by 1e-4 * step * ||gradient||^2; after each accepted
+    (gradient g, aux) from the intermediates the value left behind.
+    Sufficient decrease needs only the value at a candidate, so ``finish``
+    runs once at each stage start and once per accepted step, never for a
+    rejected candidate.
+
+    Without ``retract`` x lives in a flat space (the phase searches) and the
+    search direction is Polak-Ribiere+ nonlinear conjugate gradient
+    (Nocedal & Wright, Numerical Optimization, 2006, sec. 5.2):
+    d = -g + max(0, <g, g - g_old> / ||g_old||^2) d_old. It resets to -g at
+    every stage start and whenever <g, d> >= 0, so d is always a descent
+    direction. With ``retract`` x lives on a manifold, where d_old sits in
+    another tangent space; d stays -g there, so the manifold descent is plain
+    steepest descent.
+
+    Per eps of ``EPS_SCHEDULE`` the step starts at 1 and halves until the
+    candidate x + step * d (through ``retract`` if given) meets the Armijo
+    test value(cand) <= value + 1e-4 * step * <g, d>; after each accepted
     step ``on_accept(x, aux)`` sees the new iterate and the step grows 1.5x,
     capped at 100. A stage ends at the first of:
 
-    * vanishing gradient: ||gradient||^2 < 1e-24;
+    * vanishing gradient: ||g||^2 < 1e-24;
     * failed line search: the step falls to 1e-14 with no candidate accepted;
     * ``cfg.max_iters`` accepted steps;
     * stall: ``_STALL_STEPS`` accepted steps in a row each lowering the value
@@ -168,27 +179,35 @@ def _descend(value_grad, x, cfg, retract=None, on_accept=None):
         step = _STEP_INIT
         value, finish = value_grad(x, eps)
         grad, _ = finish()
-        stall = 0
+        # p = -d is held instead of d, and slope = <g, p> = -<g, d> > 0, so
+        # the steepest step x - step * g and its Armijo bound keep their bits
+        p, stall = grad, 0
+        slope = gnorm2 = float((np.abs(grad) ** 2).sum())
         for _ in range(cfg.max_iters):
-            gnorm2 = float((np.abs(grad) ** 2).sum())
             if gnorm2 < 1e-24 or stall >= _STALL_STEPS:
                 break
             while step > 1e-14:
-                cand = x - step * grad
+                cand = x - step * p
                 if retract is not None:
                     cand = retract(cand)
                 cand_value, finish = value_grad(cand, eps)
-                if cand_value <= value - 1e-4 * step * gnorm2:
+                if cand_value <= value - 1e-4 * step * slope:
                     break
                 step *= _BACKTRACK
             else:  # no candidate accepted
                 break
             stall = stall + 1 if value - cand_value < 1e-13 else 0
-            x, value = cand, cand_value
+            x, value, old = cand, cand_value, grad
             grad, aux = finish()
             if on_accept is not None:
                 on_accept(x, aux)
             step = min(step * 1.5, 100.0)
+            old_norm2, gnorm2 = gnorm2, float((np.abs(grad) ** 2).sum())
+            p_old, p, slope = p, grad, gnorm2
+            if retract is None:  # Polak-Ribiere+, kept only while it descends
+                conj = grad + max(0.0, np.vdot(grad, grad - old).real / old_norm2) * p_old
+                if (conj_slope := np.vdot(grad, conj).real) > 0:
+                    p, slope = conj, conj_slope
     return x
 
 
@@ -215,6 +234,7 @@ def optimize_manopt(t: int, m: int, size: int, cfg: OptimizerConfig) -> Codebook
     if not all(is_int(v) for v in (t, m, size)) or size < 2 or not 1 <= m < t:
         raise InvalidArgument(f"need integers size >= 2 and 1 <= M < T, got {(t, m, size)}")
     _check_pairwise(size, m)
+    _check_bytes((size, t, t), np.complex128)  # the projectors of _surrogate_egrad
     best_mcd, best_stack = -1.0, None  # best iterate over all restarts
 
     def keep_best(stack, s):
@@ -433,6 +453,7 @@ def build_general_sparse(t: int, m: int, s: int, size: int, cfg: OptimizerConfig
     if not all(is_int(v) for v in (t, m, s, size)) or not (t > m > 1) or not m <= s <= t or size < 2:
         raise InvalidArgument(f"need integers T > M > 1, M <= s <= T, size >= 2, got {(t, m, s, size)}")
     _check_pairwise(size, m)
+    _check_bytes((size, t, t), np.complex128)  # the projectors of _surrogate_egrad
     layout = _layout(_general_layout(size, enumerate_patterns(t, m, s)))
     free = layout[4] != np.arange(s)  # pivot phases stay at the zero gauge
 
@@ -525,6 +546,7 @@ def build_expmap(t: int, m: int, size: int, cfg: OptimizerConfig) -> Codebook:
     if size > capacity:
         raise SizeLimit(f"size {size} exceeds the {capacity} distinct QAM blocks")
     _check_pairwise(size, m)
+    _check_bytes((t, t), np.complex128)  # the generator of expmap_codeword
     rng = substream(cfg.seed, 0xE1)
     words = np.empty((size, t, m), dtype=np.complex128)  # the accepted words, then the candidate
     count = 0

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument
 from .grassmann import Codebook
-from .linalg import _bounded_empty, as_real_array, is_int, is_real
+from .linalg import _bounded_empty, _check_bytes, as_real_array, is_int, is_real
 # substream is not called here but stays bound: perfbench's tracer rebinds it by name
 from .rng import substream, substreams
 
@@ -219,6 +219,7 @@ def rate_curve(codebooks, n: int, snr_db, trials: int, seed: int) -> RateSweep:
     if not (np.all(np.isfinite(snr_db)) and np.all(snr_db <= _MAX_SNR_DB)):
         raise InvalidArgument(f"SNR points must be finite and at most {_MAX_SNR_DB:g} dB, got {snr_db.tolist()}")
     rho = 10.0 ** (snr_db / 10.0)
+    _check_bytes((min(trials, _CHUNK), 2, n, t))  # one chunk's channel draws
     stacks = [b.stack() for b in books]
     ncb = len(books)
     # per-trial best rates, reduced once below so the sums do not depend on chunking
@@ -259,6 +260,7 @@ def gain_cdf(b, n: int, k, trials: int, seed: int) -> np.ndarray:
     if not ks:
         raise InvalidArgument("need at least one Rician factor")
     t = books[0].T
+    _check_bytes((min(trials, _CHUNK), 2, n, t))  # one chunk's channel draws
     stacks = [book.stack() for book in books]
     out = _bounded_empty((len(ks), len(books), trials))
     for rows, size, rngs in _chunks(trials, seed):

@@ -377,6 +377,9 @@ def test_bad_argument_exits_2_without_traceback(tmp_path, capsys, argv):
         ["papr", "--subcarriers", "4", "--fft", "4", "--oversample", "1", "--trials", "2",
          "--scatter", "scatter.csv", "--scatter-frames", "1000000000000"],
         ["papr", "--row-sparse", "4,2,1", "--trials", "1000000000000"],
+        # one trial's (2, N, T) channel draws; refused before the chunk buffer
+        ["rate", "-N", "100000000", "--trials", "1", "--snr-db", "0"],
+        ["gain-cdf", "-N", "100000000", "--trials", "1"],
     ],
     ids=" ".join,
 )
@@ -384,7 +387,9 @@ def test_oversized_request_exits_2_without_traceback(tmp_path, capsys, argv):
     out, prop = tmp_path / "out.csv", tmp_path / "p.json"
     run(["design", "--method", "prop42", "--out", prop])
     argv = [tmp_path / a if a.endswith(".csv") else a for a in argv]
+    start = time.perf_counter()
     assert run(argv + ["--codebooks", prop, "--out", out]) == 2
+    assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists() and not (tmp_path / "scatter.csv").exists()
@@ -403,8 +408,12 @@ GRID_62 = ",".join(repr(float(v)) for v in np.linspace(-3.0, 3.0, 62))
         ["--method", "sparse2m", "-M", "4", "--size", "14", f"--grid={GRID_62}"],
         ["--method", "sparse2m", "-M", "2", "--size", "100000"],
         ["--method", "expmap", "-T", "8", "-M", "4", "--size", "20000"],
+        # the (size, T, T) projectors of the surrogate gradient, the (T, T) expmap generator
+        ["--method", "manopt", "-T", "20000", "-M", "1", "--size", "2"],
+        ["--method", "expmap", "-T", "20000", "-M", "1", "--size", "2"],
     ],
-    ids=["manopt", "sparse-general", "sparse2m-grid", "sparse2m-continuous", "expmap"],
+    ids=["manopt", "sparse-general", "sparse2m-grid", "sparse2m-continuous", "expmap",
+         "manopt-projectors", "expmap-generator"],
 )
 def test_oversized_design_exits_2_without_traceback(tmp_path, capsys, argv):
     out = tmp_path / "book.json"

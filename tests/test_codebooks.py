@@ -20,6 +20,7 @@ from grasspack.codebooks import (
     _descend,
     _general_layout,
     _manopt_grad,
+    _phase_value_grad,
     _surrogate_egrad,
     build_expmap,
     build_general_sparse,
@@ -314,6 +315,56 @@ class TestDescend:
         kept = [stack, *accepted]
         assert all(any(x is y for y in kept) for x in finished)
 
+    def test_conjugate_directions_beat_steepest_descent_on_a_narrow_valley(self):
+        scale = 1e6 * np.array([1.0, 100.0])  # condition number 100, values well above the stall floor
+
+        def valley(x, eps):
+            return float(x @ (scale * x)), lambda: (2.0 * scale * x, None)
+
+        def steps_to_1e_8(retract):
+            norms = []
+            _descend(valley, np.ones(2), OptimizerConfig(), retract=retract,
+                     on_accept=lambda x, aux: norms.append(np.linalg.norm(x)))
+            return next(i + 1 for i, n in enumerate(norms) if n < 1e-8)
+
+        # an identity retraction takes the manifold path, which stays steepest descent
+        assert steps_to_1e_8(lambda x: x) == 844
+        assert steps_to_1e_8(None) < 844 // 4
+
+    @pytest.mark.parametrize(
+        "g1, direction",
+        [
+            ([0.2, 1.0], [1.04, 1.0]),  # beta = 0.84: the conjugate direction descends and is taken
+            ([-1.0, 0.1], [-1.0, 0.1]),  # beta = 2.01 gives <g, d> = 1 >= 0: back to -g
+        ],
+        ids=["conjugate", "uphill-reset"],
+    )
+    def test_conjugate_direction_is_kept_only_while_it_descends(self, g1, direction):
+        grads, evaluated = [np.array([1.0, 0.0]), np.array(g1)], []
+
+        def scripted(x, eps):  # every candidate is accepted, with the scripted gradients
+            evaluated.append(x)
+            return -float(len(evaluated)), lambda: (grads[min(len(evaluated), 2) - 1], None)
+
+        _descend(scripted, np.zeros(2), OptimizerConfig(max_iters=2))
+        # the first step of 1 goes to -g0 = (-1, 0); the second, of 1.5, along -p
+        np.testing.assert_array_equal(evaluated[1], [-1.0, 0.0])
+        np.testing.assert_allclose(evaluated[2], np.array([-1.0, 0.0]) - 1.5 * np.array(direction),
+                                   rtol=0, atol=1e-15)
+
+    def test_phase_search_evaluation_count(self, monkeypatch):
+        calls = []
+
+        def counted(th, eps):
+            calls.append(th)
+            return _phase_value_grad(th, eps)
+
+        monkeypatch.setattr("grasspack.codebooks._phase_value_grad", counted)
+        book = build_sparse_2M(3, 32, OptimizerConfig(seed=0))
+        # steepest descent took 2789 evaluations to the same sqrt(3/2)
+        assert len(calls) <= 1500
+        assert min_chordal_distance(book)[0] == pytest.approx(np.sqrt(1.5), abs=1e-9)
+
 
 class TestOptimizePhases:
     def test_single_instance_is_zero(self):
@@ -453,6 +504,12 @@ class TestBuildSparse2M:
 def test_sparse_descents_match_golden_books(fixture, build):
     golden = load_codebook(FIXTURES / fixture)
     np.testing.assert_allclose(build().stack(), golden.stack(), rtol=0, atol=1e-9)
+
+
+def test_repinned_sparse2m_golden_keeps_its_mcd():
+    # the MCD of the sparse2m golden book pinned before the conjugate-gradient phase search
+    golden = load_codebook(FIXTURES / "sparse2m_3_11_fast.json")
+    assert abs(min_chordal_distance(golden)[0] - 1.2247448713915894) <= 1e-12
 
 
 class TestBuildGeneralSparse:
