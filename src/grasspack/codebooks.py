@@ -55,6 +55,7 @@ EPS_SCHEDULE = (1.0, 0.3, 0.1, 0.03, 0.01)
 _STEP_INIT = 1.0
 _BACKTRACK = 0.5
 _STALL_STEPS = 3
+_LBFGS_PAIRS = 4
 
 
 @dataclass(frozen=True)
@@ -145,6 +146,20 @@ def _surrogate_egrad(stack, eps):
     return value, finish
 
 
+def _lbfgs_product(grad, pairs):
+    """H g by the L-BFGS two-loop recursion over ``pairs`` of (s, y, s^T y),
+    oldest first, with H_0 = (s^T y / y^T y) I from the newest pair."""
+    q, alphas = grad, []
+    for s, y, sy in reversed(pairs):
+        alphas.append(np.vdot(s, q).real / sy)
+        q = q - alphas[-1] * y
+    s, y, sy = pairs[-1]
+    q = (sy / np.vdot(y, y).real) * q
+    for (s, y, sy), a in zip(pairs, reversed(alphas)):
+        q = q + (a - np.vdot(y, q).real / sy) * s
+    return q
+
+
 def _descend(value_grad, x, cfg, retract=None, on_accept=None):
     """Armijo descent through the smoothing schedule; returns the last iterate.
 
@@ -155,13 +170,15 @@ def _descend(value_grad, x, cfg, retract=None, on_accept=None):
     rejected candidate.
 
     Without ``retract`` x lives in a flat space (the phase searches) and the
-    search direction is Polak-Ribiere+ nonlinear conjugate gradient
-    (Nocedal & Wright, Numerical Optimization, 2006, sec. 5.2):
-    d = -g + max(0, <g, g - g_old> / ||g_old||^2) d_old. It resets to -g at
-    every stage start and whenever <g, d> >= 0, so d is always a descent
-    direction. With ``retract`` x lives on a manifold, where d_old sits in
-    another tangent space; d stays -g there, so the manifold descent is plain
-    steepest descent.
+    search direction is L-BFGS (Nocedal & Wright, Numerical Optimization,
+    2006, sec. 7.2): d = -H g by the two-loop recursion over the last
+    ``_LBFGS_PAIRS`` pairs s = x - x_old, y = g - g_old, with
+    H_0 = (s^T y / y^T y) I from the newest pair. A pair is kept only when
+    s^T y > 0, and the pairs are dropped at every stage start. The line
+    search along d tries step 1 first. While no pair is kept, or when
+    <g, d> >= 0, d is -g with the grown step below. With ``retract`` x lives
+    on a manifold, where the pairs sit in other tangent spaces; d stays -g
+    there, so the manifold descent is plain steepest descent.
 
     Per eps of ``EPS_SCHEDULE`` the step starts at 1 and halves until the
     candidate x + step * d (through ``retract`` if given) meets the Armijo
@@ -181,7 +198,7 @@ def _descend(value_grad, x, cfg, retract=None, on_accept=None):
         grad, _ = finish()
         # p = -d is held instead of d, and slope = <g, p> = -<g, d> > 0, so
         # the steepest step x - step * g and its Armijo bound keep their bits
-        p, stall = grad, 0
+        p, stall, pairs = grad, 0, []
         slope = gnorm2 = float((np.abs(grad) ** 2).sum())
         for _ in range(cfg.max_iters):
             if gnorm2 < 1e-24 or stall >= _STALL_STEPS:
@@ -197,17 +214,21 @@ def _descend(value_grad, x, cfg, retract=None, on_accept=None):
             else:  # no candidate accepted
                 break
             stall = stall + 1 if value - cand_value < 1e-13 else 0
-            x, value, old = cand, cand_value, grad
+            x_old, x, value, g_old = x, cand, cand_value, grad
             grad, aux = finish()
             if on_accept is not None:
                 on_accept(x, aux)
             step = min(step * 1.5, 100.0)
-            old_norm2, gnorm2 = gnorm2, float((np.abs(grad) ** 2).sum())
-            p_old, p, slope = p, grad, gnorm2
-            if retract is None:  # Polak-Ribiere+, kept only while it descends
-                conj = grad + max(0.0, np.vdot(grad, grad - old).real / old_norm2) * p_old
-                if (conj_slope := np.vdot(grad, conj).real) > 0:
-                    p, slope = conj, conj_slope
+            gnorm2 = float((np.abs(grad) ** 2).sum())
+            p, slope = grad, gnorm2
+            if retract is None:  # L-BFGS, kept only while it descends
+                s, y = x - x_old, grad - g_old
+                if (sy := np.vdot(s, y).real) > 0:
+                    pairs = [*pairs, (s, y, sy)][-_LBFGS_PAIRS:]
+                if pairs:
+                    hg = _lbfgs_product(grad, pairs)
+                    if (hg_slope := np.vdot(grad, hg).real) > 0:
+                        p, slope, step = hg, hg_slope, 1.0
     return x
 
 

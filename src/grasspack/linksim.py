@@ -219,7 +219,10 @@ def rate_curve(codebooks, n: int, snr_db, trials: int, seed: int) -> RateSweep:
     if not (np.all(np.isfinite(snr_db)) and np.all(snr_db <= _MAX_SNR_DB)):
         raise InvalidArgument(f"SNR points must be finite and at most {_MAX_SNR_DB:g} dB, got {snr_db.tolist()}")
     rho = 10.0 ** (snr_db / 10.0)
-    _check_bytes((min(trials, _CHUNK), 2, n, t))  # one chunk's channel draws
+    chunk = min(trials, _CHUNK)
+    _check_bytes((chunk, 2, n, t))  # one chunk's channel draws
+    _check_bytes((chunk, t, t), np.complex128)  # and their channel Grams
+    _check_bytes((t * t, max(len(b) * b.M**2 for b in books)), np.complex128)  # the table of _rates
     stacks = [b.stack() for b in books]
     ncb = len(books)
     # per-trial best rates, reduced once below so the sums do not depend on chunking
@@ -260,7 +263,10 @@ def gain_cdf(b, n: int, k, trials: int, seed: int) -> np.ndarray:
     if not ks:
         raise InvalidArgument("need at least one Rician factor")
     t = books[0].T
-    _check_bytes((min(trials, _CHUNK), 2, n, t))  # one chunk's channel draws
+    chunk = min(trials, _CHUNK)
+    _check_bytes((chunk, 2, n, t))  # one chunk's channel draws
+    _check_bytes((chunk, t, t), np.complex128)  # and their channel Grams
+    _check_bytes((max(map(len, books)), t, t), np.complex128)  # the projectors of _gains
     stacks = [book.stack() for book in books]
     out = _bounded_empty((len(ks), len(books), trials))
     for rows, size, rngs in _chunks(trials, seed):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import grasspack.cli
 from grasspack.cli import _fmt, _write_csv, main
 from grasspack.codebooks import load_codebook, proposed_codebook_4_2, save_codebook
+from grasspack.grassmann import Codebook
 from grasspack.wavesim import WaveformConfig, constellation_samples
 
 
@@ -380,15 +381,22 @@ def test_bad_argument_exits_2_without_traceback(tmp_path, capsys, argv):
         # one trial's (2, N, T) channel draws; refused before the chunk buffer
         ["rate", "-N", "100000000", "--trials", "1", "--snr-db", "0"],
         ["gain-cdf", "-N", "100000000", "--trials", "1"],
+        # two unit vectors in T = 20000: one trial's (T, T) channel Gram; refused before the draw
+        ["rate", "-N", "1", "--trials", "1", "--snr-db", "0", "--codebooks", "wide.json"],
+        ["gain-cdf", "-N", "1", "--trials", "1", "--codebooks", "wide.json"],
     ],
     ids=" ".join,
 )
 def test_oversized_request_exits_2_without_traceback(tmp_path, capsys, argv):
     out, prop = tmp_path / "out.csv", tmp_path / "p.json"
-    run(["design", "--method", "prop42", "--out", prop])
-    argv = [tmp_path / a if a.endswith(".csv") else a for a in argv]
+    if "--codebooks" in argv:
+        save_codebook(Codebook(np.eye(20000, 2).T[:, :, None]), tmp_path / "wide.json")
+    else:
+        run(["design", "--method", "prop42", "--out", prop])
+        argv = argv + ["--codebooks", "p.json"]
+    argv = [tmp_path / a if a.endswith((".csv", ".json")) else a for a in argv]
     start = time.perf_counter()
-    assert run(argv + ["--codebooks", prop, "--out", out]) == 2
+    assert run(argv + ["--out", out]) == 2
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

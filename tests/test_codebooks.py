@@ -17,6 +17,7 @@ from grasspack.codebooks import (
     EPS_SCHEDULE,
     QUARTER_GRID,
     OptimizerConfig,
+    _LBFGS_PAIRS,
     _descend,
     _general_layout,
     _manopt_grad,
@@ -281,10 +282,11 @@ class TestDescend:
         assert _accepted_steps(slope, OptimizerConfig(max_iters=7)) == 7 * len(EPS_SCHEDULE)
 
     def test_stall_ends_a_stage(self):
-        def tiny(x, eps):
-            return 1e-12 * float(np.sum(x**2)), lambda: (2e-12 * x, None)
+        def tiny(x, eps):  # linear, so y = 0, no pair is kept and every step is along -g
+            return 1e-12 * float(np.sum(x)), lambda: (np.full_like(x, 1e-12), None)
 
-        # every step lowers the value by less than 1e-13
+        # ||g||^2 = 3e-24 stays above the vanishing-gradient stop, and every
+        # step lowers the value by 3e-24 * step, less than 1e-13
         assert _accepted_steps(tiny, OptimizerConfig(max_iters=7)) == 3 * len(EPS_SCHEDULE)
 
     def test_flat_surrogate_stalls_instead_of_running_to_max_iters(self):
@@ -315,7 +317,7 @@ class TestDescend:
         kept = [stack, *accepted]
         assert all(any(x is y for y in kept) for x in finished)
 
-    def test_conjugate_directions_beat_steepest_descent_on_a_narrow_valley(self):
+    def test_quasi_newton_directions_beat_steepest_descent_on_a_narrow_valley(self):
         scale = 1e6 * np.array([1.0, 100.0])  # condition number 100, values well above the stall floor
 
         def valley(x, eps):
@@ -329,28 +331,59 @@ class TestDescend:
 
         # an identity retraction takes the manifold path, which stays steepest descent
         assert steps_to_1e_8(lambda x: x) == 844
-        assert steps_to_1e_8(None) < 844 // 4
+        assert steps_to_1e_8(None) <= 6
+
+    def test_direction_is_the_dense_bfgs_inverse_hessian_product(self):
+        # gradient field A x of a convex quadratic, so every pair has s^T y = s^T A s > 0;
+        # the value falls by far more than any Armijo bound at every candidate,
+        # so each step 1 along d is accepted
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        a = q @ np.diag(np.geomspace(1.0, 30.0, 6)) @ q.T
+        evaluated = []
+
+        def scripted(x, eps):
+            evaluated.append(x)
+            return -1e9 * len(evaluated), lambda: (a @ x, None)
+
+        _descend(scripted, rng.standard_normal(6), OptimizerConfig(max_iters=7))
+        xs = evaluated[:8]  # the first stage: its start and 7 accepted steps
+        for k in range(1, 7):
+            h = np.eye(6)
+            pairs = [(s, a @ s) for s in np.diff(xs[: k + 1], axis=0)][-_LBFGS_PAIRS:]
+            s, y = pairs[-1]
+            h *= (s @ y) / (y @ y)
+            for s, y in pairs:  # H <- V^T H V + rho s s^T, V = I - rho y s^T
+                rho = 1.0 / (s @ y)
+                v = np.eye(6) - rho * np.outer(y, s)
+                h = v.T @ h @ v + rho * np.outer(s, s)
+            np.testing.assert_allclose(xs[k + 1], xs[k] - h @ (a @ xs[k]), rtol=1e-12, atol=0)
+        assert k > _LBFGS_PAIRS  # the memory window was full and slid
 
     @pytest.mark.parametrize(
-        "g1, direction",
+        "later, candidate",
         [
-            ([0.2, 1.0], [1.04, 1.0]),  # beta = 0.84: the conjugate direction descends and is taken
-            ([-1.0, 0.1], [-1.0, 0.1]),  # beta = 2.01 gives <g, d> = 1 >= 0: back to -g
+            ([[0.5, 1.0]], [-3.6, -0.8]),  # s^T y = 0.5: the pair is kept, and step 1 goes along -H g1
+            ([[2.0, 1.0]], [-4.0, -1.5]),  # s^T y = -1: no pair, so -g1 at the grown step 1.5
+            ([[1.0, 0.0]], [-2.5, 0.0]),  # y = 0: no pair, so -g1 at the grown step 1.5
+            # the kept pair above, then s^T y = -0.5: only the first pair shapes H
+            ([[0.5, 1.0], [1.0, 0.0]], [-7.2, -1.6]),
         ],
-        ids=["conjugate", "uphill-reset"],
+        ids=["pair-kept", "negative-curvature", "zero-curvature", "negative-after-kept"],
     )
-    def test_conjugate_direction_is_kept_only_while_it_descends(self, g1, direction):
-        grads, evaluated = [np.array([1.0, 0.0]), np.array(g1)], []
+    def test_pair_is_kept_only_with_positive_curvature(self, later, candidate):
+        # with every kept pair of positive curvature H is positive definite, so
+        # only rounding could make -H g uphill; the pair rule is what falls back
+        grads, evaluated = [np.array([1.0, 0.0]), *map(np.array, later)], []
 
         def scripted(x, eps):  # every candidate is accepted, with the scripted gradients
             evaluated.append(x)
-            return -float(len(evaluated)), lambda: (grads[min(len(evaluated), 2) - 1], None)
+            return -float(len(evaluated)), lambda: (grads[min(len(evaluated), len(grads)) - 1], None)
 
-        _descend(scripted, np.zeros(2), OptimizerConfig(max_iters=2))
-        # the first step of 1 goes to -g0 = (-1, 0); the second, of 1.5, along -p
+        _descend(scripted, np.zeros(2), OptimizerConfig(max_iters=len(grads)))
+        # the first step, of 1 along -g0 with no pair yet, goes to (-1, 0)
         np.testing.assert_array_equal(evaluated[1], [-1.0, 0.0])
-        np.testing.assert_allclose(evaluated[2], np.array([-1.0, 0.0]) - 1.5 * np.array(direction),
-                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(evaluated[len(grads)], candidate, rtol=0, atol=1e-14)
 
     def test_phase_search_evaluation_count(self, monkeypatch):
         calls = []
@@ -361,9 +394,25 @@ class TestDescend:
 
         monkeypatch.setattr("grasspack.codebooks._phase_value_grad", counted)
         book = build_sparse_2M(3, 32, OptimizerConfig(seed=0))
-        # steepest descent took 2789 evaluations to the same sqrt(3/2)
-        assert len(calls) <= 1500
+        # steepest descent took 2789 evaluations to the same sqrt(3/2), Polak-Ribiere+ CG 1072
+        assert len(calls) <= 600
         assert min_chordal_distance(book)[0] == pytest.approx(np.sqrt(1.5), abs=1e-9)
+
+    def test_general_sparse_evaluation_count(self, monkeypatch):
+        calls = []
+
+        def counted(value_grad, x, cfg):
+            def counted_value_grad(x, eps):
+                calls.append(x)
+                return value_grad(x, eps)
+
+            return _descend(counted_value_grad, x, cfg)
+
+        monkeypatch.setattr("grasspack.codebooks._descend", counted)
+        book = build_general_sparse(4, 2, 4, 22, OptimizerConfig(seed=0))
+        # Polak-Ribiere+ CG took 3527 evaluations to an MCD of 0.942450765133
+        assert len(calls) <= 1800
+        assert min_chordal_distance(book)[0] >= 0.942450765133
 
 
 class TestOptimizePhases:
@@ -510,6 +559,12 @@ def test_repinned_sparse2m_golden_keeps_its_mcd():
     # the MCD of the sparse2m golden book pinned before the conjugate-gradient phase search
     golden = load_codebook(FIXTURES / "sparse2m_3_11_fast.json")
     assert abs(min_chordal_distance(golden)[0] - 1.2247448713915894) <= 1e-12
+
+
+def test_repinned_sparse_general_golden_keeps_its_mcd():
+    # the MCD of the sparse-general golden book pinned before the L-BFGS phase search
+    golden = load_codebook(FIXTURES / "sparse_general_6_2_4_8_fast.json")
+    assert abs(min_chordal_distance(golden)[0] - 1.0000000000000002) <= 1e-12
 
 
 class TestBuildGeneralSparse:
