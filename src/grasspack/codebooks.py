@@ -28,6 +28,7 @@ from .grassmann import (
     _check_pairwise,
     _chordal_from_gram_sq,
     _closest_pair,
+    _gram_sq,
     _triu,
     pairwise_chordal,
     pairwise_gram_sq,
@@ -114,24 +115,25 @@ def _lse_pairs(d, eps):
 
 
 def _surrogate_egrad(stack, eps):
-    """Surrogate value of a stack, and a closure giving its Euclidean gradient,
-    Gram norms ||W_i^H W_j||_F^2 and projectors W_k W_k^H.
+    """Surrogate value of a stack, and a closure giving its Euclidean gradient
+    and Gram norms ||W_i^H W_j||_F^2, all from one Gram product.
 
     The value needs only the Gram norms and the log-sum-exp; the closure
     finishes the gradient from them, so a rejected line-search candidate
-    never pays for it. The Gram norms come from :func:`pairwise_gram_sq`,
-    whose summation order is pinned and tested, so a numpy whose reduce
-    order moves cannot move the books unnoticed.
+    never pays for it. With F = [W_1 ... W_K] (T x KM), the Gram blocks
+    W_i^H W_j are the (KM x KM) product F^H F, formed once as in
+    :func:`pairwise_gram_sq` and summed in its pinned and tested order, so a
+    numpy whose reduce order moves cannot move the books unnoticed.
 
     The Wirtinger gradient is -(1/eps) sum_j w_kj / d_kj * (W_k - W_j (W_j^H W_k)).
-    Both sums run as matrix products over the K codewords (T x M each): the
-    Gram norms from :func:`pairwise_gram_sq`, and the gradient term
-    sum_j c_kj W_j W_j^H W_k as the (K x K)(K x T^2) product of the weights
-    with the flattened projectors W_j W_j^H, applied to each W_k. That is
-    about 8 K^2 T (M^2 + T) real flops per call.
+    Its term sum_j c_kj W_j (W_j^H W_k) is F times the Gram blocks scaled by
+    the weights, a (T x KM)(KM x KM) product. That is about 16 K^2 M^2 T real
+    flops per call for both products, and no (K, T, T) array is formed.
     """
     k, t, m = stack.shape
-    s = pairwise_gram_sq(stack)
+    f = stack.transpose(1, 0, 2).reshape(t, k * m)
+    gram = (f.conj().T @ f).reshape(k, m, k, m)
+    s = _gram_sq(gram)
     d = np.sqrt(np.maximum(2.0 * (m - s), 0.0))
     value, weights = _lse_pairs(d, eps)
 
@@ -139,9 +141,9 @@ def _surrogate_egrad(stack, eps):
         coef = weights() / (eps * np.maximum(d, 1e-12))
         np.fill_diagonal(coef, 0.0)
         rowsum = coef.sum(axis=1)
-        proj = stack @ stack.conj().transpose(0, 2, 1)
-        term = (coef @ proj.reshape(k, t * t)).reshape(k, t, t) @ stack
-        return term - stack * rowsum[:, None, None], s, proj
+        # coef is symmetric, so block (j, k) of the scaled Gram is c_kj W_j^H W_k
+        term = (f @ (gram * coef[:, None, :, None]).reshape(k * m, k * m)).reshape(t, k, m)
+        return term.transpose(1, 0, 2) - stack * rowsum[:, None, None], s
 
     return value, finish
 
@@ -234,12 +236,16 @@ def _descend(value_grad, x, cfg, retract=None, on_accept=None):
 
 def _manopt_grad(stack, eps):
     """Surrogate value on the product manifold, and a closure giving the
-    Riemannian gradient and the Gram norms."""
+    Riemannian gradient and the Gram norms.
+
+    The Euclidean gradient E_k is projected onto the tangent space at W_k as
+    E_k - W_k (W_k^H E_k) (Edelman, Arias & Smith, SIAM J. Matrix Anal. Appl.
+    20, 1998), without forming the T x T projector W_k W_k^H."""
     value, egrad_parts = _surrogate_egrad(stack, eps)
 
     def finish():
-        egrad, s, proj = egrad_parts()
-        return egrad - proj @ egrad, s
+        egrad, s = egrad_parts()
+        return egrad - stack @ (stack.conj().transpose(0, 2, 1) @ egrad), s
 
     return value, finish
 
@@ -255,7 +261,6 @@ def optimize_manopt(t: int, m: int, size: int, cfg: OptimizerConfig) -> Codebook
     if not all(is_int(v) for v in (t, m, size)) or size < 2 or not 1 <= m < t:
         raise InvalidArgument(f"need integers size >= 2 and 1 <= M < T, got {(t, m, size)}")
     _check_pairwise(size, m)
-    _check_bytes((size, t, t), np.complex128)  # the projectors of _surrogate_egrad
     best_mcd, best_stack = -1.0, None  # best iterate over all restarts
 
     def keep_best(stack, s):
@@ -474,7 +479,6 @@ def build_general_sparse(t: int, m: int, s: int, size: int, cfg: OptimizerConfig
     if not all(is_int(v) for v in (t, m, s, size)) or not (t > m > 1) or not m <= s <= t or size < 2:
         raise InvalidArgument(f"need integers T > M > 1, M <= s <= T, size >= 2, got {(t, m, s, size)}")
     _check_pairwise(size, m)
-    _check_bytes((size, t, t), np.complex128)  # the projectors of _surrogate_egrad
     layout = _layout(_general_layout(size, enumerate_patterns(t, m, s)))
     free = layout[4] != np.arange(s)  # pivot phases stay at the zero gauge
 

@@ -16,8 +16,10 @@ from the projectors P = W W^H as ||P_i - P_j||_F / sqrt(2): exactly zero for
 identical codewords and within a few ulps of the projector form. Above that
 guard the square-root form stays within about 2e-11 of the projector form
 (tested to 1e-10; a guard at 1e-10 let the error reach 1.4e-10 at d = 1e-5).
-The smooth MCD surrogate in ``codebooks`` takes the same Gram norms but keeps
-its distance unguarded, since it must stay differentiable.
+The smooth MCD surrogate in ``codebooks`` forms the same Gram product and sums
+it with the same pinned order (the private ``_gram_sq``), then reuses the Gram
+blocks for its gradient; it keeps its distance unguarded, since it must stay
+differentiable.
 :func:`projector_distance` is independent of this kernel and serves as its
 oracle.
 """
@@ -159,7 +161,14 @@ def pairwise_gram_sq(stack: np.ndarray) -> np.ndarray:
     """
     k, t, m = stack.shape
     f = stack.transpose(1, 0, 2).reshape(t, k * m)
-    sq = np.abs((f.conj().T @ f).reshape(k, m, k, m))
+    return _gram_sq((f.conj().T @ f).reshape(k, m, k, m))
+
+
+def _gram_sq(gram):
+    """||Wi^H Wj||_F^2 from the (K, M, K, M) Gram blocks Wi^H Wj, in the
+    summation order pinned by :func:`pairwise_gram_sq`."""
+    m = gram.shape[1]
+    sq = np.abs(gram)
     sq *= sq
     rows = sq[..., 0].copy()
     for j in range(1, m):

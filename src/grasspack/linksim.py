@@ -81,9 +81,11 @@ def _check_k(k: float) -> float:
 
 
 def _rician_grams(rngs, b, n, t, ks):
-    """One (b, T, T) stack of channel Grams H^H H per K factor in ``ks``, for
-    normalized Rician channels drawn from b per-trial generators consumed in
-    trial order.
+    """Yield one (b, T, T) stack of channel Grams H^H H per K factor in ``ks``,
+    in turn, for normalized Rician channels drawn from b per-trial generators
+    consumed in trial order. The draws and the parts every K shares are made
+    before the first yield; each K's stack is built only when the caller asks
+    for it, so the working set does not grow with len(ks).
 
     A channel H = (a L + c R) / sqrt(N T), with a = sqrt(K / (K + 1)) and
     c = sqrt(1 / (K + 1)), is a rank-one line-of-sight part L = a_r a_t^H plus
@@ -114,14 +116,12 @@ def _rician_grams(rngs, b, n, t, ks):
         v = _steering(n, angles[:, 0]).conj()[:, None, :] @ ray  # a_r^H R
         cross = at[:, :, None] * v
         cross += cross.conj().mT
-    out = []
     for k in ks:
         if math.isinf(k):
-            out.append(los / t)
+            yield los / t
         else:
             a, c = math.sqrt(k / (k + 1)), math.sqrt(1 / (k + 1))
-            out.append(((a * a * n) * los + (a * c) * cross + (c * c) * scatter) / (n * t))
-    return out
+            yield ((a * a * n) * los + (a * c) * cross + (c * c) * scatter) / (n * t)
 
 
 def _grams(hh):
@@ -265,7 +265,9 @@ def gain_cdf(b, n: int, k, trials: int, seed: int) -> np.ndarray:
     t = books[0].T
     chunk = min(trials, _CHUNK)
     _check_bytes((chunk, 2, n, t))  # one chunk's channel draws
-    _check_bytes((chunk, t, t), np.complex128)  # and their channel Grams
+    # the (chunk, T, T) stacks alive at once: the shared parts of _rician_grams, the
+    # Gram being built with its temporary, and the caller's previous Gram
+    _check_bytes((6, chunk, t, t), np.complex128)
     _check_bytes((max(map(len, books)), t, t), np.complex128)  # the projectors of _gains
     stacks = [book.stack() for book in books]
     out = _bounded_empty((len(ks), len(books), trials))

@@ -416,12 +416,11 @@ GRID_62 = ",".join(repr(float(v)) for v in np.linspace(-3.0, 3.0, 62))
         ["--method", "sparse2m", "-M", "4", "--size", "14", f"--grid={GRID_62}"],
         ["--method", "sparse2m", "-M", "2", "--size", "100000"],
         ["--method", "expmap", "-T", "8", "-M", "4", "--size", "20000"],
-        # the (size, T, T) projectors of the surrogate gradient, the (T, T) expmap generator
-        ["--method", "manopt", "-T", "20000", "-M", "1", "--size", "2"],
+        # the (T, T) expmap generator
         ["--method", "expmap", "-T", "20000", "-M", "1", "--size", "2"],
     ],
     ids=["manopt", "sparse-general", "sparse2m-grid", "sparse2m-continuous", "expmap",
-         "manopt-projectors", "expmap-generator"],
+         "expmap-generator"],
 )
 def test_oversized_design_exits_2_without_traceback(tmp_path, capsys, argv):
     out = tmp_path / "book.json"
@@ -431,6 +430,15 @@ def test_oversized_design_exits_2_without_traceback(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+# (size, T, T) projectors would take 11.9 GiB here; the surrogate works from the (size M)^2 Gram blocks
+def test_long_manopt_codewords_are_designed(tmp_path):
+    out = tmp_path / "book.json"
+    argv = ["--method", "manopt", "-T", 20000, "-M", 1, "--size", 2, "--restarts", 1, "--iters", 1]
+    assert run(["design", *argv, "--out", out]) == 0
+    book = load_codebook(out)
+    assert (len(book), book.T, book.M) == (2, 20000, 1)
 
 
 # stop is inclusive; a rounded point count once took 0:14:4 on to 16 and 0:6:4 to 8

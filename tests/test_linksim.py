@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -131,7 +133,7 @@ class TestRicianGrams:
     @pytest.mark.parametrize("n", [1, 5, 32])
     def test_grams_match_oracle_channels(self, n, t):
         trials, seed = 40, 14
-        grams = _rician_grams([substream(seed, i) for i in range(trials)], trials, n, t, self.KS)
+        grams = list(_rician_grams([substream(seed, i) for i in range(trials)], trials, n, t, self.KS))
         assert len(grams) == len(self.KS)
         for i in range(trials):
             for k, g, h in zip(self.KS, grams, reference_rician(n, t, self.KS, seed, trial=i)):
@@ -302,6 +304,22 @@ class TestRateCurve:
 
 
 class TestGainCdf:
+    def test_working_set_does_not_grow_with_the_k_factors(self):
+        # one chunk's (512, 16, 16) complex Gram stack is 2 MiB; each K's stack is
+        # built only when scored, so six K hold one stack more than one K: the
+        # previous K's Gram, still bound while the next is built
+        book = Codebook(np.eye(16, 2).T[:, :, None])
+        stack_bytes = 512 * 16 * 16 * np.dtype(np.complex128).itemsize
+        peaks = []
+        for ks in ([0.0], [0.0, 0.5, 1.0, 3.0, 10.0, float("inf")]):
+            tracemalloc.start()
+            try:
+                gain_cdf(book, 1, ks, trials=512, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 1.5 * stack_bytes
+
     def test_single_codeword_mean_gain(self):
         # normalized Rayleigh picks 2 of 4 equal-power columns: mean M/T = 0.5
         book = Codebook((e_cols(4, [0, 1]),))
