@@ -28,6 +28,7 @@ from .grassmann import (
     _check_pairwise,
     _chordal_from_gram_sq,
     _closest_pair,
+    _gram_blocks,
     _gram_sq,
     _triu,
     pairwise_chordal,
@@ -121,7 +122,7 @@ def _surrogate_egrad(stack, eps):
     The value needs only the Gram norms and the log-sum-exp; the closure
     finishes the gradient from them, so a rejected line-search candidate
     never pays for it. With F = [W_1 ... W_K] (T x KM), the Gram blocks
-    W_i^H W_j are the (KM x KM) product F^H F, formed once as in
+    W_i^H W_j are the (KM x KM) product F^H F, formed once by the kernel of
     :func:`pairwise_gram_sq` and summed in its pinned and tested order, so a
     numpy whose reduce order moves cannot move the books unnoticed.
 
@@ -131,8 +132,7 @@ def _surrogate_egrad(stack, eps):
     flops per call for both products, and no (K, T, T) array is formed.
     """
     k, t, m = stack.shape
-    f = stack.transpose(1, 0, 2).reshape(t, k * m)
-    gram = (f.conj().T @ f).reshape(k, m, k, m)
+    f, gram = _gram_blocks(stack)
     s = _gram_sq(gram)
     d = np.sqrt(np.maximum(2.0 * (m - s), 0.0))
     value, weights = _lse_pairs(d, eps)
@@ -261,6 +261,7 @@ def optimize_manopt(t: int, m: int, size: int, cfg: OptimizerConfig) -> Codebook
     if not all(is_int(v) for v in (t, m, size)) or size < 2 or not 1 <= m < t:
         raise InvalidArgument(f"need integers size >= 2 and 1 <= M < T, got {(t, m, size)}")
     _check_pairwise(size, m)
+    _check_bytes((size, t, m), np.complex128)  # the stack and its gradient
     best_mcd, best_stack = -1.0, None  # best iterate over all restarts
 
     def keep_best(stack, s):

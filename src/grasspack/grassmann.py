@@ -16,9 +16,9 @@ from the projectors P = W W^H as ||P_i - P_j||_F / sqrt(2): exactly zero for
 identical codewords and within a few ulps of the projector form. Above that
 guard the square-root form stays within about 2e-11 of the projector form
 (tested to 1e-10; a guard at 1e-10 let the error reach 1.4e-10 at d = 1e-5).
-The smooth MCD surrogate in ``codebooks`` forms the same Gram product and sums
-it with the same pinned order (the private ``_gram_sq``), then reuses the Gram
-blocks for its gradient; it keeps its distance unguarded, since it must stay
+The smooth MCD surrogate in ``codebooks`` takes the same Gram product (the
+private ``_gram_blocks``) and sums it in the same pinned order (``_gram_sq``),
+then reuses the Gram blocks for its gradient; it keeps its distance unguarded, since it must stay
 differentiable.
 :func:`projector_distance` is independent of this kernel and serves as its
 oracle.
@@ -159,9 +159,16 @@ def pairwise_gram_sq(stack: np.ndarray) -> np.ndarray:
     fails it. From M = 8 numpy's reduce switches to pairwise blocks, which
     this sum does not follow.
     """
+    return _gram_sq(_gram_blocks(stack)[1])
+
+
+def _gram_blocks(stack):
+    """The codewords side by side as F = [W_1 ... W_K] (T x KM), and their
+    Gram blocks Wi^H Wj as F^H F reshaped to (K, M, K, M). This one product
+    fixes the bits of every Gram norm, here and in the surrogate."""
     k, t, m = stack.shape
     f = stack.transpose(1, 0, 2).reshape(t, k * m)
-    return _gram_sq((f.conj().T @ f).reshape(k, m, k, m))
+    return f, (f.conj().T @ f).reshape(k, m, k, m)
 
 
 def _gram_sq(gram):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument
 from .grassmann import Codebook
-from .linalg import _bounded_empty, _check_bytes, as_real_array, is_int, is_real
+from .linalg import _RESULT_BYTES, _bounded_empty, _check_bytes, as_real_array, is_int, is_real
 # substream is not called here but stays bound: perfbench's tracer rebinds it by name
 from .rng import substream, substreams
 
@@ -183,11 +183,11 @@ def _gains(g, stack):
     return _gram_dot(g, proj.reshape(k, t * t).T).real
 
 
-def _chunks(trials, seed):
+def _chunks(trials, seed, chunk):
     """(trial slice, its size, its trials' substreams) for each block of at most
-    _CHUNK trials; the substreams are one reused generator (see ``substreams``)."""
-    for start in range(0, trials, _CHUNK):
-        stop = min(start + _CHUNK, trials)
+    ``chunk`` trials; the substreams are one reused generator (see ``substreams``)."""
+    for start in range(0, trials, chunk):
+        stop = min(start + chunk, trials)
         yield slice(start, stop), stop - start, substreams(seed, range(start, stop))
 
 
@@ -227,7 +227,7 @@ def rate_curve(codebooks, n: int, snr_db, trials: int, seed: int) -> RateSweep:
     ncb = len(books)
     # per-trial best rates, reduced once below so the sums do not depend on chunking
     best = _bounded_empty((trials, ncb, snr_db.size))
-    for rows, size, rngs in _chunks(trials, seed):
+    for rows, size, rngs in _chunks(trials, seed, chunk):
         g = _grams(_rayleigh_chunk(rngs, size, n, t))
         for c, stack in enumerate(stacks):
             _rates(g, stack, rho, best=best[rows, c].T)
@@ -263,18 +263,23 @@ def gain_cdf(b, n: int, k, trials: int, seed: int) -> np.ndarray:
     if not ks:
         raise InvalidArgument("need at least one Rician factor")
     t = books[0].T
-    chunk = min(trials, _CHUNK)
+    # five (chunk, T, T) complex stacks are alive at once: the three shared parts of
+    # _rician_grams, and the Gram being built with its temporary. The chunk shrinks
+    # to fit them in the budget, which does not change a bit (see _gram_dot).
+    chunk = min(trials, _CHUNK, max(1, _RESULT_BYTES // (5 * t * t * 16)))
     _check_bytes((chunk, 2, n, t))  # one chunk's channel draws
-    # the (chunk, T, T) stacks alive at once: the shared parts of _rician_grams, the
-    # Gram being built with its temporary, and the caller's previous Gram
-    _check_bytes((6, chunk, t, t), np.complex128)
+    _check_bytes((5, chunk, t, t), np.complex128)  # refuses only when one trial does not fit
     _check_bytes((max(map(len, books)), t, t), np.complex128)  # the projectors of _gains
     stacks = [book.stack() for book in books]
     out = _bounded_empty((len(ks), len(books), trials))
-    for rows, size, rngs in _chunks(trials, seed):
-        for ki, g in enumerate(_rician_grams(rngs, size, n, t, ks)):
+    for rows, size, rngs in _chunks(trials, seed, chunk):
+        grams = _rician_grams(rngs, size, n, t, ks)
+        for ki in range(len(ks)):
+            # not enumerate: its reused result tuple would hold the previous Gram
+            g = next(grams)
             for c, stack in enumerate(stacks):
                 out[ki, c, rows] = _gains(g, stack).max(axis=1)
+            del g  # before the next K's Gram is built
     out.sort(axis=-1)
     if isinstance(b, Codebook):
         out = out[:, 0]

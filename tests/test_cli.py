@@ -418,9 +418,11 @@ GRID_62 = ",".join(repr(float(v)) for v in np.linspace(-3.0, 3.0, 62))
         ["--method", "expmap", "-T", "8", "-M", "4", "--size", "20000"],
         # the (T, T) expmap generator
         ["--method", "expmap", "-T", "20000", "-M", "1", "--size", "2"],
+        # the (size, T, M) manopt stack
+        ["--method", "manopt", "-T", "2000000000", "-M", "1", "--size", "2"],
     ],
     ids=["manopt", "sparse-general", "sparse2m-grid", "sparse2m-continuous", "expmap",
-         "expmap-generator"],
+         "expmap-generator", "manopt-stack"],
 )
 def test_oversized_design_exits_2_without_traceback(tmp_path, capsys, argv):
     out = tmp_path / "book.json"

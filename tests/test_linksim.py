@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from grasspack.codebooks import nr_codebook_4_2, proposed_codebook_4_2
-from grasspack import linksim
+from grasspack import linalg, linksim
 from grasspack.errors import DimensionMismatch, InvalidArgument
 from grasspack.grassmann import Codebook
 from grasspack.linalg import random_stiefel
@@ -306,8 +306,8 @@ class TestRateCurve:
 class TestGainCdf:
     def test_working_set_does_not_grow_with_the_k_factors(self):
         # one chunk's (512, 16, 16) complex Gram stack is 2 MiB; each K's stack is
-        # built only when scored, so six K hold one stack more than one K: the
-        # previous K's Gram, still bound while the next is built
+        # built only when scored and released before the next, so six K hold no
+        # more stacks at once than one K
         book = Codebook(np.eye(16, 2).T[:, :, None])
         stack_bytes = 512 * 16 * 16 * np.dtype(np.complex128).itemsize
         peaks = []
@@ -318,7 +318,18 @@ class TestGainCdf:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] < peaks[0] + 1.5 * stack_bytes
+        assert peaks[1] < peaks[0] + 0.5 * stack_bytes
+
+    def test_chunk_shrinks_to_fit_the_budget(self, monkeypatch):
+        # a budget of three trials' five (16, 16) complex stacks: the sweep runs in
+        # chunks of 3, where a chunk of 4 would be refused, and keeps its bits
+        books = [Codebook(np.eye(16, 2).T[:, :, None]), Codebook(np.eye(16, 3, k=-5).T[:, :, None])]
+        ks = [0.0, 2.0, float("inf")]
+        ref = gain_cdf(books, 2, ks, trials=20, seed=5)
+        budget = 3 * 5 * 16 * 16 * np.dtype(np.complex128).itemsize
+        monkeypatch.setattr(linalg, "_RESULT_BYTES", budget)
+        monkeypatch.setattr(linksim, "_RESULT_BYTES", budget)
+        assert gain_cdf(books, 2, ks, trials=20, seed=5).tobytes() == ref.tobytes()
 
     def test_single_codeword_mean_gain(self):
         # normalized Rayleigh picks 2 of 4 equal-power columns: mean M/T = 0.5
