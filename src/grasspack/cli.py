@@ -117,7 +117,7 @@ def _write_manifest(args, outputs, t0):
         "thread_env": {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
         "outputs": [str(o) for o in outputs],
         "outputs_sha256": {str(o): hashlib.sha256(Path(o).read_bytes()).hexdigest() for o in outputs},
-        "wall_time_s": time.time() - t0,
+        "wall_time_s": time.perf_counter() - t0,
     }
     path = Path(outputs[0]).with_suffix(Path(outputs[0]).suffix + ".manifest.json")
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -415,7 +415,7 @@ def _build_parser():
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         outputs = args.func(args)
         if outputs:

@@ -8,7 +8,11 @@ Channels are (N, T) complex arrays drawn in chunks of trials and scored
 for every codeword at once through the channel Grams G = H^H H: the
 codeword Grams W_k^H G W_k and the gains tr(W_k^H G W_k) are the flattened
 Grams times a table built from the codebook, one stacked matrix product per
-chunk (see ``_gram_dot``). Trial i draws its channel from substream
+chunk (see ``_gram_dot``). The rates sum log2(1 + (rho/M) lambda) over the
+eigenvalues lambda of each codeword Gram, from one batched ``eigvalsh`` call:
+M = 2 Grams go to it as real symmetric matrices of the same spectrum, which
+LAPACK's real path takes at under half the complex cost; M = 1 and M >= 3
+stay complex (see ``_rates``). Trial i draws its channel from substream
 (seed, i) of the run seed, opened for a chunk at once by
 ``rng.substreams``, so results are reproducible bit-for-bit regardless of
 chunking or thread count, and all codebooks in one sweep see the same
@@ -147,16 +151,27 @@ def _rates(g, stack, rho, best=None):
 
     The codeword Grams W_k^H G W_k of every k come from one product with the
     (T*T, K*M*M) table of conj(W_k[t, i]) * W_k[u, m] (see ``_gram_dot``),
-    and their eigenvalues from one ``eigvalsh`` call. The SNR points then run
-    in blocks whose (points, batch, K, M) floats stay under
-    ``_RATE_BLOCK_BYTES``; each point is elementwise, so the blocks do not
-    change a bit. Given ``best``, a writable (len(rho), batch) array, each
+    and their eigenvalues from one ``eigvalsh`` call. For M = 2 that call
+    gets the real symmetric [[Re a, |b|], [|b|, Re d]] in place of each
+    Hermitian [[a, conj(b)], [b, d]]: with D = diag(1, b / |b|), D^H G D is
+    that matrix, a unitary similarity with the same eigenvalues, and LAPACK's
+    real path costs less than half the complex one. M = 1 gains nothing from
+    it, and M >= 3 has no such diagonal similarity, so both stay complex.
+    The SNR points then run in blocks whose (points, batch, K, M) floats stay
+    under ``_RATE_BLOCK_BYTES``; each point is elementwise, so the blocks do
+    not change a bit. Given ``best``, a writable (len(rho), batch) array, each
     block's maximum over the K codewords goes there instead and ``best`` is
     returned, so no more than one block of per-codeword rates is held."""
     k, t, m = stack.shape
     w = stack.transpose(1, 0, 2)
     table = (w.conj()[:, None, :, :, None] * w[None, :, :, None, :]).reshape(t * t, k * m * m)
     grams = _gram_dot(g, table).reshape(-1, k, m, m)
+    if m == 2:
+        real = np.empty(grams.shape)
+        real[..., 0, 0] = grams[..., 0, 0].real
+        real[..., 1, 1] = grams[..., 1, 1].real
+        real[..., 0, 1] = real[..., 1, 0] = np.abs(grams[..., 1, 0])
+        grams = real
     lam = np.clip(np.linalg.eigvalsh(grams), 0.0, None)
     out = np.empty((rho.size,) + lam.shape[:2]) if best is None else best
     step = max(1, _RATE_BLOCK_BYTES // lam.nbytes)

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import re
 import tempfile
@@ -53,12 +54,20 @@ def test_write_csv_matches_csv_writer(tmp_path):
 # SHA-256 of the CSVs the commands below write, as csv.writer wrote them with
 # one _fmt per cell
 CSV_SHA256 = {
-    "rate.csv": "e3b20e989b0a809e3a3cc051689dcc03645a2e11addeb2c237c586c45542d869",
+    "rate.csv": "72ede3d3dd61f818a12db286589f131b5e4ddb2d08d70fc6e41c705ba1694553",
     "papr.csv": "2f7ffecb3b6d7ae4bff5ded78a0ec3881fcecbe3d77ab338471553b14687df12",
     "scatter.csv": "f25b5a53ce9a8c65461bdbd48de3cd3f9069313869af2a0d5c92b39d35535d6f",
     "mcd.csv": "2a90478b21ec6b5b5214262a0a1376da343cd7c5a19b547a36e8947383635099",
     "audit.csv": "a7afbf0a23309f744740b0854449f31f87cde7fb65c5b76502897933afc42ce1",
 }
+
+# rate.csv's rate, difference and standard error columns as the complex 2 x 2
+# eigvalsh wrote them; the real symmetric route moves them by rounding only
+RATE_CSV_COMPLEX_EIGVALSH = [
+    [5.1782023190222732, 5.1870453714384421, 0.0088430524161705829, 0.0066287412362975237],
+    [8.1291576212621592, 8.1394186126243877, 0.010260991362227474, 0.0075463564006371048],
+    [11.321732175395308, 11.332553843783062, 0.010821668387754831, 0.007911370848678545],
+]
 
 
 def test_csv_outputs_keep_their_bytes(tmp_path, monkeypatch):
@@ -80,6 +89,9 @@ def test_csv_outputs_keep_their_bytes(tmp_path, monkeypatch):
         assert run(argv) == 0
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in CSV_SHA256}
     assert got == CSV_SHA256
+    with open(tmp_path / "rate.csv", newline="", encoding="utf-8") as fh:
+        rows = [[float(v) for v in row[1:]] for row in list(csv.reader(fh))[1:]]
+    np.testing.assert_allclose(rows, RATE_CSV_COMPLEX_EIGVALSH, rtol=1e-13, atol=0)
 
 
 class TestDesign:
@@ -140,6 +152,14 @@ class TestDesign:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
         assert manifest["thread_env"] == {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None}
+
+    def test_manifest_wall_time_ignores_clock_steps(self, tmp_path, monkeypatch):
+        # a wall clock stepped back an hour at every reading, as an NTP correction might
+        wall, steps = time.time, itertools.count()
+        monkeypatch.setattr(time, "time", lambda: wall() - 3600.0 * next(steps))
+        out = tmp_path / "e.json"
+        assert run(["design", "--method", "expmap", "-T", 4, "-M", 2, "--size", 4, "--out", out]) == 0
+        assert json.loads((tmp_path / "e.json.manifest.json").read_text())["wall_time_s"] >= 0
 
     def test_manifest_checksums_match_outputs(self, tmp_path):
         out, scatter = tmp_path / "p.csv", tmp_path / "s.csv"

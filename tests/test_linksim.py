@@ -9,7 +9,7 @@ from grasspack import linalg, linksim
 from grasspack.errors import DimensionMismatch, InvalidArgument
 from grasspack.grassmann import Codebook
 from grasspack.linalg import random_stiefel
-from grasspack.rng import substream
+from grasspack.rng import substream, substreams
 from grasspack.linksim import _gains, _grams, _rates, _rayleigh_chunk, _rician_grams, gain_cdf, rate_curve
 
 
@@ -194,6 +194,77 @@ class TestKernelsMatchFormulas:
                 want = [rate_formula(h, w, rho) for w in stack]
                 np.testing.assert_allclose(rates[si, b], want, rtol=1e-12, atol=0)
             np.testing.assert_allclose(gains[b], [gain_formula(h, w) for w in stack], rtol=1e-12, atol=0)
+
+
+def random_book(t, m, k, seed):
+    rng = np.random.default_rng(seed)
+    return np.stack([random_stiefel(t, m, rng) for _ in range(k)])
+
+
+class TestTwoByTwoRates:
+    """M = 2 codeword Grams reach eigvalsh as real symmetric matrices."""
+
+    @pytest.mark.parametrize("m, dtype", [(1, np.complex128), (2, np.float64), (3, np.complex128)])
+    def test_eigvalsh_dtype(self, monkeypatch, m, dtype):
+        seen, eigvalsh = [], linksim.np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            seen.append(a.dtype)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(linksim.np.linalg, "eigvalsh", spy)
+        kernel_rates(rayleigh(3, 6, seed=m), random_book(6, m, 4, seed=m), 1.0)
+        assert seen == [dtype]
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            np.diag([2.0, 0.5]),  # b = 0 exactly
+            np.array([[1.0, 1j], [0.0, 1.0]]),  # b purely imaginary
+            3.0 * np.eye(2),  # a = d with b = 0: a double eigenvalue
+            np.array([[1.0, 1 + 1j], [1 + 1j, 1.0]]),  # a = d with b real
+            np.zeros((3, 2)),  # all-zero channel: with atol=0, the rates must be exactly 0
+        ],
+    )
+    def test_structured_grams(self, h):
+        # the identity codeword makes the codeword Gram the channel Gram
+        stack = np.eye(2)[None]
+        rhos = np.array([0.3, 1.0, 30.0])
+        want = [[rate_formula(h, stack[0], rho)] for rho in rhos]
+        np.testing.assert_allclose(kernel_rates(h, stack, rhos), want, rtol=1e-12, atol=0)
+
+    def test_rank_one_grams(self):
+        stack, rhos = random_book(4, 2, 6, seed=1), np.array([0.3, 1.0, 30.0, 1e4])
+        for trial in range(5):
+            h = rayleigh(1, 4, seed=2, trial=trial)
+            want = [[rate_formula(h, w, rho) for w in stack] for rho in rhos]
+            np.testing.assert_allclose(kernel_rates(h, stack, rhos), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    def test_gram_scales(self, scale):
+        # rho scales inversely, so every rate stays a well-conditioned log
+        h, stack = np.sqrt(scale) * rayleigh(4, 4, seed=5), random_book(4, 2, 6, seed=4)
+        rhos = np.array([0.3, 1.0, 30.0]) / scale
+        want = [[rate_formula(h, w, rho) for w in stack] for rho in rhos]
+        np.testing.assert_allclose(kernel_rates(h, stack, rhos), want, rtol=1e-12, atol=0)
+
+    def test_single_antenna_accuracy(self):
+        """At N = 1 every codeword Gram has rank one. The rates stay close to a
+        long-double evaluation of the Schur-complement form
+        log2(1 + r a) + log2(1 + r max(d - r |b|^2 / (1 + r a), 0)), r = rho / 2."""
+        trials = 500
+        h = _rayleigh_chunk(substreams(6, range(trials)), trials, 1, 4)
+        rhos = 10.0 ** (np.array([0.0, 20.0, 40.0]) / 10.0)
+        for book in (nr_codebook_4_2(), proposed_codebook_4_2()):
+            stack = book.stack()
+            hw = h.astype(np.clongdouble)[:, None] @ stack.astype(np.clongdouble)  # (trials, K, 1, 2)
+            a, d = (np.abs(hw[..., 0, i]) ** 2 for i in range(2))
+            b2 = np.abs(hw[..., 0, 0].conj() * hw[..., 0, 1]) ** 2
+            got = _rates(_grams(h), stack, rhos)
+            for rates, rho in zip(got, rhos):
+                r = np.longdouble(rho) / 2
+                want = np.log2(1 + r * a) + np.log2(1 + r * np.maximum(d - r * b2 / (1 + r * a), 0))
+                assert np.max(np.abs(rates - want) / want) < 1e-10
 
 
 class TestSelection:
