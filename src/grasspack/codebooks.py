@@ -26,10 +26,10 @@ from .errors import DimensionMismatch, InvalidArgument, NotStiefel, ParseError, 
 from .grassmann import (
     Codebook,
     _check_pairwise,
-    _chordal_from_gram_sq,
     _closest_pair,
     _gram_blocks,
     _gram_sq,
+    _mcd_from_gram_sq,
     _triu,
     pairwise_chordal,
     pairwise_gram_sq,
@@ -266,7 +266,7 @@ def optimize_manopt(t: int, m: int, size: int, cfg: OptimizerConfig) -> Codebook
 
     def keep_best(stack, s):
         nonlocal best_mcd, best_stack
-        mcd = _closest_pair(_chordal_from_gram_sq(stack, s))[0]
+        mcd = _mcd_from_gram_sq(stack, s)
         if mcd > best_mcd:
             best_mcd, best_stack = mcd, stack
 

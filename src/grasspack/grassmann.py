@@ -27,6 +27,7 @@ oracle.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,8 @@ from .errors import DimensionMismatch, InvalidArgument, NotStiefel
 from .linalg import _check_bytes, as_cmatrix, fro_norm, is_int
 
 STIEFEL_TOL = 1e-8
+#: pairs with M - s_ij below this get their chordal distance from the projectors
+_GUARD = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,11 +180,13 @@ def _gram_sq(gram):
     m = gram.shape[1]
     sq = np.abs(gram)
     sq *= sq
-    rows = sq[..., 0].copy()
-    for j in range(1, m):
+    if m == 1:
+        return sq[:, 0, :, 0].copy()
+    rows = np.add(sq[..., 0], sq[..., 1])
+    for j in range(2, m):
         rows += sq[..., j]
-    s = rows[:, 0].copy()
-    for i in range(1, m):
+    s = np.add(rows[:, 0], rows[:, 1])
+    for i in range(2, m):
         s += rows[:, i]
     return s
 
@@ -198,12 +203,25 @@ def _chordal_from_gram_sq(stack, s):
     np.fill_diagonal(r, np.inf)  # keeps each codeword's own pair out of the guard
     d = np.sqrt(np.maximum(r, 0.0))
     np.fill_diagonal(d, 0.0)
-    i, j = np.nonzero(r < 1e-8)
+    i, j = np.nonzero(r < _GUARD)
     if i.size:
         wi, wj = stack[i], stack[j]
         diff = wi @ wi.conj().transpose(0, 2, 1) - wj @ wj.conj().transpose(0, 2, 1)
         d[i, j] = np.linalg.norm(diff, axis=(1, 2)) / np.sqrt(2.0)
     return d
+
+
+def _mcd_from_gram_sq(stack, s):
+    """Minimum chordal distance of a stack from its Gram norms ``s``: the
+    bits of ``_closest_pair(_chordal_from_gram_sq(stack, s))[0]``.
+
+    With no pair under the guard, that minimum is sqrt(M - max s_ij) over
+    i < j, since M - x and the square root are monotone and correctly
+    rounded; only a pair under the guard needs the distance matrix."""
+    r = stack.shape[2] - s.take(_triu(s.shape[0])[2]).max()
+    if r >= _GUARD:
+        return math.sqrt(r)
+    return _closest_pair(_chordal_from_gram_sq(stack, s))[0]
 
 
 def pairwise_chordal(stack: np.ndarray) -> np.ndarray:

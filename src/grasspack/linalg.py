@@ -11,6 +11,7 @@ import math
 import numbers
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import InvalidArgument, SizeLimit
 
@@ -85,17 +86,35 @@ def matexp_skew_hermitian(a) -> np.ndarray:
     return (vec * np.exp(1j * lam)) @ vec.conj().T
 
 
+def _raise_qr_error(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
+
+
 def _qr_positive(a: np.ndarray) -> np.ndarray:
     """Thin QR factor with the R diagonal made real nonnegative.
 
     Accepts a single matrix or a stack (..., T, M); no rank check. The sign
     convention makes Q unique, so orthonormal input returns unchanged up to roundoff.
+
+    This is the manifold retraction of every manopt step, so it calls the two
+    LAPACK gufuncs that ``np.linalg.qr`` runs on numpy 2.4 directly:
+    ``qr_r_raw`` (``zgeqrf``, or ``dgeqrf`` for real input) factors a copy of
+    ``a`` in place, and ``qr_reduced`` (``zungqr``/``dorgqr``) forms Q from
+    it. The arithmetic, and so every bit of Q, is that of ``np.linalg.qr``,
+    while its per-call wrapper (type resolution, a second cast and a ``triu``
+    of R when only R's diagonal is read) is skipped. The caller's array is
+    left untouched.
     """
-    q, r = np.linalg.qr(a)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
+    kind = "D" if np.iscomplexobj(a) else "d"
+    a = np.array(a, dtype=kind)
+    with np.errstate(call=_raise_qr_error, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        tau = _umath_linalg.qr_r_raw(a, signature=f"{kind}->{kind}")
+        q = _umath_linalg.qr_reduced(a, tau, signature=f"{kind}{kind}->{kind}")
+    d = np.diagonal(a, axis1=-2, axis2=-1)  # R's diagonal, left in the factored copy
     mag = np.abs(d)
     phase = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
-    return q * phase.conj()[..., None, :]
+    q *= phase.conj()[..., None, :]
+    return q
 
 
 def random_stiefel(t: int, m: int, rng: np.random.Generator) -> np.ndarray:

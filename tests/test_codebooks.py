@@ -235,10 +235,22 @@ class TestOptimizeManopt:
             assert validate_stiefel(w)
         assert np.array_equal(b1.stack(), b2.stack())
 
-    def test_book_bits_are_pinned(self):
+    @pytest.mark.parametrize(
+        "t, m, size, want",
+        [
+            pytest.param(4, 2, 8, "fb1409cee62dc0ddd081b463c2ab56b2d119edc93766efb3acfb7a622a8ac7c3", id="4-2-8"),
+            pytest.param(6, 3, 8, "f85743fbbb432e612051fc20538c65547031f23470ef32e323012a1a8ce9314c", id="6-3-8"),
+        ],
+    )
+    def test_book_bits_are_pinned(self, t, m, size, want):
         # any change to the descent's arithmetic or to which iterate it keeps moves this digest
-        digest = hashlib.sha256(optimize_manopt(4, 2, 8, FAST).stack().tobytes()).hexdigest()
-        assert digest == "fb1409cee62dc0ddd081b463c2ab56b2d119edc93766efb3acfb7a622a8ac7c3"
+        digest = hashlib.sha256(optimize_manopt(t, m, size, FAST).stack().tobytes()).hexdigest()
+        assert digest == want
+
+    @pytest.mark.parametrize("t, m", [(4, 2), (6, 3)])
+    def test_reported_mcd_is_the_books_mcd(self, t, m):
+        book = optimize_manopt(t, m, 8, FAST)
+        assert book.meta["mcd"] == min_chordal_distance(book)[0]
 
     def test_invalid_config(self):
         with pytest.raises(InvalidArgument):

@@ -10,6 +10,9 @@ from grasspack.errors import DimensionMismatch, InvalidArgument, NotStiefel, Siz
 from grasspack.grassmann import (
     Codebook,
     _check_pairwise,
+    _chordal_from_gram_sq,
+    _closest_pair,
+    _mcd_from_gram_sq,
     chordal_distance,
     min_chordal_distance,
     pairwise_chordal,
@@ -190,6 +193,31 @@ class TestNearCoincidence:
             proj = projector_distance(stack[i], stack[j])
             tol = 1e-15 if proj < 1e-5 else 1e-10
             assert abs(d[i, j] - proj / np.sqrt(2)) <= tol
+
+
+class TestMcdFromGramSq:
+    """The best-iterate MCD of the manopt descent, read from the Gram norms,
+    against the guarded distance matrix it stands for, bit for bit."""
+
+    @pytest.mark.parametrize("k, t, m", [(2, 4, 2), (22, 4, 2), (32, 6, 3), (8, 8, 1), (8, 5, 4)])
+    def test_random_stacks_bitwise(self, k, t, m):
+        rng = np.random.default_rng(10 * k + m)
+        for _ in range(10):
+            stack = _qr_positive(rng.standard_normal((k, t, m)) + 1j * rng.standard_normal((k, t, m)))
+            s = pairwise_gram_sq(stack)
+            assert _mcd_from_gram_sq(stack, s) == _closest_pair(_chordal_from_gram_sq(stack, s))[0]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_near_pair_takes_the_guard(self, m):
+        rng = np.random.default_rng(m)
+        stack = _qr_positive(rng.standard_normal((6, 6, m)) + 1j * rng.standard_normal((6, 6, m)))
+        noise = rng.standard_normal((6, m)) + 1j * rng.standard_normal((6, m))
+        stack[4] = _qr_positive(stack[1] + 1e-10 * noise)
+        s = pairwise_gram_sq(stack)
+        assert m - s[1, 4] < 1e-8  # under the guard, so the projector form decides
+        mcd = _mcd_from_gram_sq(stack, s)
+        assert mcd == _closest_pair(_chordal_from_gram_sq(stack, s))[0]
+        assert 0 < mcd < 1e-9
 
 
 class TestSubspaceEqual:

@@ -85,3 +85,57 @@ class TestQrOrthonormalize:
         a = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
         q = _qr_positive(a)
         assert fro_norm(q.conj().T @ q - np.eye(3)) <= 1e-10
+
+
+def _qr_positive_reference(a):
+    """The retraction written out: ``np.linalg.qr`` and the phase fix of R's diagonal."""
+    q, r = np.linalg.qr(a)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    mag = np.abs(d)
+    phase = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
+    return q * phase.conj()[..., None, :]
+
+
+class TestQrMatchesNumpyQr:
+    """`_qr_positive` runs numpy's private QR gufuncs; these tests pin its bits
+    to the public ``np.linalg.qr``, so a numpy that renames or changes those
+    gufuncs fails here rather than in a moved codebook."""
+
+    def check(self, a):
+        keep = a.copy()
+        q = _qr_positive(a)
+        want = _qr_positive_reference(a)
+        assert q.dtype == want.dtype and q.shape == want.shape
+        assert q.tobytes() == want.tobytes()
+        assert a.tobytes() == keep.tobytes()  # the input is left untouched
+
+    @pytest.mark.parametrize("k", [1, 22, 32])
+    @pytest.mark.parametrize("t, m", [(4, 2), (6, 3), (8, 1), (64, 4), (3, 3)])
+    def test_stacks_bitwise(self, k, t, m):
+        rng = np.random.default_rng(1000 * t + 10 * m + k)
+        for _ in range(5):
+            self.check(rng.standard_normal((k, t, m)) + 1j * rng.standard_normal((k, t, m)))
+
+    def test_single_matrix_and_real_input_bitwise(self):
+        rng = np.random.default_rng(5)
+        self.check(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
+        self.check(rng.standard_normal((6, 3)))
+        self.check(rng.standard_normal((22, 4, 2)))
+
+    def test_zero_column_keeps_phase_one(self):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((22, 4, 2)) + 1j * rng.standard_normal((22, 4, 2))
+        a[3, :, 1] = 0.0
+        self.check(a)
+        assert np.diagonal(np.linalg.qr(a[3])[1])[1] == 0
+        assert _qr_positive(a)[3, :, 1].tobytes() == np.linalg.qr(a[3])[0][:, 1].tobytes()
+
+    def test_nan_propagates_as_in_numpy_qr(self):
+        # LAPACK's geqrf reports no error for NaN, so np.linalg.qr returns NaN
+        # rather than raising; the retraction does the same
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
+        a[1, 0, 0] = np.nan
+        q = _qr_positive(a)
+        assert np.isnan(q[1]).any() and np.isfinite(q[[0, 2]]).all()
+        assert np.array_equal(q, _qr_positive_reference(a), equal_nan=True)
