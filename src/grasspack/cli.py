@@ -37,7 +37,7 @@ from .codebooks import (
 )
 from .errors import GrasspackError, ParseError
 from .grassmann import min_chordal_distance
-from .linksim import gain_cdf, rate_curve
+from .linksim import _check_k, gain_cdf, rate_curve
 from .wavesim import (
     WaveformConfig,
     _thresholds,
@@ -256,7 +256,7 @@ def cmd_rate(args):
 def cmd_gain_cdf(args):
     books = [load_codebook(p) for p in args.codebooks]
     names = [_stem(p) for p in args.codebooks]
-    kfactors = _parse_floats(args.k_factors, "--k-factors")
+    kfactors = [_check_k(k) for k in _parse_floats(args.k_factors, "--k-factors")]
     gains = gain_cdf(books, args.N, kfactors, args.trials, args.seed)
     header = ["rank"]
     for k in kfactors:

@@ -19,15 +19,17 @@ chunking or thread count, and all codebooks in one sweep see the same
 channel sequence (common random numbers).
 A gain sweep over several Rician factors draws each trial's angles and
 scattering block once, so every codebook and every K see the same per-trial
-draw. It forms no Rician channel stack: each K's Grams are assembled from
-the line-of-sight and scattering parts that every K shares (see
-``_rician_grams``).
+draw. It forms no Rician channel or Gram stack: a gain is linear in the
+channel Gram, and every K's Gram is a weighted sum of three parts that all K
+share (see ``_rician_parts``), so each codebook is scored once per chunk on
+the three parts and every K's gains are the same weighted sum of those.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,15 +83,13 @@ def _check_k(k: float) -> float:
     k = float(k)
     if math.isnan(k) or k < 0:
         raise InvalidArgument(f"Rician factor must be >= 0 or +inf, got {k}")
-    return k
+    return k + 0.0  # -0.0 becomes 0.0, whose CLI column tag is K0
 
 
-def _rician_grams(rngs, b, n, t, ks):
-    """Yield one (b, T, T) stack of channel Grams H^H H per K factor in ``ks``,
-    in turn, for normalized Rician channels drawn from b per-trial generators
-    consumed in trial order. The draws and the parts every K shares are made
-    before the first yield; each K's stack is built only when the caller asks
-    for it, so the working set does not grow with len(ks).
+def _rician_parts(rngs, b, n, t):
+    """The three (b, T, T) Gram parts every Rician factor shares, stacked as
+    (3, b, T, T), for normalized Rician channels drawn from b per-trial
+    generators consumed in trial order.
 
     A channel H = (a L + c R) / sqrt(N T), with a = sqrt(K / (K + 1)) and
     c = sqrt(1 / (K + 1)), is a rank-one line-of-sight part L = a_r a_t^H plus
@@ -97,35 +97,28 @@ def _rician_grams(rngs, b, n, t, ks):
     ULA responses to arrival and departure angles drawn uniformly on
     (-pi/2, pi/2); their entries have unit modulus, so ||L||_F^2 = N T matches
     the expected scattered power and E||H||_F^2 = 1. Each generator yields its
-    trial's arrival and departure angles and then, if some K is finite, the
-    real and imaginary scattering blocks; every K mixes the same draws.
+    trial's arrival and departure angles, then the real and imaginary
+    scattering blocks; every K mixes the same draws.
 
-    No channel is formed. With v = a_r^H R, each Gram is assembled from parts
-    shared by every K:
+    No channel is formed. With v = a_r^H R the parts are a_t a_t^H,
+    a_t v + (a_t v)^H and R^H R, and each K's Gram is
     H^H H = (a^2 N a_t a_t^H + a c (a_t v + (a_t v)^H) + c^2 R^H R) / (N T),
-    and K = +inf gives a_t a_t^H / T.
+    while K = +inf gives a_t a_t^H / T.
     """
-    scattered = any(not math.isinf(k) for k in ks)
     angles = np.empty((b, 2))
     buf = np.empty((b, 2, n, t))
     for i, rng in enumerate(rngs):
         angles[i] = rng.uniform(-np.pi / 2, np.pi / 2, 2)
-        if scattered:
-            rng.standard_normal(out=buf[i])
+        rng.standard_normal(out=buf[i])
     at = _steering(t, angles[:, 1])
-    los = at[:, :, None] * at.conj()[:, None, :]  # a_t a_t^H
-    if scattered:
-        ray = (buf[:, 0] + 1j * buf[:, 1]) / math.sqrt(2.0)
-        scatter = _grams(ray)
-        v = _steering(n, angles[:, 0]).conj()[:, None, :] @ ray  # a_r^H R
-        cross = at[:, :, None] * v
-        cross += cross.conj().mT
-    for k in ks:
-        if math.isinf(k):
-            yield los / t
-        else:
-            a, c = math.sqrt(k / (k + 1)), math.sqrt(1 / (k + 1))
-            yield ((a * a * n) * los + (a * c) * cross + (c * c) * scatter) / (n * t)
+    ray = (buf[:, 0] + 1j * buf[:, 1]) / math.sqrt(2.0)
+    v = _steering(n, angles[:, 0]).conj()[:, None, :] @ ray  # a_r^H R
+    parts = np.empty((3, b, t, t), dtype=np.complex128)
+    np.multiply(at[:, :, None], at.conj()[:, None, :], out=parts[0])
+    np.multiply(at[:, :, None], v, out=parts[1])
+    parts[1] += parts[1].conj().mT
+    parts[2] = _grams(ray)
+    return parts
 
 
 def _grams(hh):
@@ -207,16 +200,25 @@ def _chunks(trials, seed, chunk):
 
 
 def _check_books(codebooks, n, trials):
-    books = list(codebooks)
-    if not books:
-        raise InvalidArgument("need at least one codebook")
+    if not (isinstance(codebooks, Sequence) and codebooks and all(isinstance(b, Codebook) for b in codebooks)):
+        raise InvalidArgument(f"codebooks must be a non-empty sequence of Codebook, got {type(codebooks).__name__}")
     if not is_int(n) or n < 1:
         raise InvalidArgument(f"receive antenna count N must be an integer >= 1, got {n!r}")
     if not is_int(trials) or trials < 1:
         raise InvalidArgument(f"trials must be an integer >= 1, got {trials!r}")
-    if any(b.T != books[0].T for b in books):
+    if any(b.T != codebooks[0].T for b in codebooks):
         raise DimensionMismatch("all codebooks must share the antenna count T")
-    return books
+    return list(codebooks)
+
+
+def _fit_chunk(trials, n, t, stacks):
+    """Trials per chunk: at most ``_CHUNK``, and fewer when one chunk's channel
+    draws, or its ``stacks`` (chunk, T, T) complex stacks alive at once, would
+    not fit in ``_RESULT_BYTES``; the chunk size does not change a bit (see
+    ``_gram_dot``). Refuses only when one trial's draws or stacks do not fit."""
+    _check_bytes((2, n, t))  # one trial's channel draws
+    _check_bytes((stacks, t, t), np.complex128)  # and its (T, T) stacks
+    return min(trials, _CHUNK, _RESULT_BYTES // max(2 * n * t * 8, stacks * t * t * 16))
 
 
 def rate_curve(codebooks, n: int, snr_db, trials: int, seed: int) -> RateSweep:
@@ -234,9 +236,7 @@ def rate_curve(codebooks, n: int, snr_db, trials: int, seed: int) -> RateSweep:
     if not (np.all(np.isfinite(snr_db)) and np.all(snr_db <= _MAX_SNR_DB)):
         raise InvalidArgument(f"SNR points must be finite and at most {_MAX_SNR_DB:g} dB, got {snr_db.tolist()}")
     rho = 10.0 ** (snr_db / 10.0)
-    chunk = min(trials, _CHUNK)
-    _check_bytes((chunk, 2, n, t))  # one chunk's channel draws
-    _check_bytes((chunk, t, t), np.complex128)  # and their channel Grams
+    chunk = _fit_chunk(trials, n, t, 1)  # one stack: the channel Grams
     _check_bytes((t * t, max(len(b) * b.M**2 for b in books)), np.complex128)  # the table of _rates
     stacks = [b.stack() for b in books]
     ncb = len(books)
@@ -260,42 +260,39 @@ def rate_curve(codebooks, n: int, snr_db, trials: int, seed: int) -> RateSweep:
     return RateSweep(best.sum(axis=0) / trials, diff_mean, diff_se)
 
 
-def gain_cdf(b, n: int, k, trials: int, seed: int) -> np.ndarray:
-    """Sorted per-trial best effective gains under normalized Rician fading.
+def gain_cdf(codebooks, n: int, k_factors, trials: int, seed: int) -> np.ndarray:
+    """Sorted per-trial best effective gains under normalized Rician fading,
+    as an array of shape (len(k_factors), len(codebooks), trials).
 
-    ``b`` is a codebook or a sequence of codebooks sharing T, and ``k`` a
-    Rician factor or a sequence of them. The result has shape
-    (len(k), len(b), trials), without the axis of an argument given as a
-    single codebook or a scalar K; one book and a scalar K give a 1-D array.
-    Trial i draws its two LoS angles and its scattering block
-    from substream (seed, i) once, and every codebook and every K is scored
-    on that draw, so all columns are paired samples. The channel sequence
-    depends only on (seed, trial, N, T, K), so separate calls with the same
-    seed give the same samples as one batched call.
+    ``codebooks`` is a non-empty sequence of codebooks sharing T, and
+    ``k_factors`` a non-empty sequence of Rician factors. Trial i draws its
+    two LoS angles and its scattering block from substream (seed, i) once,
+    and every codebook and every K is scored on that draw, so all columns
+    are paired samples. The channel sequence depends only on (seed, trial,
+    N, T), so separate calls with the same seed give the same samples as one
+    batched call. A gain tr(W^H G W) is linear in the channel Gram G, so each
+    codebook is scored once per chunk on the three Gram parts every K shares
+    (see ``_rician_parts``), and each K's gains are their weighted sum.
     """
-    books = _check_books([b] if isinstance(b, Codebook) else b, n, trials)
-    ks = [_check_k(v) for v in ([k] if np.ndim(k) == 0 else k)]
-    if not ks:
-        raise InvalidArgument("need at least one Rician factor")
+    books = _check_books(codebooks, n, trials)
+    if not (isinstance(k_factors, Sequence) and k_factors):
+        raise InvalidArgument(f"Rician factors must be a non-empty sequence, got {type(k_factors).__name__}")
+    ks = [_check_k(k) for k in k_factors]
     t = books[0].T
-    # five (chunk, T, T) complex stacks are alive at once: the three shared parts of
-    # _rician_grams, and the Gram being built with its temporary. The chunk shrinks
-    # to fit them in the budget, which does not change a bit (see _gram_dot).
-    chunk = min(trials, _CHUNK, max(1, _RESULT_BYTES // (5 * t * t * 16)))
-    _check_bytes((chunk, 2, n, t))  # one chunk's channel draws
-    _check_bytes((5, chunk, t, t), np.complex128)  # refuses only when one trial does not fit
+    chunk = _fit_chunk(trials, n, t, 4)  # four stacks: the three parts and one temporary
     _check_bytes((max(map(len, books)), t, t), np.complex128)  # the projectors of _gains
     stacks = [book.stack() for book in books]
     out = _bounded_empty((len(ks), len(books), trials))
     for rows, size, rngs in _chunks(trials, seed, chunk):
-        grams = _rician_grams(rngs, size, n, t, ks)
-        for ki in range(len(ks)):
-            # not enumerate: its reused result tuple would hold the previous Gram
-            g = next(grams)
-            for c, stack in enumerate(stacks):
-                out[ki, c, rows] = _gains(g, stack).max(axis=1)
-            del g  # before the next K's Gram is built
+        parts = _rician_parts(rngs, size, n, t).reshape(3 * size, t, t)
+        for j, stack in enumerate(stacks):
+            los, cross, scatter = _gains(parts, stack).reshape(3, size, -1)
+            for ki, k in enumerate(ks):
+                if math.isinf(k):
+                    gains = los / t
+                else:
+                    a, c = math.sqrt(k / (k + 1)), math.sqrt(1 / (k + 1))
+                    gains = ((a * a * n) * los + (a * c) * cross + (c * c) * scatter) / (n * t)
+                out[ki, j, rows] = gains.max(axis=1)
     out.sort(axis=-1)
-    if isinstance(b, Codebook):
-        out = out[:, 0]
-    return out[0] if np.ndim(k) == 0 else out
+    return out

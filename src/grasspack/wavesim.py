@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument
 from .grassmann import Codebook
-from .linalg import _bounded_empty, as_cmatrix, as_real_array, is_int, is_power_of_two, is_real
+from .linalg import _bounded_empty, _check_bytes, as_cmatrix, as_real_array, is_int, is_power_of_two, is_real
 from .rng import substream, substreams
 
 _WAVEFORMS = ("ofdm", "dft-s-ofdm")
@@ -83,6 +83,7 @@ def _buffers(cfg: WaveformConfig, rows: int):
     Twiddle row ``p`` weights the used subcarrier at centered frequency ``k``
     by exp(2 pi j k p / (oversample * n_fft)) / sqrt(oversample).
     """
+    _check_bytes((rows, cfg.oversample, cfg.n_fft), np.complex128)  # the spectrum and the output buffer
     qn = cfg.oversample * cfg.n_fft
     k = np.arange(cfg.n_used) - cfg.n_used // 2
     turns = (np.arange(cfg.oversample)[:, None] * k) % qn
@@ -160,6 +161,7 @@ def row_sparse_precoder(t: int, m: int, ell: int, thetas=None, seed: int = 0) ->
     if not 1 <= ell <= m:
         raise InvalidArgument(f"need 1 <= ell <= M, got ell={ell}, M={m}")
     mag = np.sqrt(m / (ell * t))
+    _check_bytes((t, m), np.complex128)
     w = np.zeros((t, m), dtype=np.complex128)
     if thetas is not None:
         th = as_real_array(thetas, "thetas").reshape(-1)
@@ -237,7 +239,7 @@ def papr_experiment(source, cfg: WaveformConfig, trials: int, seed: int, antenna
     width = max(first.size for first, _ in classes)
     buffers = _buffers(cfg, width)
     qn = cfg.oversample * cfg.n_fft
-    real_sq, imag_sq = np.empty((2, width, qn))
+    real_sq, imag_sq = _bounded_empty((2, width, qn))
     # at most T samples per frame, or one with antenna_mean; refused before any frame when oversized
     samples = _bounded_empty((trials,) if antenna_mean else (trials * stack.shape[1],))
     count = 0

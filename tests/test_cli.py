@@ -260,6 +260,9 @@ class TestGainCdf:
         ) == 0
         header = out.read_text().splitlines()[0]
         assert header == "rank,gain_p_K0p1,gain_p_K2p5,gain_p_K1,gain_p_Kinf"
+        # -0 is the factor 0 and is named so
+        assert run(["gain-cdf", "--codebooks", prop, "-N", 2, "--k-factors=-0,inf", "--trials", 5, "--out", out]) == 0
+        assert out.read_text().splitlines()[0] == "rank,gain_p_K0,gain_p_Kinf"
 
     def test_zero_trials_usage_error(self, tmp_path, capsys):
         prop = tmp_path / "p.json"
@@ -398,6 +401,9 @@ def test_bad_argument_exits_2_without_traceback(tmp_path, capsys, argv):
         ["papr", "--subcarriers", "4", "--fft", "4", "--oversample", "1", "--trials", "2",
          "--scatter", "scatter.csv", "--scatter-frames", "1000000000000"],
         ["papr", "--row-sparse", "4,2,1", "--trials", "1000000000000"],
+        # one row's spectrum, and the (T, M) row-sparse matrix
+        ["papr", "--subcarriers", "4", "--fft", "2147483648", "--oversample", "1", "--trials", "1"],
+        ["papr", "--row-sparse", "2000000000,1,1", "--trials", "1"],
         # one trial's (2, N, T) channel draws; refused before the chunk buffer
         ["rate", "-N", "100000000", "--trials", "1", "--snr-db", "0"],
         ["gain-cdf", "-N", "100000000", "--trials", "1"],

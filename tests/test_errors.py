@@ -246,8 +246,8 @@ FAST = OptimizerConfig(restarts=1, max_iters=5)
     [
         lambda: rate_curve([NR], 2, [0.0], 2.5, seed=0),
         lambda: rate_curve([NR], True, [0.0], 3, seed=0),
-        lambda: gain_cdf(NR, 2.5, 1.0, 3, seed=0),
-        lambda: gain_cdf(NR, 2, 1.0, np.float64(3), seed=0),
+        lambda: gain_cdf([NR], 2.5, [1.0], 3, seed=0),
+        lambda: gain_cdf([NR], 2, [1.0], np.float64(3), seed=0),
         lambda: papr_experiment(np.eye(4)[:, :2], WaveformConfig(4, 4), 2.5, seed=0),
         lambda: constellation_samples(np.eye(4)[:, :2], WaveformConfig(4, 4), True, seed=0),
         lambda: WaveformConfig(4.0, 4),
@@ -256,7 +256,7 @@ FAST = OptimizerConfig(restarts=1, max_iters=5)
         lambda: row_sparse_precoder(4.0, 2, 1),
         lambda: row_sparse_precoder(4, 2.5, 1),
         lambda: modulate(2.5, substream(0, 0)),
-        lambda: gain_cdf(NR, 2, 1.0, 3, seed=2.9),
+        lambda: gain_cdf([NR], 2, [1.0], 3, seed=2.9),
         lambda: rate_curve([NR], 2, [0.0], 3, seed=True),
         lambda: build_expmap(4, 2, 4, OptimizerConfig(seed=1.5)),
         lambda: OptimizerConfig(max_iters=2.5),

@@ -10,7 +10,10 @@ from grasspack.errors import DimensionMismatch, InvalidArgument
 from grasspack.grassmann import Codebook
 from grasspack.linalg import random_stiefel
 from grasspack.rng import substream, substreams
-from grasspack.linksim import _gains, _grams, _rates, _rayleigh_chunk, _rician_grams, gain_cdf, rate_curve
+from grasspack.linksim import _gains, _grams, _rates, _rayleigh_chunk, _rician_parts, gain_cdf, rate_curve
+
+
+NR = nr_codebook_4_2()
 
 
 def e_cols(t, cols):
@@ -55,15 +58,14 @@ def rayleigh(n, t, seed, trial=0):
 def reference_rician(n, t, ks, seed, trial=0):
     """The normalized Rician channels H = (a L + c R) / sqrt(N T) of one trial,
     one per K in ``ks``, built from substream (seed, trial) in the documented
-    draw order: the arrival and departure angles, then, if some K is finite,
-    the real and imaginary scattering blocks."""
+    draw order: the arrival and departure angles, then the real and imaginary
+    scattering blocks."""
     rng = substream(seed, trial)
     arrival, departure = rng.uniform(-np.pi / 2, np.pi / 2, 2)
     a_r = np.exp(1j * np.pi * np.sin(arrival) * np.arange(n))
     a_t = np.exp(1j * np.pi * np.sin(departure) * np.arange(t))
     los = np.outer(a_r, a_t.conj())
-    if any(not np.isinf(k) for k in ks):
-        ray = (rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t))) / np.sqrt(2.0)
+    ray = (rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t))) / np.sqrt(2.0)
     out = []
     for k in ks:
         h = los if np.isinf(k) else np.sqrt(k / (k + 1)) * los + np.sqrt(1 / (k + 1)) * ray
@@ -133,8 +135,17 @@ class TestRicianGrams:
     @pytest.mark.parametrize("n", [1, 5, 32])
     def test_grams_match_oracle_channels(self, n, t):
         trials, seed = 40, 14
-        grams = list(_rician_grams([substream(seed, i) for i in range(trials)], trials, n, t, self.KS))
-        assert len(grams) == len(self.KS)
+        parts = _rician_parts([substream(seed, i) for i in range(trials)], trials, n, t)
+        assert parts.shape == (3, trials, t, t)
+        los, cross, scatter = parts
+        # each K's Gram assembled from the shared parts by the documented formula
+        grams = []
+        for k in self.KS:
+            if np.isinf(k):
+                grams.append(los / t)
+            else:
+                a, c = np.sqrt(k / (k + 1)), np.sqrt(1 / (k + 1))
+                grams.append((a * a * n * los + a * c * cross + c * c * scatter) / (n * t))
         for i in range(trials):
             for k, g, h in zip(self.KS, grams, reference_rician(n, t, self.KS, seed, trial=i)):
                 want = h.conj().T @ h
@@ -376,52 +387,60 @@ class TestRateCurve:
 
 class TestGainCdf:
     def test_working_set_does_not_grow_with_the_k_factors(self):
-        # one chunk's (512, 16, 16) complex Gram stack is 2 MiB; each K's stack is
-        # built only when scored and released before the next, so six K hold no
-        # more stacks at once than one K
+        # one chunk's (512, 16, 16) complex Gram stack is 2 MiB; the three shared
+        # parts are scored once per chunk and no K's Gram is built, as each K's
+        # gains are a weighted sum of the parts' (chunk, K) gains, so six K hold
+        # no more stacks at once than one K
         book = Codebook(np.eye(16, 2).T[:, :, None])
         stack_bytes = 512 * 16 * 16 * np.dtype(np.complex128).itemsize
         peaks = []
         for ks in ([0.0], [0.0, 0.5, 1.0, 3.0, 10.0, float("inf")]):
             tracemalloc.start()
             try:
-                gain_cdf(book, 1, ks, trials=512, seed=3)
+                gain_cdf([book], 1, ks, trials=512, seed=3)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] < peaks[0] + 0.5 * stack_bytes
 
     def test_chunk_shrinks_to_fit_the_budget(self, monkeypatch):
-        # a budget of three trials' five (16, 16) complex stacks: the sweep runs in
-        # chunks of 3, where a chunk of 4 would be refused, and keeps its bits
+        # a budget of three trials' four (16, 16) complex stacks: the gain sweep runs
+        # in chunks of 3, where a chunk of 4 would be refused, the rate sweep, with
+        # one stack per trial, in chunks of 12, and both keep their bits
         books = [Codebook(np.eye(16, 2).T[:, :, None]), Codebook(np.eye(16, 3, k=-5).T[:, :, None])]
         ks = [0.0, 2.0, float("inf")]
         ref = gain_cdf(books, 2, ks, trials=20, seed=5)
-        budget = 3 * 5 * 16 * 16 * np.dtype(np.complex128).itemsize
+        ref_rates = rate_curve(books, 2, [0.0, 10.0], trials=20, seed=5)
+        budget = 3 * 4 * 16 * 16 * np.dtype(np.complex128).itemsize
         monkeypatch.setattr(linalg, "_RESULT_BYTES", budget)
         monkeypatch.setattr(linksim, "_RESULT_BYTES", budget)
         assert gain_cdf(books, 2, ks, trials=20, seed=5).tobytes() == ref.tobytes()
+        rates = rate_curve(books, 2, [0.0, 10.0], trials=20, seed=5)
+        assert rates.mean_rates.tobytes() == ref_rates.mean_rates.tobytes()
+        assert rates.diff_mean.keys() == ref_rates.diff_mean.keys()
+        for pair in ref_rates.diff_mean:
+            assert rates.diff_mean[pair].tobytes() == ref_rates.diff_mean[pair].tobytes()
+            assert rates.diff_se[pair].tobytes() == ref_rates.diff_se[pair].tobytes()
 
     def test_single_codeword_mean_gain(self):
         # normalized Rayleigh picks 2 of 4 equal-power columns: mean M/T = 0.5
         book = Codebook((e_cols(4, [0, 1]),))
-        gains = gain_cdf(book, 4, 0.0, trials=20000, seed=5)
+        gains = gain_cdf([book], 4, [0.0], trials=20000, seed=5)
         assert gains.mean() == pytest.approx(0.5, rel=0.02)
 
     def test_sorted_output(self):
-        gains = gain_cdf(proposed_codebook_4_2(), 4, 1.0, trials=500, seed=6)
+        gains = gain_cdf([proposed_codebook_4_2()], 4, [1.0], trials=500, seed=6)
+        assert gains.shape == (1, 1, 500)
         assert np.all(np.diff(gains) >= 0)
 
     def test_duplicate_codeword_never_changes_samples(self):
         base = nr_codebook_4_2()
         doubled = Codebook(np.concatenate([base.stack(), base.stack()[:1]]))
-        g1 = gain_cdf(base, 4, 0.0, trials=400, seed=7)
-        g2 = gain_cdf(doubled, 4, 0.0, trials=400, seed=7)
+        g1, g2 = gain_cdf([base, doubled], 4, [0.0], trials=400, seed=7)[0]
         assert np.array_equal(g1, g2)
 
     def test_paired_medians_k0_ordering(self):
-        prop = gain_cdf(proposed_codebook_4_2(), 16, 0.0, trials=4000, seed=8)
-        nr = gain_cdf(nr_codebook_4_2(), 16, 0.0, trials=4000, seed=8)
+        prop, nr = gain_cdf([proposed_codebook_4_2(), nr_codebook_4_2()], 16, [0.0], trials=4000, seed=8)[0]
         assert np.median(prop) >= np.median(nr)
 
     def test_batched_equals_stacked_single_calls(self):
@@ -429,31 +448,48 @@ class TestGainCdf:
         ks = [0.0, 1.0, float("inf")]
         batched = gain_cdf(books, 8, ks, trials=300, seed=9)
         assert batched.shape == (3, 2, 300)
-        single = np.stack([np.stack([gain_cdf(b, 8, k, trials=300, seed=9) for b in books]) for k in ks])
+        single = np.stack([np.stack([gain_cdf([b], 8, [k], trials=300, seed=9)[0, 0] for b in books]) for k in ks])
         assert np.array_equal(batched, single)
-        assert np.array_equal(gain_cdf(books, 8, 1.0, trials=300, seed=9), single[1])
-        assert np.array_equal(gain_cdf(books[1], 8, ks, trials=300, seed=9), single[:, 1])
+        assert np.array_equal(gain_cdf(books, 8, [1.0], trials=300, seed=9)[0], single[1])
+        assert np.array_equal(gain_cdf(books[1:], 8, ks, trials=300, seed=9)[:, 0], single[:, 1])
 
     def test_invalid_arguments(self):
         book = proposed_codebook_4_2()
         with pytest.raises(InvalidArgument):
-            gain_cdf(book, 4, 0.0, trials=0, seed=0)
+            gain_cdf([book], 4, [0.0], trials=0, seed=0)
         for n in (0, -1):
             with pytest.raises(InvalidArgument):
-                gain_cdf(book, n, 0.0, trials=10, seed=0)
+                gain_cdf([book], n, [0.0], trials=10, seed=0)
         with pytest.raises(InvalidArgument):
-            gain_cdf([], 4, 0.0, trials=10, seed=0)
+            gain_cdf([], 4, [0.0], trials=10, seed=0)
         with pytest.raises(DimensionMismatch):
-            gain_cdf([book, Codebook((e_cols(3, [0, 1]),))], 4, 0.0, trials=10, seed=0)
+            gain_cdf([book, Codebook((e_cols(3, [0, 1]),))], 4, [0.0], trials=10, seed=0)
         with pytest.raises(InvalidArgument):
-            gain_cdf(book, 4, [], trials=10, seed=0)
+            gain_cdf([book], 4, [], trials=10, seed=0)
         with pytest.raises(InvalidArgument):
-            gain_cdf(book, 4, [1.0, -1.0], trials=10, seed=0)
+            gain_cdf([book], 4, [1.0, -1.0], trials=10, seed=0)
         with pytest.raises(InvalidArgument):
-            gain_cdf(book, 4, -0.5, trials=10, seed=0)
+            gain_cdf([book], 4, [-0.5], trials=10, seed=0)
         for k in (True, "1"):
             with pytest.raises(InvalidArgument):
-                gain_cdf(book, 4, k, trials=10, seed=0)
+                gain_cdf([book], 4, [k], trials=10, seed=0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: rate_curve(NR, 4, [0.0], 3, seed=0),
+            lambda: gain_cdf(NR, 4, [0.0], 3, seed=0),
+            lambda: gain_cdf([NR.stack()], 4, [0.0], 3, seed=0),
+            lambda: rate_curve([NR, "x"], 4, [0.0], 3, seed=0),
+            lambda: gain_cdf([NR], 4, 0.5, 3, seed=0),
+            lambda: gain_cdf([NR], 4, np.array([0.5]), 3, seed=0),
+        ],
+        ids=["rate-bare-book", "gain-bare-book", "gain-array-book", "rate-non-book", "gain-scalar-k", "gain-array-k"],
+    )
+    def test_call_shape_is_refused_as_an_invalid_argument(self, call):
+        # books and Rician factors are non-empty sequences; anything else is refused
+        with pytest.raises(InvalidArgument):
+            call()
 
 
 class TestSweepsMatchSingleTrials:
