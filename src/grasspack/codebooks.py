@@ -66,7 +66,9 @@ class OptimizerConfig:
 
     ``max_iters`` caps the accepted steps per smoothing stage of the descent
     (see :func:`_descend`) and ``restarts`` the random initializations, whose
-    substreams derive from ``seed``. ``phase_grid`` switches the phase
+    substreams derive from ``seed``. Each optimizer keeps the first iterate
+    of highest score seen over all restarts: the MCD, or the closest-pair
+    separation in the phase search. ``phase_grid`` switches the phase
     searches to a discrete alphabet; ``expmap_scale`` spreads the QAM blocks
     of :func:`build_expmap`. The smoothing schedule (``EPS_SCHEDULE``) and
     the line-search constants are fixed.
@@ -162,14 +164,18 @@ def _lbfgs_product(grad, pairs):
     return q
 
 
-def _descend(value_grad, x, cfg, retract=None, on_accept=None):
-    """Armijo descent through the smoothing schedule; returns the last iterate.
+def _descend(value_grad, starts, cfg, retract=None):
+    """Armijo descent through the smoothing schedule from each of ``starts``;
+    returns (score, x) for the best iterate seen over all of them.
 
     ``value_grad(x, eps)`` returns (value, finish), and ``finish()`` returns
-    (gradient g, aux) from the intermediates the value left behind.
-    Sufficient decrease needs only the value at a candidate, so ``finish``
-    runs once at each stage start and once per accepted step, never for a
-    rejected candidate.
+    (gradient g, score) from the intermediates the value left behind; the
+    score is the quantity the design maximizes. Sufficient decrease needs
+    only the value at a candidate, so ``finish`` runs once at each stage
+    start and once per accepted step, never for a rejected candidate. Those
+    iterates are the candidates for the result, and one replaces the best
+    only when its score is strictly greater: the first iterate to reach the
+    top score is kept, and a start never improved on is returned itself.
 
     Without ``retract`` x lives in a flat space (the phase searches) and the
     search direction is L-BFGS (Nocedal & Wright, Numerical Optimization,
@@ -185,8 +191,7 @@ def _descend(value_grad, x, cfg, retract=None, on_accept=None):
     Per eps of ``EPS_SCHEDULE`` the step starts at 1 and halves until the
     candidate x + step * d (through ``retract`` if given) meets the Armijo
     test value(cand) <= value + 1e-4 * step * <g, d>; after each accepted
-    step ``on_accept(x, aux)`` sees the new iterate and the step grows 1.5x,
-    capped at 100. A stage ends at the first of:
+    step it grows 1.5x, capped at 100. A stage ends at the first of:
 
     * vanishing gradient: ||g||^2 < 1e-24;
     * failed line search: the step falls to 1e-14 with no candidate accepted;
@@ -194,49 +199,48 @@ def _descend(value_grad, x, cfg, retract=None, on_accept=None):
     * stall: ``_STALL_STEPS`` accepted steps in a row each lowering the value
       by less than 1e-13 (on a flat surrogate the Armijo bound rounds away).
     """
-    for eps in EPS_SCHEDULE:
-        step = _STEP_INIT
-        value, finish = value_grad(x, eps)
-        grad, _ = finish()
-        # p = -d is held instead of d, and slope = <g, p> = -<g, d> > 0, so
-        # the steepest step x - step * g and its Armijo bound keep their bits
-        p, stall, pairs = grad, 0, []
-        slope = gnorm2 = float((np.abs(grad) ** 2).sum())
-        for _ in range(cfg.max_iters):
-            if gnorm2 < 1e-24 or stall >= _STALL_STEPS:
-                break
-            while step > 1e-14:
-                cand = x - step * p
-                if retract is not None:
-                    cand = retract(cand)
-                cand_value, finish = value_grad(cand, eps)
-                if cand_value <= value - 1e-4 * step * slope:
+    best_score, best_x = -np.inf, None
+    for x in starts:
+        for eps in EPS_SCHEDULE:
+            value, finish = value_grad(x, eps)
+            step, stall, pairs, grad = _STEP_INIT, 0, [], None
+            for accepted in range(cfg.max_iters + 1):
+                g_old, (grad, score) = grad, finish()
+                if score > best_score:
+                    best_score, best_x = score, x
+                # p = -d is held instead of d, and slope = <g, p> = -<g, d> > 0, so
+                # the steepest step x - step * g and its Armijo bound keep their bits
+                p = grad
+                slope = gnorm2 = float((np.abs(grad) ** 2).sum())
+                if retract is None and g_old is not None:  # L-BFGS, kept only while it descends
+                    s, y = x - x_old, grad - g_old
+                    if (sy := np.vdot(s, y).real) > 0:
+                        pairs = [*pairs, (s, y, sy)][-_LBFGS_PAIRS:]
+                    if pairs:
+                        hg = _lbfgs_product(grad, pairs)
+                        if (hg_slope := np.vdot(grad, hg).real) > 0:
+                            p, slope, step = hg, hg_slope, 1.0
+                if accepted == cfg.max_iters or gnorm2 < 1e-24 or stall >= _STALL_STEPS:
                     break
-                step *= _BACKTRACK
-            else:  # no candidate accepted
-                break
-            stall = stall + 1 if value - cand_value < 1e-13 else 0
-            x_old, x, value, g_old = x, cand, cand_value, grad
-            grad, aux = finish()
-            if on_accept is not None:
-                on_accept(x, aux)
-            step = min(step * 1.5, 100.0)
-            gnorm2 = float((np.abs(grad) ** 2).sum())
-            p, slope = grad, gnorm2
-            if retract is None:  # L-BFGS, kept only while it descends
-                s, y = x - x_old, grad - g_old
-                if (sy := np.vdot(s, y).real) > 0:
-                    pairs = [*pairs, (s, y, sy)][-_LBFGS_PAIRS:]
-                if pairs:
-                    hg = _lbfgs_product(grad, pairs)
-                    if (hg_slope := np.vdot(grad, hg).real) > 0:
-                        p, slope, step = hg, hg_slope, 1.0
-    return x
+                while step > 1e-14:
+                    cand = x - step * p
+                    if retract is not None:
+                        cand = retract(cand)
+                    cand_value, finish = value_grad(cand, eps)
+                    if cand_value <= value - 1e-4 * step * slope:
+                        break
+                    step *= _BACKTRACK
+                else:  # no candidate accepted
+                    break
+                stall = stall + 1 if value - cand_value < 1e-13 else 0
+                x_old, x, value = x, cand, cand_value
+                step = min(step * 1.5, 100.0)
+    return best_score, best_x
 
 
 def _manopt_grad(stack, eps):
     """Surrogate value on the product manifold, and a closure giving the
-    Riemannian gradient and the Gram norms.
+    Riemannian gradient and the MCD, from the surrogate's Gram norms.
 
     The Euclidean gradient E_k is projected onto the tangent space at W_k as
     E_k - W_k (W_k^H E_k) (Edelman, Arias & Smith, SIAM J. Matrix Anal. Appl.
@@ -245,7 +249,7 @@ def _manopt_grad(stack, eps):
 
     def finish():
         egrad, s = egrad_parts()
-        return egrad - stack @ (stack.conj().transpose(0, 2, 1) @ egrad), s
+        return egrad - stack @ (stack.conj().transpose(0, 2, 1) @ egrad), _mcd_from_gram_sq(stack, s)
 
     return value, finish
 
@@ -254,28 +258,22 @@ def optimize_manopt(t: int, m: int, size: int, cfg: OptimizerConfig) -> Codebook
     """Riemannian descent of the smooth MCD surrogate on G(T, M)^size.
 
     Projected gradient with QR retraction and the epsilon continuation
-    schedule; best of ``cfg.restarts`` random initializations by final MCD.
-    The returned codebook is the best-MCD iterate seen, so its MCD never
-    falls below that of its own initialization.
+    schedule from ``cfg.restarts`` random initializations. The returned
+    codebook is the first iterate of highest MCD seen over all of them (see
+    :func:`_descend`), so its MCD never falls below that of any
+    initialization.
     """
     if not all(is_int(v) for v in (t, m, size)) or size < 2 or not 1 <= m < t:
         raise InvalidArgument(f"need integers size >= 2 and 1 <= M < T, got {(t, m, size)}")
     _check_pairwise(size, m)
     _check_bytes((size, t, m), np.complex128)  # the stack and its gradient
-    best_mcd, best_stack = -1.0, None  # best iterate over all restarts
 
-    def keep_best(stack, s):
-        nonlocal best_mcd, best_stack
-        mcd = _mcd_from_gram_sq(stack, s)
-        if mcd > best_mcd:
-            best_mcd, best_stack = mcd, stack
+    def starts():
+        for r in range(cfg.restarts):
+            rng = substream(cfg.seed, 0xA11, r)
+            yield _qr_positive(rng.standard_normal((size, t, m)) + 1j * rng.standard_normal((size, t, m)))
 
-    for r in range(cfg.restarts):
-        rng = substream(cfg.seed, 0xA11, r)
-        g = rng.standard_normal((size, t, m)) + 1j * rng.standard_normal((size, t, m))
-        stack = _qr_positive(g)
-        keep_best(stack, pairwise_gram_sq(stack))
-        _descend(_manopt_grad, stack, cfg, retract=_qr_positive, on_accept=keep_best)
+    mcd, stack = _descend(_manopt_grad, starts(), cfg, retract=_qr_positive)
     meta = {
         "method": "manopt",
         "T": t,
@@ -284,9 +282,9 @@ def optimize_manopt(t: int, m: int, size: int, cfg: OptimizerConfig) -> Codebook
         "seed": cfg.seed,
         "restarts": cfg.restarts,
         "eps_schedule": list(EPS_SCHEDULE),
-        "mcd": best_mcd,
+        "mcd": mcd,
     }
-    return Codebook(best_stack, meta)
+    return Codebook(stack, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -301,29 +299,16 @@ def _phase_objective(th):
 
 def _phase_value_grad(th, eps):
     """Phase surrogate value, and a closure giving its gradient with the first
-    (gauge) row pinned."""
+    (gauge) row pinned and the closest pair's separation."""
     f, diff = _phase_objective(th)
     value, weights = _lse_pairs(f, eps)
 
     def finish():
         grad = -(0.5 / eps) * np.einsum("ij,ijm->im", weights(), np.sin(diff))
         grad[0] = 0.0
-        return grad, None
+        return grad, f.take(_triu(len(f))[2]).min()
 
     return value, finish
-
-
-def _optimize_phases_continuous(m, ell, cfg):
-    best_val, best_th = -1.0, np.zeros((ell, m))
-    for r in range(cfg.restarts):
-        rng = substream(cfg.seed, 0xBEE, r)
-        th = rng.uniform(-np.pi, np.pi, size=(ell, m))
-        th[0] = 0.0  # gauge: first instance pinned, distances use differences only
-        th = _descend(_phase_value_grad, th, cfg)
-        val = _closest_pair(_phase_objective(th)[0])[0]
-        if val > best_val + 1e-15:
-            best_val, best_th = val, th
-    return best_th
 
 
 def _grid_points(grid, m):
@@ -405,6 +390,8 @@ def optimize_phases_2M(m: int, ell: int, cfg: OptimizerConfig) -> np.ndarray:
     of the continuous search is all-zero; on a ``phase_grid`` it is the
     chosen point with the lowest index in ``itertools.product(grid,
     repeat=M)``: (-pi/2, -pi/2) on ``QUARTER_GRID`` with M = 2, L = 3.
+    The continuous search keeps the first iterate of largest closest-pair
+    separation over ``cfg.restarts`` random starts (see :func:`_descend`).
     Cross-pattern distances are phase-independent, so one optimized set
     serves every pattern.
     """
@@ -419,7 +406,14 @@ def optimize_phases_2M(m: int, ell: int, cfg: OptimizerConfig) -> np.ndarray:
         th = _optimize_phases_discrete(m, ell, cfg)
     else:
         _check_bytes((ell, ell, m))  # the pairwise phase differences of the instances
-        th = _optimize_phases_continuous(m, ell, cfg)
+
+        def starts():
+            for r in range(cfg.restarts):
+                th = substream(cfg.seed, 0xBEE, r).uniform(-np.pi, np.pi, size=(ell, m))
+                th[0] = 0.0  # gauge: first instance pinned, distances use differences only
+                yield th
+
+        th = _descend(_phase_value_grad, starts(), cfg)[1]
     return _wrap_phase(th)
 
 
@@ -474,8 +468,10 @@ def build_general_sparse(t: int, m: int, s: int, size: int, cfg: OptimizerConfig
     Patterns are taken round-robin, most balanced column supports first (so
     s = 2M with T = 2M takes the (2M - 1)!! perfect matchings before any
     pattern with uneven supports), and the per-entry phases are tuned with
-    the same smoothed min-distance surrogate used by the dense optimizer.
-    Amplitudes stay equal within each column.
+    the same smoothed min-distance surrogate used by the dense optimizer
+    from an all-zero start and ``cfg.restarts - 1`` random ones, keeping the
+    first iterate of highest MCD (see :func:`_descend`), then snapped to any
+    ``cfg.phase_grid``. Amplitudes stay equal within each column.
     """
     if not all(is_int(v) for v in (t, m, s, size)) or not (t > m > 1) or not m <= s <= t or size < 2:
         raise InvalidArgument(f"need integers T > M > 1, M <= s <= T, size >= 2, got {(t, m, s, size)}")
@@ -484,7 +480,8 @@ def build_general_sparse(t: int, m: int, s: int, size: int, cfg: OptimizerConfig
     free = layout[4] != np.arange(s)  # pivot phases stay at the zero gauge
 
     def exact_mcd(phases):
-        return _closest_pair(pairwise_chordal(_fill(layout, phases, t, m)))[0]
+        stack = _fill(layout, phases, t, m)
+        return _mcd_from_gram_sq(stack, pairwise_gram_sq(stack))
 
     idx = layout[:3]
 
@@ -494,19 +491,17 @@ def build_general_sparse(t: int, m: int, s: int, size: int, cfg: OptimizerConfig
 
         def finish():
             # d/dtheta of F for W = amp * exp(j theta): -2 Im(conj(egrad) * W)
-            egrad = egrad_parts()[0]
-            return -2.0 * np.imag(egrad[idx].conj() * stack[idx]) * free, None
+            egrad, gram_sq = egrad_parts()
+            return -2.0 * np.imag(egrad[idx].conj() * stack[idx]) * free, _mcd_from_gram_sq(stack, gram_sq)
 
         return value, finish
 
-    best_val, best_ph = -1.0, np.zeros((size, s))
-    for r in range(cfg.restarts):
-        rng = substream(cfg.seed, 0xF0B, r)
-        ph = rng.uniform(-np.pi, np.pi, size=(size, s)) * free if r else np.zeros((size, s))
-        ph = _descend(value_grad, ph, cfg)
-        val = exact_mcd(ph)
-        if val > best_val + 1e-15:
-            best_val, best_ph = val, ph
+    def starts():
+        for r in range(cfg.restarts):
+            rng = substream(cfg.seed, 0xF0B, r)
+            yield rng.uniform(-np.pi, np.pi, size=(size, s)) * free if r else np.zeros((size, s))
+
+    best_val, best_ph = _descend(value_grad, starts(), cfg)
     if cfg.phase_grid is not None:
         best_ph = _snap_to_grid(best_ph, cfg.phase_grid, free, exact_mcd)
         best_val = exact_mcd(best_ph)

@@ -62,14 +62,21 @@ class RateSweep:
     diff_se: dict
 
 
-def _rayleigh_chunk(rngs, b, n, t):
+def _rayleigh_chunk(rngs, b, n, t, angles=None):
     """(b, N, T) Rayleigh channels with unit-variance complex Gaussian entries
-    from b per-trial generators, consumed in trial order; each draws its
-    trial's real block, then its imaginary one."""
+    from b per-trial generators, consumed in trial order. Each draws its
+    trial's two angles into row i of ``angles`` first when it is given, then
+    its real block, then its imaginary one. The channels are scaled in place,
+    so the draws and the channels are the only chunk-sized arrays."""
     buf = np.empty((b, 2, n, t))
     for i, rng in enumerate(rngs):
+        if angles is not None:
+            angles[i] = rng.uniform(-np.pi / 2, np.pi / 2, 2)
         rng.standard_normal(out=buf[i])
-    return (buf[:, 0] + 1j * buf[:, 1]) / math.sqrt(2.0)
+    h = np.empty((b, n, t), dtype=np.complex128)
+    h.real, h.imag = buf[:, 0], buf[:, 1]
+    h /= math.sqrt(2.0)
+    return h
 
 
 def _steering(count, angles):
@@ -106,12 +113,8 @@ def _rician_parts(rngs, b, n, t):
     while K = +inf gives a_t a_t^H / T.
     """
     angles = np.empty((b, 2))
-    buf = np.empty((b, 2, n, t))
-    for i, rng in enumerate(rngs):
-        angles[i] = rng.uniform(-np.pi / 2, np.pi / 2, 2)
-        rng.standard_normal(out=buf[i])
+    ray = _rayleigh_chunk(rngs, b, n, t, angles)
     at = _steering(t, angles[:, 1])
-    ray = (buf[:, 0] + 1j * buf[:, 1]) / math.sqrt(2.0)
     v = _steering(n, angles[:, 0]).conj()[:, None, :] @ ray  # a_r^H R
     parts = np.empty((3, b, t, t), dtype=np.complex128)
     np.multiply(at[:, :, None], at.conj()[:, None, :], out=parts[0])
@@ -212,13 +215,13 @@ def _check_books(codebooks, n, trials):
 
 
 def _fit_chunk(trials, n, t, stacks):
-    """Trials per chunk: at most ``_CHUNK``, and fewer when one chunk's channel
-    draws, or its ``stacks`` (chunk, T, T) complex stacks alive at once, would
-    not fit in ``_RESULT_BYTES``; the chunk size does not change a bit (see
-    ``_gram_dot``). Refuses only when one trial's draws or stacks do not fit."""
-    _check_bytes((2, n, t))  # one trial's channel draws
-    _check_bytes((stacks, t, t), np.complex128)  # and its (T, T) stacks
-    return min(trials, _CHUNK, _RESULT_BYTES // max(2 * n * t * 8, stacks * t * t * 16))
+    """Trials per chunk: at most ``_CHUNK``, and fewer when a chunk's channels,
+    their conjugate in ``_grams`` and its ``stacks`` (chunk, T, T) complex
+    stacks would not fit in ``_RESULT_BYTES`` together; the chunk size does not
+    change a bit (see ``_gram_dot``). Refuses only when one trial alone does not fit."""
+    per_trial = (2 * n + stacks * t, t)  # complex entries
+    _check_bytes(per_trial, np.complex128)
+    return min(trials, _CHUNK, _RESULT_BYTES // (16 * math.prod(per_trial)))
 
 
 def rate_curve(codebooks, n: int, snr_db, trials: int, seed: int) -> RateSweep:

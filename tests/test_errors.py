@@ -66,6 +66,35 @@ def test_scan_sees_the_exempt_raise():
     assert [func for func, _ in _builtin_raises(SRC / "codebooks.py")] == ["_json_safe"]
 
 
+# (module, name) pairs that perfbench's tracer rebinds but the module no longer calls
+STALE_SPANS = {
+    # linksim opens its trials' generators through substreams; the span awaits the benchmark's next change
+    ("linksim", "substream"),
+}
+
+
+def _called_names(module):
+    return {
+        node.func.id
+        for node in ast.walk(_tree(SRC / f"{module}.py"))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+
+
+def test_every_traced_binding_is_called():
+    # perfbench's tracer rebinds each (module, name) of FUNCTION_SPANS by name,
+    # so a binding the module only imports, and no longer calls, records nothing
+    tree = _tree(ROOT / "perfbench" / "tracing.py")
+    (spans,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["FUNCTION_SPANS"]
+    ]
+    bindings = {(module, name) for module, name, _ in spans}
+    uncalled = {(module, name) for module, name in bindings if name not in _called_names(module)}
+    assert uncalled == STALE_SPANS
+
+
 def test_every_private_function_is_referenced():
     trees = {path.name: _tree(path) for path in sorted(SRC.glob("*.py"))}
     used = set()

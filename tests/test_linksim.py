@@ -404,9 +404,10 @@ class TestGainCdf:
         assert peaks[1] < peaks[0] + 0.5 * stack_bytes
 
     def test_chunk_shrinks_to_fit_the_budget(self, monkeypatch):
-        # a budget of three trials' four (16, 16) complex stacks: the gain sweep runs
-        # in chunks of 3, where a chunk of 4 would be refused, the rate sweep, with
-        # one stack per trial, in chunks of 12, and both keep their bits
+        # a budget of three trials' four (16, 16) complex stacks: with each trial's
+        # channels and their conjugate counted too, the gain sweep runs in chunks
+        # of 2, the rate sweep, with one stack per trial, in chunks of 9, and both
+        # keep their bits
         books = [Codebook(np.eye(16, 2).T[:, :, None]), Codebook(np.eye(16, 3, k=-5).T[:, :, None])]
         ks = [0.0, 2.0, float("inf")]
         ref = gain_cdf(books, 2, ks, trials=20, seed=5)
@@ -421,6 +422,28 @@ class TestGainCdf:
         for pair in ref_rates.diff_mean:
             assert rates.diff_mean[pair].tobytes() == ref_rates.diff_mean[pair].tobytes()
             assert rates.diff_se[pair].tobytes() == ref_rates.diff_se[pair].tobytes()
+
+    @pytest.mark.parametrize("sweep", ["rate", "gain"])
+    def test_working_set_stays_within_the_budget(self, monkeypatch, sweep):
+        # at N = 4096 one trial's channels and their conjugate in _grams take half
+        # of a 1 MiB budget; the draws pass through a one-trial buffer, so no
+        # (chunk, 2, N, T) float array sits next to the chunk's channels
+        budget = 1 << 20
+        run = {
+            "rate": lambda: rate_curve([NR], 4096, [0.0, 10.0], trials=64, seed=1).mean_rates.tobytes(),
+            "gain": lambda: gain_cdf([NR], 4096, [0.0, 3.0], trials=64, seed=1).tobytes(),
+        }[sweep]
+        ref = run()
+        monkeypatch.setattr(linalg, "_RESULT_BYTES", budget)
+        monkeypatch.setattr(linksim, "_RESULT_BYTES", budget)
+        tracemalloc.start()
+        try:
+            got = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == ref
+        assert peak <= 1.1 * budget
 
     def test_single_codeword_mean_gain(self):
         # normalized Rayleigh picks 2 of 4 equal-power columns: mean M/T = 0.5
