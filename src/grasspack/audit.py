@@ -42,7 +42,7 @@ def effective_gram(h, w):
     N per nonzero row of ``w`` on the sparse path, N*T*M densely, plus N*M^2
     for the Gram product.
     """
-    hm, wm = as_cmatrix(h), as_cmatrix(w)
+    hm, wm = as_cmatrix(h, "h"), as_cmatrix(w, "w")
     if hm.shape[1] != wm.shape[0]:
         raise DimensionMismatch(f"channel {hm.shape} incompatible with codeword {wm.shape}")
     n, t = hm.shape

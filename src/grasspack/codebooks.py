@@ -318,8 +318,6 @@ def _grid_points(grid, m):
 
 def _is_cyclic_grid(grid):
     g = np.sort(_wrap_phase(np.asarray(grid)))
-    if g.size < 2:
-        return True
     gaps = np.diff(np.concatenate([g, [g[0] + 2 * np.pi]]))
     return bool(np.allclose(gaps, 2 * np.pi / g.size, atol=1e-12))
 
@@ -365,7 +363,10 @@ def _optimize_phases_discrete(m, ell, cfg):
     # clique search over descending distance thresholds tries to beat it
     best = _greedy_subset(f, ell, 0)
     best_val = _closest_pair(f[np.ix_(best, best)])[0]
-    fix_zero = _is_cyclic_grid(grid) and bool(np.all(np.abs(pts[0]) < 1e-12))
+    # only phase differences enter f, and a cyclic grid's product grid maps onto
+    # itself under translation by grid steps, so some optimal clique holds pts[0]
+    # when any does, and the unpinned search, trying point 0 first, returns it
+    fix_zero = _is_cyclic_grid(grid)
     # distinct distances, largest first; np.unique would pull in numpy.ma
     values = sorted(set(np.round(f[np.triu_indices(n, 1)], 12).tolist()), reverse=True)
     for t in values:
@@ -681,11 +682,7 @@ def _fmt17(x: float) -> str:
 
 
 def _json_safe(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.integer, np.floating, np.ndarray)):
         return obj.tolist()
     raise TypeError(f"meta value of type {type(obj)!r} is not JSON-serializable")
 
@@ -694,21 +691,15 @@ def save_codebook(b: Codebook, path) -> None:
     """Write a codebook as JSON with 17-significant-digit entries.
 
     Entries are row-major [re, im] pairs; field order and float formatting
-    are canonical so identical codebooks produce identical bytes.
+    are canonical so identical codebooks produce identical bytes. A meta
+    that json cannot write raises ``InvalidArgument`` before the file opens.
     """
-    words = []
-    for w in b.codewords:
-        flat = ",".join(
-            f"[{_fmt17(z.real)},{_fmt17(z.imag)}]" for z in w.reshape(-1)
-        )
-        words.append(f"[{flat}]")
-    meta = json.dumps(b.meta, sort_keys=True, default=_json_safe)
-    text = '{"T": %d, "M": %d, "codewords": [%s], "meta": %s}\n' % (
-        b.T,
-        b.M,
-        ",".join(words),
-        meta,
-    )
+    try:
+        meta = json.dumps(b.meta, sort_keys=True, default=_json_safe)
+    except (TypeError, ValueError) as exc:  # a value or key json cannot write, or a cycle
+        raise InvalidArgument(f"codebook meta is not JSON-serializable: {exc}") from None
+    words = (",".join(f"[{_fmt17(z.real)},{_fmt17(z.imag)}]" for z in w.reshape(-1)) for w in b.codewords)
+    text = '{"T": %d, "M": %d, "codewords": [%s], "meta": %s}\n' % (b.T, b.M, ",".join(f"[{w}]" for w in words), meta)
     Path(path).write_text(text, encoding="utf-8")
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument, NotStiefel
-from .linalg import _check_bytes, as_cmatrix, fro_norm, is_int
+from .linalg import _as_array, _check_bytes, as_cmatrix, fro_norm, is_int
 
 STIEFEL_TOL = 1e-8
 #: pairs with M - s_ij below this get their chordal distance from the projectors
@@ -57,12 +57,14 @@ class Codebook:
 
     def __post_init__(self):
         words = self.codewords
+        if not isinstance(self.meta, dict):
+            raise InvalidArgument(f"meta must be a dict, got {type(self.meta).__name__}")
         if not isinstance(words, np.ndarray):
-            words = [as_cmatrix(w) for w in words]
+            words = [as_cmatrix(w, "codewords") for w in words]
             for i, w in enumerate(words):
                 if w.shape != words[0].shape:
                     raise DimensionMismatch(f"codeword {i + 1} has shape {w.shape}, expected {words[0].shape}")
-        stack = np.array(words, dtype=np.complex128)
+        stack = _as_array(words, "codewords", np.complex128, copy=True)
         if stack.ndim and stack.shape[0] == 0:
             raise InvalidArgument("codebook must contain at least one codeword")
         if stack.ndim != 3:
@@ -108,7 +110,7 @@ class Codebook:
 
 def validate_stiefel(w, tol: float = STIEFEL_TOL) -> bool:
     """True iff ||W^H W - I|| <= tol in Frobenius norm."""
-    m = as_cmatrix(w)
+    m = as_cmatrix(w, "w")
     gram = m.conj().T @ m
     return fro_norm(gram - np.eye(m.shape[1])) <= tol
 
@@ -120,7 +122,7 @@ def _check_stiefel(*words):
 
 
 def _check_pair(wi, wj):
-    a, b = as_cmatrix(wi), as_cmatrix(wj)
+    a, b = as_cmatrix(wi, "wi"), as_cmatrix(wj, "wj")
     if a.shape != b.shape:
         raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
     return a, b

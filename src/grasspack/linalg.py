@@ -20,11 +20,11 @@ from .errors import InvalidArgument, SizeLimit
 _RESULT_BYTES = 2**31
 
 
-def as_cmatrix(a) -> np.ndarray:
-    """Coerce input to a 2-D complex128 array."""
-    m = np.asarray(a, dtype=np.complex128)
+def as_cmatrix(a, name: str) -> np.ndarray:
+    """``a`` as a 2-D complex128 array, or ``InvalidArgument`` naming the argument ``name``."""
+    m = _as_array(a, name, np.complex128)
     if m.ndim != 2:
-        raise InvalidArgument(f"expected a 2-D array, got shape {m.shape}")
+        raise InvalidArgument(f"{name} must be a 2-D array, got shape {m.shape}")
     return m
 
 
@@ -44,12 +44,18 @@ def is_real(x) -> bool:
 
 
 def as_real_array(a, name: str) -> np.ndarray:
-    """``a`` as a float64 array, or ``InvalidArgument`` naming the argument
-    ``name`` when an entry is not a real number (text, complex, ragged)."""
+    """``a`` as a float64 array, or ``InvalidArgument`` naming the argument ``name``."""
+    return _as_array(a, name, np.float64)
+
+
+def _as_array(a, name, dtype, copy=None):
+    """``np.asarray(a, dtype, copy=copy)``, or ``InvalidArgument`` naming the
+    argument ``name`` when an entry is not such a number (text, complex for
+    float64, ragged)."""
     try:
-        return np.asarray(a, dtype=np.float64)
+        return np.asarray(a, dtype=dtype, copy=copy)
     except (TypeError, ValueError):
-        raise InvalidArgument(f"{name} must hold real numbers only") from None
+        raise InvalidArgument(f"{name} must hold {'real' if dtype is np.float64 else 'complex'} numbers only") from None
 
 
 def _check_bytes(shape, dtype=np.float64) -> None:
@@ -76,7 +82,7 @@ def matexp_skew_hermitian(a) -> np.ndarray:
     Computed by eigendecomposition: A = j*B with B Hermitian, so
     exp(A) = V diag(exp(j*lambda)) V^H where B = V diag(lambda) V^H.
     """
-    m = as_cmatrix(a)
+    m = as_cmatrix(a, "a")
     if m.shape[0] != m.shape[1]:
         raise InvalidArgument(f"expected a square matrix, got shape {m.shape}")
     if fro_norm(m + m.conj().T) > 1e-10:
@@ -119,5 +125,7 @@ def _qr_positive(a: np.ndarray) -> np.ndarray:
 
 def random_stiefel(t: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed T x M matrix with orthonormal columns."""
+    if not (is_int(t) and is_int(m) and 1 <= m <= t):
+        raise InvalidArgument(f"need integers 1 <= M <= T, got T={t!r}, M={m!r}")
     g = rng.standard_normal((t, m)) + 1j * rng.standard_normal((t, m))
     return _qr_positive(g)

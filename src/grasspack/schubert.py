@@ -4,7 +4,9 @@ A sparsity pattern assigns each codeword column a nonempty set of row
 indices; disjoint supports make the columns structurally orthogonal, so any
 phase/amplitude fill produces an exact Stiefel matrix. Patterns are kept in
 column echelon order (columns sorted by their minimal row index) so pattern
-identity is canonical and testable.
+identity is canonical and testable. :func:`enumerate_patterns` lists them
+all: each s-subset of the rows, partitioned into M blocks one row at a time
+(set partitions: Knuth, TAOCP Vol. 4A, sec. 7.2.1.5), then sorted.
 
 For T = 2M the perfect matchings of the 2M rows are the patterns whose
 supports are all row pairs; at s = 2M the other patterns split the rows
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument, SizeLimit
-from .linalg import is_int
+from .linalg import as_real_array, is_int
 
 ENUMERATION_CAP = 10**6
 
@@ -42,26 +44,21 @@ class SparsityPattern:
     supports: tuple
 
     def __post_init__(self):
-        sups = tuple(tuple(sorted(int(r) for r in s)) for s in self.supports)
-        if len(sups) != self.M:
-            raise DimensionMismatch(f"expected {self.M} supports, got {len(sups)}")
-        seen = set()
-        for s in sups:
-            if not s:
-                raise DimensionMismatch("every column support must be nonempty")
-            if len(set(s)) < len(s):
-                raise DimensionMismatch(f"a column support repeats a row: {s}")
-            if any(not 1 <= r <= self.T for r in s):
-                raise DimensionMismatch(f"row index out of range 1..{self.T}: {s}")
-            if seen & set(s):
-                raise DimensionMismatch("column supports must be pairwise disjoint")
-            seen |= set(s)
-        total = len(seen)
-        if not self.M <= total <= self.T:
-            raise DimensionMismatch(f"total support size {total} outside [M, T]")
+        t, m = self.T, self.M
+        try:
+            sups = [tuple(s) for s in self.supports]
+        except TypeError:  # the supports, or one of them, not iterable
+            sups = None
+        if sups is None or not all(is_int(v) for v in (t, m, *itertools.chain(*sups))) or not 1 <= m <= t:
+            raise InvalidArgument(f"need integer rows and 1 <= M <= T, got T={t!r}, M={m!r}, {self.supports!r}")
+        sups = [tuple(sorted(int(r) for r in s)) for s in sups]
+        rows = [r for s in sups for r in s]
+        if len(sups) != m or not all(sups):
+            raise DimensionMismatch(f"expected {m} nonempty column supports, got {sups}")
+        if len(set(rows)) < len(rows) or not all(1 <= r <= t for r in rows):
+            raise DimensionMismatch(f"column supports must hold distinct rows in 1..{t}, got {sups}")
         # canonical echelon order: columns sorted by minimal row index
-        sups = tuple(sorted(sups, key=lambda s: s[0]))
-        object.__setattr__(self, "supports", sups)
+        object.__setattr__(self, "supports", tuple(sorted(sups, key=lambda s: s[0])))
 
     @property
     def size(self) -> int:
@@ -88,30 +85,25 @@ def count_patterns(t: int, m: int, s: int) -> int:
 
 
 def _partitions_into_blocks(rows, m):
-    """Set partitions of an ordered tuple into exactly m nonempty blocks.
+    """Set partitions of a tuple of rows into exactly m nonempty blocks.
 
-    Generated via restricted growth strings; blocks come out ordered by
-    their minimal element, which is exactly the echelon column order.
+    Built one row at a time: a row opens a new block while fewer than m are
+    open, and joins each open block only while the rows after it can still
+    open the rest, so every partial partition kept completes. A block lists
+    its rows in the given order; the list itself follows no order, since
+    ``SparsityPattern`` puts blocks in echelon order and
+    :func:`enumerate_patterns` sorts the patterns.
     """
-    n = len(rows)
-    code = [0] * n
-
-    def rec(i, maxused):
-        if i == n:
-            if maxused == m - 1:
-                blocks = [[] for _ in range(m)]
-                for r, c in zip(rows, code):
-                    blocks[c].append(r)
-                yield tuple(tuple(b) for b in blocks)
-            return
-        # prune: remaining positions must be able to reach m blocks
-        for c in range(min(maxused + 1, m - 1) + 1):
-            if maxused + (n - i) < m - 1 and c <= maxused:
-                continue
-            code[i] = c
-            yield from rec(i + 1, max(maxused, c))
-
-    yield from rec(0, -1)
+    parts = [()]
+    for left, r in zip(range(len(rows) - 1, -1, -1), rows):
+        grown = []
+        for p in parts:
+            if len(p) < m:
+                grown.append(p + ((r,),))
+            if m - len(p) <= left:
+                grown += [p[:j] + (p[j] + (r,),) + p[j + 1 :] for j in range(len(p))]
+        parts = grown
+    return parts
 
 
 def enumerate_patterns(t: int, m: int, s: int) -> list:
@@ -188,9 +180,11 @@ def pattern_to_codeword(pattern, phases) -> np.ndarray:
     ascending order within each column. Each column is rotated so its first
     (pivot) entry is real positive, which removes the right-unitary gauge.
     """
-    ph = np.asarray(phases, dtype=np.float64).reshape(-1)
+    ph = as_real_array(phases, "phases").reshape(-1)
     if ph.size != pattern.size:
         raise DimensionMismatch(f"expected {pattern.size} phases, got {ph.size}")
+    if not np.all(np.isfinite(ph)):
+        raise InvalidArgument("phases must be finite")
     layout = _layout([pattern])
     return _fill(layout, ph - ph[layout[4]], pattern.T, pattern.M)[0]
 
@@ -200,7 +194,7 @@ def pair_codeword(pattern: SparsityPattern, thetas) -> np.ndarray:
     of a perfect matching: T = 2M and every support a row pair."""
     if pattern.T != 2 * pattern.M or any(len(s) != 2 for s in pattern.supports):
         raise DimensionMismatch(f"expected a perfect matching of 1..2M, got {pattern.supports} with T={pattern.T}")
-    th = np.asarray(thetas, dtype=np.float64).reshape(-1)
+    th = as_real_array(thetas, "thetas").reshape(-1)
     if th.size != pattern.M:
         raise DimensionMismatch(f"expected {pattern.M} phases, got {th.size}")
     phases = np.zeros(2 * pattern.M)

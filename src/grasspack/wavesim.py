@@ -189,7 +189,7 @@ def _streams(m, cfg, rng):
 
 def _precoders(source):
     """The finite (K, T, M) precoders of a codebook, or a matrix as a stack of one."""
-    stack = source.stack() if isinstance(source, Codebook) else as_cmatrix(source)[None]
+    stack = source.stack() if isinstance(source, Codebook) else as_cmatrix(source, "source")[None]
     if not np.all(np.isfinite(stack)):
         raise InvalidArgument("precoder entries must be finite")
     return stack

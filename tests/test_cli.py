@@ -353,6 +353,7 @@ class TestPapr:
         ["gain-cdf", "-N", "0"],
         ["rate", "-N", "0"],
         ["rate", "--snr-db", "0:10:0"],
+        ["rate", "--snr-db", "10:0:1"],
         ["rate", "--snr-db", "a:b:c"],
         ["rate", "--snr-db", "nan,inf"],
         ["rate", "--snr-db", "4000"],
@@ -373,6 +374,10 @@ class TestPapr:
         ["audit", "-T", "2", "-M", "3"],
         ["mcd", "DIR"],
         ["design", "--method", "nr42", "--out", "DIR"],
+        ["design", "--method", "sparse2m", "-M", "2"],
+        ["design", "--method", "sparse-general", "-T", "4", "-M", "2", "--size", "4"],
+        ["design", "--method", "manopt", "-T", "4", "--size", "4"],
+        ["design", "--method", "expmap", "-M", "2", "--size", "4"],
     ],
     ids=" ".join,
 )

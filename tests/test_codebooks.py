@@ -268,6 +268,10 @@ class TestOptimizeManopt:
             {"phase_grid": (0.0, np.nan)},
             {"phase_grid": (np.inf,)},
             {"phase_grid": (0.0, -np.inf)},
+            # finite, but empty or repeated (pi and -pi wrap to one point)
+            {"phase_grid": ()},
+            {"phase_grid": (0.0, 1.0, 0.0)},
+            {"phase_grid": (np.pi, -np.pi)},
         ],
         ids=repr,
     )
@@ -535,11 +539,22 @@ class TestOptimizePhases:
         )
         assert achieved == pytest.approx(best, abs=1e-12)
 
+    # a shift by grid steps maps a cyclic product grid onto itself and keeps every
+    # phase difference, so pinning the first point keeps the unpinned search's clique
+    @pytest.mark.parametrize("grid", [QUARTER_GRID, (np.pi / 3, np.pi, -np.pi / 3)], ids=["quarter", "shifted-thirds"])
+    def test_pinned_search_returns_the_unpinned_bytes(self, grid, monkeypatch):
+        cfg = OptimizerConfig(phase_grid=grid)
+        pinned = [optimize_phases_2M(3, ell, cfg).tobytes() for ell in range(2, 21)]
+        monkeypatch.setattr("grasspack.codebooks._is_cyclic_grid", lambda grid: False)
+        assert [optimize_phases_2M(3, ell, cfg).tobytes() for ell in range(2, 21)] == pinned
+
     def test_invalid(self):
         with pytest.raises(InvalidArgument):
             optimize_phases_2M(1, 2, OptimizerConfig())
         with pytest.raises(InvalidArgument):
             optimize_phases_2M(2, 0, OptimizerConfig())
+        with pytest.raises(InvalidArgument, match="17 instances"):  # 16 points on the quarter grid at M = 2
+            optimize_phases_2M(2, 17, OptimizerConfig(phase_grid=QUARTER_GRID))
 
 
 class TestClosedFormDistances:
@@ -763,6 +778,14 @@ class TestPersistence:
         save_codebook(nr_codebook_4_2(), p1)
         save_codebook(load_codebook(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_numpy_integer_meta_keeps_the_bytes(self, tmp_path):
+        cfg = OptimizerConfig(phase_grid=QUARTER_GRID)
+        book = build_sparse_2M(np.int64(2), np.int32(8), cfg)
+        assert type(book.meta["T"]) is np.int64  # written through _json_safe
+        save_codebook(book, tmp_path / "numpy.json")
+        save_codebook(build_sparse_2M(2, 8, cfg), tmp_path / "python.json")
+        assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "python.json").read_bytes()
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,4 +1,6 @@
 import ast
+import importlib.metadata
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 import grasspack
 from grasspack import errors
-from grasspack.audit import real_variable_count, storage_count
+from grasspack.audit import effective_gram, real_variable_count, storage_count
 from grasspack.codebooks import (
     OptimizerConfig,
     build_expmap,
@@ -15,11 +17,14 @@ from grasspack.codebooks import (
     nr_codebook_4_2,
     optimize_manopt,
     optimize_phases_2M,
+    save_codebook,
 )
 from grasspack.errors import DimensionMismatch, GrasspackError, InvalidArgument, NotStiefel
+from grasspack.grassmann import Codebook, chordal_distance, projector_distance, validate_stiefel
+from grasspack.linalg import random_stiefel
 from grasspack.linksim import gain_cdf, rate_curve
 from grasspack.rng import substream
-from grasspack.schubert import enumerate_patterns, matching_patterns
+from grasspack.schubert import SparsityPattern, enumerate_patterns, matching_patterns, pair_codeword, pattern_to_codeword
 from grasspack.wavesim import WaveformConfig, ccdf, constellation_samples, modulate, papr_experiment, row_sparse_precoder
 
 SRC = Path(grasspack.__file__).resolve().parent
@@ -268,6 +273,7 @@ def test_every_parameter_default_is_used_by_a_caller():
 
 NR = nr_codebook_4_2()
 FAST = OptimizerConfig(restarts=1, max_iters=5)
+PAIRS = SparsityPattern(4, 2, ((1, 2), (3, 4)))
 
 
 @pytest.mark.parametrize(
@@ -301,6 +307,14 @@ FAST = OptimizerConfig(restarts=1, max_iters=5)
         lambda: storage_count(4, 2, 8.0, sparse=True),
         lambda: NR.subset([2.9]),
         lambda: NR.subset([True]),
+        lambda: SparsityPattern(4.5, 2, ((1,), (2,))),
+        lambda: SparsityPattern(True, 1, ((1,),)),
+        lambda: SparsityPattern(4, 2, (("1",), (2,))),
+        lambda: SparsityPattern(4, 2, ((1.0,), (2,))),
+        lambda: SparsityPattern(4, 2, 5),
+        lambda: SparsityPattern(4, 2, ((1,), 2)),
+        lambda: random_stiefel(4.0, 2, substream(0, 0)),
+        lambda: Codebook(NR.stack(), 5),
     ],
     ids=[
         "rate_curve-trials-float",
@@ -331,6 +345,14 @@ FAST = OptimizerConfig(restarts=1, max_iters=5)
         "storage_count-size-float",
         "Codebook.subset-index-float",
         "Codebook.subset-index-bool",
+        "SparsityPattern-T-float",
+        "SparsityPattern-T-bool",
+        "SparsityPattern-row-str",
+        "SparsityPattern-row-float",
+        "SparsityPattern-supports-not-iterable",
+        "SparsityPattern-support-not-iterable",
+        "random_stiefel-t-float",
+        "Codebook-meta-int",
     ],
 )
 def test_non_integer_counts_raise_package_errors(call):
@@ -346,12 +368,55 @@ def test_non_integer_counts_raise_package_errors(call):
         (lambda: ccdf(["a"], [1.0]), "samples"),
         (lambda: row_sparse_precoder(4, 2, 1, thetas=["a"]), "thetas"),
         (lambda: rate_curve([NR], 2, ["a"], 3, seed=0), "snr_db"),
+        (lambda: Codebook([["a", "b"], ["c", "d"]]), "codewords"),
+        (lambda: Codebook(np.array([[["a"]]])), "codewords"),
+        (lambda: chordal_distance("a", "b"), "wi"),
+        (lambda: validate_stiefel([["a"], ["b"]]), "w"),
+        (lambda: projector_distance(np.eye(4)[:, :2], [["a"]]), "wj"),
+        (lambda: effective_gram([["a"]], np.eye(2)), "h"),
+        (lambda: papr_experiment([["a", "b"]] * 4, WaveformConfig(4, 4), 2, seed=0), "source"),
+        (lambda: pattern_to_codeword(PAIRS, ["a", 0.0, 0.0, 0.0]), "phases"),
+        (lambda: pattern_to_codeword(PAIRS, [0.0, np.nan, 0.0, 0.0]), "phases"),
+        (lambda: pair_codeword(PAIRS, ["a", 0.0]), "thetas"),
+        (lambda: pair_codeword(PAIRS, [np.inf, 0.0]), "phases"),
     ],
-    ids=["OptimizerConfig-phase_grid", "ccdf-thresholds", "ccdf-samples", "row_sparse_precoder-thetas", "rate_curve-snr"],
+    ids=[
+        "OptimizerConfig-phase_grid",
+        "ccdf-thresholds",
+        "ccdf-samples",
+        "row_sparse_precoder-thetas",
+        "rate_curve-snr",
+        "Codebook-list",
+        "Codebook-array",
+        "chordal_distance",
+        "validate_stiefel",
+        "projector_distance",
+        "effective_gram",
+        "papr_experiment-matrix",
+        "pattern_to_codeword-text",
+        "pattern_to_codeword-nan",
+        "pair_codeword-text",
+        "pair_codeword-inf",
+    ],
 )
 def test_non_numeric_arrays_raise_package_errors(call, name):
-    with pytest.raises(InvalidArgument, match=name):
+    with pytest.raises(InvalidArgument, match=rf"^{name} "):
         call()
+
+
+@pytest.mark.parametrize("meta", [{"x": object()}, {(1, 2): 3}], ids=["object-value", "tuple-key"])
+def test_unwritable_meta_raises_before_the_file_is_written(tmp_path, meta):
+    path = tmp_path / "book.json"
+    with pytest.raises(InvalidArgument, match="meta"):
+        save_codebook(Codebook(NR.stack(), meta), path)
+    assert not path.exists()
+
+
+def test_python_floor_matches_numpy():
+    # pip installs the package only on a Python that its numpy floor supports too
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["dependencies"] == ["numpy>=2.4"]
+    assert project["requires-python"] == importlib.metadata.metadata("numpy")["Requires-Python"]
 
 
 def test_numpy_integer_counts_are_accepted():

@@ -53,6 +53,10 @@ class TestMatexp:
         with pytest.raises(ValueError):
             matexp_skew_hermitian(np.zeros((2, 3)))
 
+    def test_rejects_a_vector(self):
+        with pytest.raises(InvalidArgument, match="2-D"):
+            matexp_skew_hermitian(np.zeros(3))
+
 
 class TestQrOrthonormalize:
     """Orthonormalization through `_qr_positive`, the manifold retraction."""

@@ -362,6 +362,11 @@ class TestRateCurve:
         with pytest.raises(InvalidArgument):
             rate_curve([proposed_codebook_4_2()], 8, [0.0], trials=0, seed=0)
 
+    def test_one_trial_has_an_infinite_standard_error(self):
+        sweep = rate_curve([nr_codebook_4_2(), proposed_codebook_4_2()], 4, [0.0, 10.0], trials=1, seed=0)
+        assert sweep.diff_se[(0, 1)].tolist() == [np.inf, np.inf]
+        np.testing.assert_array_equal(sweep.diff_mean[(0, 1)], sweep.mean_rates[1] - sweep.mean_rates[0])
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_no_receive_antenna_rejected(self, n):
         with pytest.raises(InvalidArgument):

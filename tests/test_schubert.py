@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from grasspack.schubert import (
     SparsityPattern,
     _fill,
     _layout,
+    _partitions_into_blocks,
     count_patterns,
     enumerate_patterns,
     matching_patterns,
@@ -77,6 +79,27 @@ class TestEnumeratePatterns:
         got = {frozenset(frozenset(sup) for sup in p.supports) for p in pats}
         assert got == brute_force_patterns(5, 2, 4)
 
+    def test_order_is_the_sorted_brute_force_supports(self):
+        for t in range(2, 7):
+            for m in range(1, t):
+                for s in range(m, t + 1):
+                    canonical = sorted(
+                        tuple(sorted(tuple(sorted(sup)) for sup in fam)) for fam in brute_force_patterns(t, m, s)
+                    )
+                    assert [p.supports for p in enumerate_patterns(t, m, s)] == canonical
+
+    def test_one_block_per_row_needs_no_recursion(self):
+        # the restricted-growth recursion nested one generator per row and hit RecursionError here
+        assert list(_partitions_into_blocks(tuple(range(1, 1201)), 1200)) == [tuple((r,) for r in range(1, 1201))]
+
+    def test_one_block_short_takes_no_dead_branch(self):
+        # a row joining a block when every row left had to open one was once walked to its leaves (about a minute)
+        start = time.perf_counter()
+        pats = enumerate_patterns(60, 59, 60)
+        assert time.perf_counter() - start < 5.0
+        assert len(pats) == 1770 == count_patterns(60, 59, 60)
+        assert all(sorted(map(len, p.supports)) == [1] * 58 + [2] for p in pats)
+
     def test_size_limit(self):
         # 2,532,530 patterns, over the cap: rejected from the count alone
         assert count_patterns(13, 4, 13) == 2_532_530 > ENUMERATION_CAP
@@ -127,6 +150,15 @@ class TestPatternTypes:
         with pytest.raises(DimensionMismatch):
             SparsityPattern(4, 2, ((1, 2), (3, 3)))
 
+    @pytest.mark.parametrize(
+        "supports",
+        [((1, 2),), ((1, 2), ()), ((1, 2), (3, 5)), ((0, 1), (2, 3))],
+        ids=["one-support-for-two-columns", "empty-support", "row-above-T", "row-zero"],
+    )
+    def test_malformed_supports_rejected(self, supports):
+        with pytest.raises(DimensionMismatch):
+            SparsityPattern(4, 2, supports)
+
 
 class TestPatternToCodeword:
     def test_reproduces_reference_entry(self):
@@ -155,6 +187,8 @@ class TestPatternToCodeword:
         p = SparsityPattern(T=4, M=2, supports=((1, 2), (3, 4)))
         with pytest.raises(DimensionMismatch):
             pattern_to_codeword(p, phases=[0.0, 1.0, 2.0])
+        with pytest.raises(DimensionMismatch):
+            pair_codeword(p, [0.0])
 
     @pytest.mark.parametrize(
         "pattern",
