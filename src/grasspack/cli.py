@@ -35,7 +35,7 @@ from .codebooks import (
     proposed_codebook_4_2,
     save_codebook,
 )
-from .errors import GrasspackError, ParseError
+from .errors import GrasspackError, InvalidArgument, ParseError
 from .grassmann import min_chordal_distance
 from .linksim import _check_k, gain_cdf, rate_curve
 from .wavesim import (
@@ -179,6 +179,14 @@ def _stem(path):
     return "".join(c if c.isalnum() else "_" for c in s)
 
 
+def _distinct(names, inputs):
+    """``names``, or ``InvalidArgument`` naming the two inputs of a repeated name: CSV columns must differ."""
+    for j, name in enumerate(names):
+        if name in names[:j]:
+            raise InvalidArgument(f"{inputs[names.index(name)]!r} and {inputs[j]!r} both name the scheme {name!r}")
+    return names
+
+
 def cmd_design(args):
     indices = _parse_indices(args.indices) if args.indices else None
     cfg = OptimizerConfig(
@@ -236,7 +244,7 @@ def cmd_mcd(args):
 
 def cmd_rate(args):
     books = [load_codebook(p) for p in args.codebooks]
-    names = [_stem(p) for p in args.codebooks]
+    names = _distinct([_stem(p) for p in args.codebooks], args.codebooks)
     snr_db = _parse_axis(args.snr_db)
     sweep = rate_curve(books, args.N, snr_db, args.trials, args.seed)
     header = ["snr_db"] + [f"rate_{n}" for n in names]
@@ -255,7 +263,7 @@ def cmd_rate(args):
 
 def cmd_gain_cdf(args):
     books = [load_codebook(p) for p in args.codebooks]
-    names = [_stem(p) for p in args.codebooks]
+    names = _distinct([_stem(p) for p in args.codebooks], args.codebooks)
     kfactors = [_check_k(k) for k in _parse_floats(args.k_factors, "--k-factors")]
     gains = gain_cdf(books, args.N, kfactors, args.trials, args.seed)
     header = ["rank"]
@@ -270,19 +278,17 @@ def cmd_gain_cdf(args):
 
 
 def _papr_schemes(args):
-    schemes = []
-    for path in args.codebooks or []:
-        schemes.append((_stem(path), load_codebook(path)))
+    schemes = [(_stem(path), load_codebook(path)) for path in args.codebooks or []]
     for spec in args.row_sparse or []:
         try:
             t, m, ell = (int(v) for v in spec.split(","))
         except ValueError:
             raise ParseError(f"--row-sparse takes T,M,ELL integers, got {spec!r}") from None
         thetas = _parse_floats(args.thetas, "--thetas") if args.thetas else None
-        w = row_sparse_precoder(t, m, ell, thetas=thetas, seed=args.seed)
-        schemes.append((f"rows_T{t}M{m}l{ell}", w))
+        schemes.append((f"rows_T{t}M{m}l{ell}", row_sparse_precoder(t, m, ell, thetas=thetas, seed=args.seed)))
     if not schemes:
         raise GrasspackError("papr needs --codebooks and/or --row-sparse")
+    _distinct([name for name, _ in schemes], [*(args.codebooks or []), *(args.row_sparse or [])])
     return schemes
 
 
@@ -295,13 +301,10 @@ def cmd_papr(args):
     # drawn before the sweep, so an oversized request fails before any frame of it
     if args.scatter:
         pts = constellation_samples(schemes[0][1], cfgs[0], args.scatter_frames, args.seed)
-    header = ["threshold_db"]
-    curves = []
+    header, curves = ["threshold_db"], []
     for cfg in cfgs:
-        for name, source in schemes:
-            samples = papr_experiment(
-                source, cfg, args.trials, args.seed, antenna_mean=args.antenna_mean
-            )
+        runs = papr_experiment([s for _, s in schemes], cfg, args.trials, args.seed, antenna_mean=args.antenna_mean)
+        for (name, _), samples in zip(schemes, runs):
             header.append(f"ccdf_{name}_{cfg.waveform.replace('-', '')}")
             curves.append(ccdf(samples, thresholds))
     rows = [[thr] + [c[i] for c in curves] for i, thr in enumerate(thresholds)]

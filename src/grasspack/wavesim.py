@@ -5,23 +5,22 @@ subcarrier mapping and frequency-domain zero padding for oversampling; PAPR
 is the peak-to-mean instantaneous power ratio of each antenna signal. Frame
 i draws from substream (seed, i) of the run seed, opened by
 ``rng.substreams``, so pooled results do not depend on evaluation order.
-``papr_experiment`` returns the pooled samples as a sorted 1-D array of
-linear ratios, which ``ccdf`` and ``ccdf_threshold_db`` take as they are;
-both reject a sample that is not finite or lies below 1.
+``papr_experiment`` returns the pooled samples of each source as a sorted
+1-D array of linear ratios, which ``ccdf`` and ``ccdf_threshold_db`` take
+as they are; both reject a sample that is not finite or lies below 1.
 
 Each signal is synthesized in polyphase form: the oversampled signal at
 time n * oversample + r is an n_fft-point inverse FFT of the band with a
 per-phase twiddle, so one batch of oversample short transforms replaces one
-transform of oversample * n_fft points. PAPR ignores sample order, so the
-engine never reorders the phases. An antenna whose precoder row is a complex
-multiple of another's carries a scaled copy of that signal, with the same
-PAPR: ``papr_experiment`` groups the rows of every codeword into such classes
-up front, synthesizes one row per class and expands the power statistics
-back to antenna order; zero rows carry no signal and are left out. A T = 2M
-pair codeword so needs M transforms, not 2M. Each call sizes its twiddles
-and buffers once, for the largest class count, and every frame works in
-their leading rows. Samples match synthesizing every antenna at full length
-to rounding: within 1e-13 relative, held by the tests.
+transform of oversample * n_fft points, in an order PAPR ignores. An antenna
+whose precoder row is a complex multiple of another's carries a scaled copy
+of its signal, with the same PAPR, so ``papr_experiment`` synthesizes one row
+per class of such rows and leaves zero rows out: a T = 2M pair codeword needs
+M transforms, not 2M. A frame's codeword index and streams depend only on K
+and M, so the sources of one (K, M) share each frame's draws, one product and
+one batch of transforms, with samples bit-identical to one-source calls. The
+buffers are sized once per call; samples match synthesizing every antenna at
+full length to rounding: within 1e-13 relative, held by the tests.
 """
 
 from __future__ import annotations
@@ -203,61 +202,69 @@ def _frames(stack, frames, seed):
         yield int(rng.integers(stack.shape[0])), rng
 
 
-def _scale_classes(w):
-    """(first row of each class, class of each nonzero row) for the nonzero
-    rows of ``w``, grouped by equality up to a complex scale.
+def _scale_classes(ws):
+    """(class rows, one index per precoder) of the precoders ``ws``: the nonzero
+    rows of each fall into classes equal up to a complex scale, whose first rows
+    are stacked in precoder order, and an index gives each nonzero row's class row.
 
     Each row is keyed by itself divided by its first nonzero entry, with that
     entry set to exactly 1: p / p is not always 1 in floating point. Zero
     rows carry no signal, so they belong to no class and give no samples.
     ``np.unique`` compares entries by value, so signed zeros fall together.
     """
-    nonzero = w != 0
-    live = np.flatnonzero(nonzero.any(axis=1))
-    lead = nonzero[live].argmax(axis=1)
-    key = w[live] / w[live, lead][:, None]
-    key[np.arange(live.size), lead] = 1.0
-    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    return live[first], inverse.reshape(-1)
+    rows, index = [], []
+    for w in ws:
+        nonzero = w != 0
+        live = np.flatnonzero(nonzero.any(axis=1))
+        lead = nonzero[live].argmax(axis=1)
+        key = w[live] / w[live, lead][:, None]
+        key[np.arange(live.size), lead] = 1.0
+        _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+        index.append(sum(map(len, rows)) + inverse.reshape(-1))
+        rows.append(w[live[first]])
+    return np.concatenate(rows), index
 
 
-def papr_experiment(source, cfg: WaveformConfig, trials: int, seed: int, antenna_mean: bool = False) -> np.ndarray:
-    """Pooled per-antenna PAPR samples over random frames, as a sorted 1-D array of linear ratios.
+def papr_experiment(sources, cfg: WaveformConfig, trials: int, seed: int, antenna_mean: bool = False) -> list[np.ndarray]:
+    """Pooled per-antenna PAPR samples over random frames: a sorted 1-D array of linear ratios per source.
 
-    ``source`` is either a codebook (one codeword drawn uniformly per frame,
-    since PAPR depends only on the precoder sparsity) or a fixed precoding
-    matrix. Antennas with identically zero signals contribute no samples;
+    Each source is a codebook (one codeword drawn uniformly per frame, since
+    PAPR depends only on the precoder sparsity) or a fixed precoding matrix.
+    Antennas with identically zero signals contribute no samples;
     ``antenna_mean`` records one per-frame average instead of pooling, and
-    none for a frame in which every antenna is silent. Each frame synthesizes
-    one row per class of rows equal up to a complex scale and skips zero
-    rows (see the module docstring).
+    none for a frame in which every antenna is silent. Sources of one (K, M)
+    share each frame's draws and synthesis, with samples bit-identical to
+    one-source calls (see the module docstring).
     """
     if not is_int(trials) or trials < 1:
         raise InvalidArgument(f"trials must be an integer >= 1, got {trials!r}")
-    stack = _precoders(source)
-    classes = [_scale_classes(w) for w in stack]
-    width = max(first.size for first, _ in classes)
-    buffers = _buffers(cfg, width)
+    stacks = [_precoders(source) for source in sources]
+    if not stacks:
+        raise InvalidArgument("papr_experiment needs at least one source")
     qn = cfg.oversample * cfg.n_fft
+    # all sources' samples in one array, and buffers for the widest group: refused before any frame if oversized
+    ends = [trials * n for n in np.cumsum([1 if antenna_mean else stack.shape[1] for stack in stacks]).tolist()]
+    samples, count = _bounded_empty((ends[-1],)), [0] + ends[:-1]
+    keys = [stack.shape[::2] for stack in stacks]  # sources of one (K, M) draw alike
+    groups = [[i for i, key in enumerate(keys) if key == shared] for shared in dict.fromkeys(keys)]
+    words = [[_scale_classes([stacks[i][k] for i in g]) for k in range(keys[g[0]][0])] for g in groups]
+    width = max(rows.shape[0] for group in words for rows, _ in group)
+    buffers = _buffers(cfg, width)
     real_sq, imag_sq = _bounded_empty((2, width, qn))
-    # at most T samples per frame, or one with antenna_mean; refused before any frame when oversized
-    samples = _bounded_empty((trials,) if antenna_mean else (trials * stack.shape[1],))
-    count = 0
-    for k, rng in _frames(stack, trials, seed):
-        first, inverse = classes[k]
-        r = first.size
-        x = _synthesize(stack[k, first] @ _streams(stack.shape[2], cfg, rng), cfg, *buffers).reshape(r, qn)
-        power = np.square(x.real, out=real_sq[:r])
-        power += np.square(x.imag, out=imag_sq[:r])
-        mean = power.mean(axis=1)[inverse]
-        peak = power.max(axis=1)[inverse]
-        live = mean > 0
-        vals = peak[live] / mean[live]
-        if antenna_mean and vals.size:
-            vals = vals.mean(keepdims=True)
-        samples[count : count + vals.size] = vals
-        count += vals.size
-    return np.sort(samples[:count])
+    for members, group in zip(groups, words):
+        for k, rng in _frames(stacks[members[0]], trials, seed):
+            rows, index = group[k]
+            x = _synthesize(rows @ _streams(rows.shape[1], cfg, rng), cfg, *buffers).reshape(-1, qn)
+            power = np.square(x.real, out=real_sq[: len(x)])
+            power += np.square(x.imag, out=imag_sq[: len(x)])
+            means, peaks = power.mean(axis=1), power.max(axis=1)
+            for i, rows_of in zip(members, index):
+                live = means[rows_of] > 0
+                vals = peaks[rows_of][live] / means[rows_of][live]
+                vals = vals.mean(keepdims=True) if antenna_mean and vals.size else vals
+                samples[count[i] : count[i] + vals.size] = vals
+                count[i] += vals.size
+    return [np.sort(samples[a:b]) for a, b in zip([0] + ends[:-1], count)]
 
 
 def constellation_samples(source, cfg: WaveformConfig, frames: int, seed: int) -> np.ndarray:

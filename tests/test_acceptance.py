@@ -235,8 +235,7 @@ def test_criterion_11_papr_gap(manopt_8):
     thresholds = {}
     for wf in ("dft-s-ofdm", "ofdm"):
         cfg = WaveformConfig(n_used=624, n_fft=1024, oversample=8, waveform=wf)
-        for name, book in schemes.items():
-            samples = papr_experiment(book, cfg, frames, seed=seed)
+        for name, samples in zip(schemes, papr_experiment(list(schemes.values()), cfg, frames, seed=seed)):
             thresholds[(wf, name)] = ccdf_threshold_db(samples, 1e-2)
     gap_manopt = thresholds[("dft-s-ofdm", "manopt")] - thresholds[("dft-s-ofdm", "prop")]
     gap_nr = thresholds[("dft-s-ofdm", "nr")] - thresholds[("dft-s-ofdm", "prop")]
@@ -256,13 +255,8 @@ def test_criterion_12_sparsity_study():
     results = {}
     for wf in ("dft-s-ofdm", "ofdm"):
         cfg = WaveformConfig(n_used=512, n_fft=512, oversample=8, waveform=wf)
-        results[wf] = [
-            ccdf_threshold_db(
-                papr_experiment(row_sparse_precoder(8, 4, ell, thetas=thetas), cfg, frames, seed=seed),
-                1e-2,
-            )
-            for ell in (1, 2, 3, 4)
-        ]
+        precoders = [row_sparse_precoder(8, 4, ell, thetas=thetas) for ell in (1, 2, 3, 4)]
+        results[wf] = [ccdf_threshold_db(s, 1e-2) for s in papr_experiment(precoders, cfg, frames, seed=seed)]
     dfts = results["dft-s-ofdm"]
     increasing = all(b > a for a, b in zip(dfts, dfts[1:]))
     spread = max(results["ofdm"]) - min(results["ofdm"])

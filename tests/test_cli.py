@@ -208,15 +208,16 @@ class TestMcd:
 
 class TestRate:
     def test_identical_codebooks_zero_diff(self, tmp_path):
-        prop = tmp_path / "p.json"
+        prop, copy = tmp_path / "p.json", tmp_path / "q.json"
         run(["design", "--method", "prop42", "--out", prop])
+        copy.write_bytes(prop.read_bytes())
         out = tmp_path / "rate.csv"
         assert run(
-            ["rate", "--codebooks", prop, prop, "-N", 8, "--snr-db", "10:10:1",
+            ["rate", "--codebooks", prop, copy, "-N", 8, "--snr-db", "10:10:1",
              "--trials", 50, "--seed", 1, "--out", out]
         ) == 0
         header, row = out.read_text().splitlines()
-        assert header.startswith("snr_db,rate_p,rate_p,diff_p_vs_p")
+        assert header.startswith("snr_db,rate_p,rate_q,diff_q_vs_p")
         assert row.split(",")[3] == "0"
 
     def test_rerun_byte_identical(self, tmp_path):
@@ -239,11 +240,12 @@ class TestRate:
 
 class TestGainCdf:
     def test_duplicate_codebook_identical_columns(self, tmp_path):
-        prop = tmp_path / "p.json"
+        prop, copy = tmp_path / "p.json", tmp_path / "q.json"
         run(["design", "--method", "prop42", "--out", prop])
+        copy.write_bytes(prop.read_bytes())
         out = tmp_path / "gain.csv"
         assert run(
-            ["gain-cdf", "--codebooks", prop, prop, "-N", 4, "--k-factors", "0,inf",
+            ["gain-cdf", "--codebooks", prop, copy, "-N", 4, "--k-factors", "0,inf",
              "--trials", 40, "--seed", 2, "--out", out]
         ) == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
@@ -394,6 +396,36 @@ def test_bad_argument_exits_2_without_traceback(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+# two inputs that give one scheme name would write two CSV columns of that name
+@pytest.mark.parametrize(
+    "argv, inputs",
+    [
+        (["rate", "--codebooks", "d1/b.json", "d2/b.json"], ("d1/b.json", "d2/b.json")),
+        (["gain-cdf", "--codebooks", "d1/b.json", "d2/b.json"], ("d1/b.json", "d2/b.json")),
+        (["rate", "--codebooks", "a-b.json", "a_b.json"], ("a-b.json", "a_b.json")),
+        (["papr", "--codebooks", "d1/b.json", "a-b.json", "d2/b.json"], ("d1/b.json", "d2/b.json")),
+        (["papr", "--row-sparse", "4,2,1", "4,2,2", "4,2,1"], ("4,2,1", "4,2,1")),
+        (["papr", "--codebooks", "rows_T4M2l1.json", "--row-sparse", "4,2,1"], ("rows_T4M2l1.json", "4,2,1")),
+    ],
+    ids=["rate", "gain-cdf", "stem", "papr-codebooks", "papr-row-sparse", "papr-mixed"],
+)
+def test_colliding_scheme_names_exit_2_before_any_trial(tmp_path, capsys, monkeypatch, argv, inputs):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    for name in ("rate_curve", "gain_cdf", "papr_experiment", "constellation_samples"):
+        monkeypatch.setattr(grasspack.cli, name, no_trials)
+    monkeypatch.chdir(tmp_path)
+    for path in ("d1/b.json", "d2/b.json", "a-b.json", "a_b.json", "rows_T4M2l1.json"):
+        (tmp_path / path).parent.mkdir(exist_ok=True)
+        save_codebook(proposed_codebook_4_2(), tmp_path / path)
+    assert run(argv + ["--trials", 5, "--out", "out.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert all(repr(given) in err for given in inputs)
+    assert not (tmp_path / "out.csv").exists()
 
 
 # refused before the result array or the axis list is built

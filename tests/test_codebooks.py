@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grasspack import codebooks
 from grasspack.audit import real_variable_count
 from grasspack.codebooks import (
     EPS_SCHEDULE,
@@ -718,6 +719,17 @@ class TestBuildExpmap:
     def test_alphabet_exhausted(self):
         with pytest.raises(SizeLimit):
             build_expmap(2, 1, 5, FAST)  # only 4 distinct QAM scalars exist
+
+    def test_attempt_limit_ends_a_repeating_draw(self, monkeypatch):
+        # a stream that repeats one QAM block gives one codeword and then only
+        # duplicates, so the draw ends at its attempt limit, not in an endless loop
+        class Repeating:
+            def integers(self, low, high, size):
+                return np.zeros(size, dtype=np.int64)
+
+        monkeypatch.setattr(codebooks, "substream", lambda *ids: Repeating())
+        with pytest.raises(SizeLimit, match="could not draw 2 distinct codewords"):
+            build_expmap(4, 2, 2, FAST)
 
 
 class TestReferenceTables:

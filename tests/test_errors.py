@@ -283,7 +283,7 @@ PAIRS = SparsityPattern(4, 2, ((1, 2), (3, 4)))
         lambda: rate_curve([NR], True, [0.0], 3, seed=0),
         lambda: gain_cdf([NR], 2.5, [1.0], 3, seed=0),
         lambda: gain_cdf([NR], 2, [1.0], np.float64(3), seed=0),
-        lambda: papr_experiment(np.eye(4)[:, :2], WaveformConfig(4, 4), 2.5, seed=0),
+        lambda: papr_experiment([np.eye(4)[:, :2]], WaveformConfig(4, 4), 2.5, seed=0),
         lambda: constellation_samples(np.eye(4)[:, :2], WaveformConfig(4, 4), True, seed=0),
         lambda: WaveformConfig(4.0, 4),
         lambda: WaveformConfig(4, 4, oversample=2.0),
@@ -374,7 +374,7 @@ def test_non_integer_counts_raise_package_errors(call):
         (lambda: validate_stiefel([["a"], ["b"]]), "w"),
         (lambda: projector_distance(np.eye(4)[:, :2], [["a"]]), "wj"),
         (lambda: effective_gram([["a"]], np.eye(2)), "h"),
-        (lambda: papr_experiment([["a", "b"]] * 4, WaveformConfig(4, 4), 2, seed=0), "source"),
+        (lambda: papr_experiment([[["a", "b"]] * 4], WaveformConfig(4, 4), 2, seed=0), "source"),
         (lambda: pattern_to_codeword(PAIRS, ["a", 0.0, 0.0, 0.0]), "phases"),
         (lambda: pattern_to_codeword(PAIRS, [0.0, np.nan, 0.0, 0.0]), "phases"),
         (lambda: pair_codeword(PAIRS, ["a", 0.0]), "thetas"),
@@ -422,7 +422,7 @@ def test_python_floor_matches_numpy():
 def test_numpy_integer_counts_are_accepted():
     sweep = rate_curve([NR], np.int64(2), [0.0], np.int32(3), seed=0)
     assert sweep.mean_rates.shape == (1, 1)
-    assert papr_experiment(np.eye(4)[:, :2], WaveformConfig(np.int64(4), 4), np.int64(2), seed=0).size == 4
+    assert papr_experiment([np.eye(4)[:, :2]], WaveformConfig(np.int64(4), 4), np.int64(2), seed=0)[0].size == 4
 
 
 def test_error_hierarchy():

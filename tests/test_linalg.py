@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from grasspack import linalg
 from grasspack.errors import InvalidArgument
 from grasspack.linalg import (
     _qr_positive,
@@ -89,6 +92,17 @@ class TestQrOrthonormalize:
         a = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
         q = _qr_positive(a)
         assert fro_norm(q.conj().T @ q - np.eye(3)) <= 1e-10
+
+    def test_invalid_flag_of_the_qr_gufuncs_raises_linalg_error(self, monkeypatch):
+        # LAPACK argument errors reach numpy's QR gufuncs' caller as the
+        # floating-point invalid flag; _qr_positive raises on it as np.linalg.qr does
+        def flagged(a, *args, **kwargs):
+            np.sqrt(np.array(-1.0))  # sets the invalid flag
+            return a
+
+        monkeypatch.setattr(linalg, "_umath_linalg", SimpleNamespace(qr_r_raw=flagged, qr_reduced=flagged))
+        with pytest.raises(np.linalg.LinAlgError, match="QR factorization"):
+            _qr_positive(np.eye(3)[:, :2])
 
 
 def _qr_positive_reference(a):

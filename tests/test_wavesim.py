@@ -1,12 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from grasspack.codebooks import OptimizerConfig, build_sparse_2M, proposed_codebook_4_2
-from grasspack import wavesim
-from grasspack.errors import DimensionMismatch, InvalidArgument
+from grasspack.codebooks import OptimizerConfig, build_sparse_2M, nr_codebook_4_2, proposed_codebook_4_2
+from grasspack import linalg, wavesim
+from grasspack.errors import DimensionMismatch, InvalidArgument, SizeLimit
 from grasspack.grassmann import Codebook
 from grasspack.rng import substream
 from grasspack.wavesim import (
@@ -27,6 +32,7 @@ from grasspack.wavesim import (
 )
 
 FIG_THETAS = [1.91, -2.21, -1.71, 0.636]
+SRC = Path(wavesim.__file__).resolve().parent.parent
 
 
 def reference_synthesis(rows, cfg):
@@ -247,7 +253,7 @@ class TestPapr:
         # one OFDM subcarrier is a pure tone at any oversampling
         cfg = WaveformConfig(n_used=1, n_fft=16, oversample=4)
         w = row_sparse_precoder(4, 2, 2, seed=9)
-        got = papr_experiment(w, cfg, 10, seed=31)
+        got = papr_experiment([w], cfg, 10, seed=31)[0]
         assert got.shape == (40,)
         np.testing.assert_allclose(got, 1.0, rtol=0, atol=1e-12)
 
@@ -256,7 +262,7 @@ class TestPapr:
         # of two QPSK symbols: powers (2, 0) when b = +-a, PAPR 2, and
         # (1, 1) when b = +-ja, PAPR 1
         cfg = WaveformConfig(n_used=2, n_fft=2)
-        got = papr_experiment(np.eye(2)[:, :1], cfg, 40, seed=32)
+        got = papr_experiment([np.eye(2)[:, :1]], cfg, 40, seed=32)[0]
         assert got.shape == (40,)
         assert np.all(np.isclose(got, 1.0, rtol=0, atol=1e-12) | np.isclose(got, 2.0, rtol=0, atol=1e-12))
         assert 1.5 < got.max() and got.min() < 1.5
@@ -266,8 +272,8 @@ class TestPapr:
         # an all-zero precoder drives no antenna, so it gives no samples,
         # pooled or averaged per frame, and no mean of an empty slice
         cfg = WaveformConfig(n_used=5, n_fft=8, oversample=2)
-        assert papr_experiment(np.zeros((3, 2)), cfg, 4, seed=33).shape == (0,)
-        assert papr_experiment(np.zeros((3, 2)), cfg, 3, seed=0, antenna_mean=True).shape == (0,)
+        assert papr_experiment([np.zeros((3, 2))], cfg, 4, seed=33)[0].shape == (0,)
+        assert papr_experiment([np.zeros((3, 2))], cfg, 3, seed=0, antenna_mean=True)[0].shape == (0,)
 
 
 class TestCcdf:
@@ -314,7 +320,7 @@ class TestCcdf:
         # Nyquist-rate single-carrier frames of one stream per antenna are
         # unit-modulus QPSK, so their PAPR is 1 up to a few ulps either way
         cfg = WaveformConfig(n_used=64, n_fft=64, waveform="dft-s-ofdm")
-        samples = papr_experiment(row_sparse_precoder(4, 2, 1, thetas=FIG_THETAS), cfg, 20, seed=3)
+        samples = papr_experiment([row_sparse_precoder(4, 2, 1, thetas=FIG_THETAS)], cfg, 20, seed=3)[0]
         np.testing.assert_allclose(samples, 1.0, rtol=0, atol=1e-12)
         assert ccdf(samples, [-1.0, 1.0]).tolist() == [1.0, 0.0]
         assert ccdf_threshold_db(samples, 0.5) == pytest.approx(0.0, abs=1e-11)
@@ -445,7 +451,7 @@ class TestPaprExperiment:
         # one more bin above DC than below
         cfg = WaveformConfig(n_used=5, n_fft=8, oversample=oversample, waveform=waveform)
         src = ENGINE_SOURCES[source]
-        got = papr_experiment(src, cfg, 40, seed=23, antenna_mean=antenna_mean)
+        got = papr_experiment([src], cfg, 40, seed=23, antenna_mean=antenna_mean)[0]
         expected = reference_papr_experiment(src, cfg, 40, 23, antenna_mean)
         assert got.shape == expected.shape
         assert draws(src, 40, 23) == reference_draws(src, 40, 23)
@@ -453,7 +459,7 @@ class TestPaprExperiment:
 
     def test_matches_reference_at_benchmark_size(self):
         cfg = WaveformConfig(n_used=624, n_fft=1024, oversample=8, waveform="dft-s-ofdm")
-        got = papr_experiment(QUARTER_SPARSE_2_8, cfg, 6, seed=24)
+        got = papr_experiment([QUARTER_SPARSE_2_8], cfg, 6, seed=24)[0]
         expected = reference_papr_experiment(QUARTER_SPARSE_2_8, cfg, 6, 24)
         assert got.shape == expected.shape == (6 * 4,)
         assert draws(QUARTER_SPARSE_2_8, 6, 24) == reference_draws(QUARTER_SPARSE_2_8, 6, 24)
@@ -464,16 +470,29 @@ class TestPaprExperiment:
         # with random phases; the mixed precoder has one class of three rows,
         # two distinct rows and the zero rows, with signed zeros among them
         for w in QUARTER_SPARSE_2_8.stack():
-            assert len(_scale_classes(w)[0]) == 2
-        assert len(_scale_classes(row_sparse_precoder(8, 2, 1, seed=6))[0]) == 2
+            assert len(_scale_classes([w])[0]) == 2
+        assert len(_scale_classes([row_sparse_precoder(8, 2, 1, seed=6)])[0]) == 2
         # the zero rows 4 and 6 belong to no class: inverse covers rows 0-3 and 5
-        first, inverse = _scale_classes(_mixed_row_precoder())
-        assert sorted(first) == [0, 3, 5]
+        w = _mixed_row_precoder()
+        rows, (inverse,) = _scale_classes([w])
+        firsts = [int(np.flatnonzero((w == row).all(axis=1))[0]) for row in rows]
+        assert sorted(firsts) == [0, 3, 5] and rows.tobytes() == w[firsts].tobytes()
         assert inverse.size == 5
         assert inverse[0] == inverse[1] == inverse[2]
         assert len({inverse[0], inverse[3], inverse[4]}) == 3
-        first, inverse = _scale_classes(_zero_row_precoder())
-        assert sorted(first) == [0, 2, 3, 5] and sorted(inverse) == [0, 1, 2, 3]
+        rows, (inverse,) = _scale_classes([_zero_row_precoder()])
+        assert len(rows) == 4 and sorted(inverse) == [0, 1, 2, 3]
+
+    def test_scale_classes_stack_after_the_precoders_before(self):
+        # each precoder's class rows follow those of the ones before it, and its
+        # antennas index into the stack; an all-zero precoder adds no row
+        ws = [_mixed_row_precoder(), np.zeros((2, 4)), row_sparse_precoder(3, 4, 2, seed=5)]
+        rows, index = _scale_classes(ws)
+        alone = [_scale_classes([w]) for w in ws]
+        assert rows.tobytes() == np.concatenate([r for r, _ in alone]).tobytes()
+        assert [i.tolist() for i in index] == [
+            alone[0][1][0].tolist(), [], (len(alone[0][0]) + alone[2][1][0]).tolist()
+        ]
 
     def test_zero_rows_not_synthesized(self, monkeypatch):
         # rows 1 and 4 of the precoder are zero: each frame synthesizes the
@@ -486,7 +505,7 @@ class TestPaprExperiment:
 
         monkeypatch.setattr(wavesim, "_synthesize", spy)
         cfg = WaveformConfig(n_used=5, n_fft=8, oversample=8)
-        got = papr_experiment(_zero_row_precoder(), cfg, 40, seed=23)
+        got = papr_experiment([_zero_row_precoder()], cfg, 40, seed=23)[0]
         assert synthesized == [4] * 40
         expected = reference_papr_experiment(_zero_row_precoder(), cfg, 40, 23)
         assert got.shape == expected.shape == (40 * 4,)
@@ -498,7 +517,7 @@ class TestPaprExperiment:
         # rejected before any arithmetic, so no numpy warning and no dropped antenna
         w = np.array([[bad, 0.0], [1.0, 0.0]])
         with pytest.raises(InvalidArgument):
-            papr_experiment(w, WaveformConfig(12, 16), 2, seed=0)
+            papr_experiment([w], WaveformConfig(12, 16), 2, seed=0)
 
     @pytest.mark.parametrize("waveform", ["ofdm", "dft-s-ofdm"])
     @pytest.mark.parametrize("source", ["dense_book", "rows_random", "mixed_rows"])
@@ -511,20 +530,20 @@ class TestPaprExperiment:
         scales = rng.standard_normal(stack.shape[:2]) + 1j * rng.standard_normal(stack.shape[:2])
         scaled = scales[..., None] * stack
         scaled = Codebook(list(scaled)) if isinstance(src, Codebook) else scaled[0]
-        got = papr_experiment(scaled, cfg, 30, seed=26)
-        np.testing.assert_allclose(got, papr_experiment(src, cfg, 30, seed=26), rtol=1e-13, atol=0)
+        got = papr_experiment([scaled], cfg, 30, seed=26)[0]
+        np.testing.assert_allclose(got, papr_experiment([src], cfg, 30, seed=26)[0], rtol=1e-13, atol=0)
         np.testing.assert_allclose(got, reference_papr_experiment(src, cfg, 30, 26), rtol=1e-13, atol=0)
 
     def test_zero_trials_rejected(self):
         cfg = WaveformConfig(n_used=32, n_fft=32)
         with pytest.raises(InvalidArgument):
-            papr_experiment(row_sparse_precoder(4, 2, 1, thetas=[0.5, 0.5]), cfg, 0, seed=0)
+            papr_experiment([row_sparse_precoder(4, 2, 1, thetas=[0.5, 0.5])], cfg, 0, seed=0)
 
     def test_reproducible(self):
         cfg = WaveformConfig(n_used=64, n_fft=64, oversample=2, waveform="dft-s-ofdm")
         w = row_sparse_precoder(4, 2, 2, thetas=FIG_THETAS)
-        p1 = papr_experiment(w, cfg, 40, seed=12)
-        p2 = papr_experiment(w, cfg, 40, seed=12)
+        p1 = papr_experiment([w], cfg, 40, seed=12)[0]
+        p2 = papr_experiment([w], cfg, 40, seed=12)[0]
         assert np.array_equal(p1, p2)
 
     def test_ell_one_equals_unprecoded_single_carrier(self):
@@ -533,7 +552,7 @@ class TestPaprExperiment:
         # to rounding
         cfg = WaveformConfig(n_used=128, n_fft=128, oversample=4, waveform="dft-s-ofdm")
         w = row_sparse_precoder(8, 4, 1, thetas=FIG_THETAS)
-        precoded = papr_experiment(w, cfg, 60, seed=13)
+        precoded = papr_experiment([w], cfg, 60, seed=13)[0]
         unprecoded = []
         for frame in range(60):
             rng = substream(13, frame)
@@ -557,7 +576,7 @@ class TestPaprExperiment:
     def test_codebook_mode_draws_uniformly(self):
         cfg = WaveformConfig(n_used=32, n_fft=32, waveform="dft-s-ofdm")
         book = proposed_codebook_4_2()
-        out = papr_experiment(book, cfg, 30, seed=15)
+        out = papr_experiment([book], cfg, 30, seed=15)[0]
         assert isinstance(out, np.ndarray) and out.ndim == 1
         assert np.all(out >= 1.0)
         assert np.all(np.diff(out) >= 0)
@@ -565,17 +584,124 @@ class TestPaprExperiment:
     def test_antenna_mean_mode(self):
         cfg = WaveformConfig(n_used=32, n_fft=32)
         w = row_sparse_precoder(4, 2, 2, thetas=FIG_THETAS)
-        pooled = papr_experiment(w, cfg, 25, seed=16)
-        averaged = papr_experiment(w, cfg, 25, seed=16, antenna_mean=True)
+        pooled = papr_experiment([w], cfg, 25, seed=16)[0]
+        averaged = papr_experiment([w], cfg, 25, seed=16, antenna_mean=True)[0]
         assert pooled.size == 25 * 4
         assert averaged.size == 25
 
     def test_threshold_helper_matches_ccdf(self):
         cfg = WaveformConfig(n_used=64, n_fft=64, oversample=2, waveform="dft-s-ofdm")
-        out = papr_experiment(row_sparse_precoder(4, 2, 2, thetas=FIG_THETAS), cfg, 200, seed=17)
+        out = papr_experiment([row_sparse_precoder(4, 2, 2, thetas=FIG_THETAS)], cfg, 200, seed=17)[0]
         thr = ccdf_threshold_db(out, 0.1)
         prob = ccdf(out, [thr])[0]
         assert prob <= 0.1 + 0.02
+
+
+DENSE_BOOK_8 = Codebook([_random_stiefel(4, 2, s) for s in range(10, 18)])
+# groups (K, M): (8, 2) of two books, (22, 2), (1, 2) of a matrix and the all-zero
+# precoder, and (1, 3) of a matrix and the precoder with zero rows
+MIXED_SOURCES = [
+    QUARTER_SPARSE_2_8,
+    DENSE_BOOK_8,
+    nr_codebook_4_2(),
+    row_sparse_precoder(4, 2, 1, thetas=FIG_THETAS),
+    row_sparse_precoder(6, 3, 2, seed=9),
+    _zero_row_precoder(),
+    np.zeros((3, 2)),
+]
+
+
+class TestSharedDraws:
+    """Sources of one (K, M) share each frame's draws and one synthesis."""
+
+    @pytest.mark.parametrize("antenna_mean", [False, True])
+    @pytest.mark.parametrize("waveform", ["ofdm", "dft-s-ofdm"])
+    def test_same_bits_as_one_source_calls(self, waveform, antenna_mean):
+        cfg = WaveformConfig(n_used=5, n_fft=8, oversample=4, waveform=waveform)
+        alone = [papr_experiment([src], cfg, 30, seed=28, antenna_mean=antenna_mean)[0] for src in MIXED_SOURCES]
+        for order in (range(7), range(6, -1, -1), [3, 0, 5, 2, 6, 1, 4]):
+            got = papr_experiment([MIXED_SOURCES[i] for i in order], cfg, 30, seed=28, antenna_mean=antenna_mean)
+            assert [g.tobytes() for g in got] == [alone[i].tobytes() for i in order]
+
+    @pytest.mark.parametrize("waveform", ["ofdm", "dft-s-ofdm"])
+    def test_same_bits_at_benchmark_size(self, waveform):
+        # the benchmark's groups: three (8, 2) books, and four (1, 4) matrices of one class row each
+        parts = [
+            ([QUARTER_SPARSE_2_8, DENSE_BOOK_8, nr_codebook_4_2().subset(range(15, 23))], (624, 1024)),
+            ([row_sparse_precoder(8, 4, ell, thetas=FIG_THETAS) for ell in (1, 2, 3, 4)], (512, 512)),
+        ]
+        for sources, (n_used, n_fft) in parts:
+            cfg = WaveformConfig(n_used, n_fft, 8, waveform)
+            got = papr_experiment(sources, cfg, 3, seed=32)
+            assert [g.tobytes() for g in got] == [papr_experiment([s], cfg, 3, seed=32)[0].tobytes() for s in sources]
+
+    def test_one_stream_draw_and_synthesis_per_frame_per_group(self, monkeypatch):
+        streams, synthesized = [], []
+
+        def streams_spy(m, cfg, rng):
+            streams.append(m)
+            return _streams(m, cfg, rng)
+
+        def synthesize_spy(grid, *args):
+            synthesized.append(grid.shape[0])
+            return _synthesize(grid, *args)
+
+        monkeypatch.setattr(wavesim, "_streams", streams_spy)
+        monkeypatch.setattr(wavesim, "_synthesize", synthesize_spy)
+        papr_experiment(MIXED_SOURCES, WaveformConfig(5, 8), 9, seed=29)
+        assert sorted(streams) == [2] * 3 * 9 + [3] * 9
+        # the (1, 3) group, last, synthesizes the 6 classes of one matrix and the 4 of the other at once
+        assert len(synthesized) == 4 * 9 and synthesized[-9:] == [6 + 4] * 9
+
+    @pytest.mark.parametrize(
+        "cfg, trials", [(WaveformConfig(4, 4), 200), (WaveformConfig(4, 1024, 8), 1)], ids=["samples", "buffers"]
+    )
+    def test_one_budget_for_the_group(self, monkeypatch, cfg, trials):
+        # two sources of one (K, M), each within the budget alone: the group's
+        # samples, or its buffers, hold both and are refused before any frame
+        w = row_sparse_precoder(4, 2, 1, thetas=FIG_THETAS)  # one class row, 4 samples per frame
+        monkeypatch.setattr(linalg, "_RESULT_BYTES", max(trials * 4 * 8, 16 * cfg.oversample * cfg.n_fft))
+        for src in (w, 2.0 * w):
+            assert papr_experiment([src], cfg, trials, seed=30)[0].size == 4 * trials
+
+        def no_frames(*args):
+            raise AssertionError("a frame was drawn")
+
+        monkeypatch.setattr(wavesim, "_frames", no_frames)
+        with pytest.raises(SizeLimit):
+            papr_experiment([w, 2.0 * w], cfg, trials, seed=30)
+
+    def test_no_source_rejected(self):
+        with pytest.raises(InvalidArgument, match="at least one source"):
+            papr_experiment([], WaveformConfig(4, 4), 2, seed=0)
+
+
+_THREADED_PAPR = """
+import hashlib
+import numpy as np
+from grasspack.codebooks import OptimizerConfig, build_sparse_2M, nr_codebook_4_2
+from grasspack.wavesim import WaveformConfig, papr_experiment, row_sparse_precoder
+quarter = OptimizerConfig(seed=0, phase_grid=(-np.pi / 2, 0.0, np.pi / 2, np.pi))
+books = [build_sparse_2M(2, 8, quarter), nr_codebook_4_2().subset(range(15, 23))]
+rows = [row_sparse_precoder(8, 4, ell, seed=3) for ell in (1, 2, 3, 4)]
+for waveform in ("ofdm", "dft-s-ofdm"):
+    for sources in (books, rows):
+        for samples in papr_experiment(sources, WaveformConfig(624, 1024, 8, waveform), 20, seed=31):
+            print(hashlib.sha256(samples.tobytes()).hexdigest())
+"""
+
+
+def test_papr_samples_do_not_depend_on_blas_threads():
+    # the group's class rows are precoded in one BLAS product
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+        run = subprocess.run(
+            [sys.executable, "-c", _THREADED_PAPR], env=env, capture_output=True, text=True, check=True
+        )
+        digests.append(run.stdout.splitlines())
+    assert len(digests[0]) == 12 and digests[0] == digests[1]
 
 
 class TestConstellation:
