@@ -51,12 +51,6 @@ _METHODS = ("sparse2m", "sparse-general", "manopt", "expmap", "nr42", "prop42")
 _AXIS_POINTS = 10**6
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
 def _row_format(kinds):
     """The ``%`` format of a row whose cells have these types: ``%.17g`` per
     float and ``%d`` per integer, or None if some cell is neither."""
@@ -73,12 +67,11 @@ def _row_format(kinds):
 
 def _write_rows(fh, header, rows):
     """Write ``header`` and ``rows`` to the text stream ``fh`` as CSV, each
-    cell as ``_fmt`` gives it.
+    float cell as ``"%.17g" %`` gives it and every other cell as ``str``.
 
-    A row of only float and integer cells takes one ``%`` operation: for
-    every float, ``"%.17g" % x`` is ``format(x, ".17g")``, and number text
-    never needs quoting. Other rows go through ``csv.writer``, which quotes
-    text cells as needed.
+    A row of only float and integer cells takes one ``%`` operation, since
+    number text never needs quoting. Other rows go through ``csv.writer``,
+    which quotes text cells as needed.
     """
     formats = {}
     writer = csv.writer(fh, lineterminator="\n")
@@ -89,7 +82,7 @@ def _write_rows(fh, header, rows):
             formats[kinds] = _row_format(kinds)
         fmt = formats[kinds]
         if fmt is None:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow(["%.17g" % v if isinstance(v, float) else str(v) for v in row])
         else:
             fh.write(fmt % tuple(row))
 
@@ -183,7 +176,7 @@ def _distinct(names, inputs):
     """``names``, or ``InvalidArgument`` naming the two inputs of a repeated name: CSV columns must differ."""
     for j, name in enumerate(names):
         if name in names[:j]:
-            raise InvalidArgument(f"{inputs[names.index(name)]!r} and {inputs[j]!r} both name the scheme {name!r}")
+            raise InvalidArgument(f"{inputs[names.index(name)]!r} and {inputs[j]!r} both give the column tag {name!r}")
     return names
 
 
@@ -194,11 +187,14 @@ def cmd_design(args):
         phase_grid=_parse_grid(args.grid),
         restarts=args.restarts,
         max_iters=args.iters,
-        expmap_scale=args.scale,
     )
+    if cfg.phase_grid is not None and args.method not in ("sparse2m", "sparse-general"):
+        raise InvalidArgument(f"--grid quantizes the sparse designs only, not {args.method}")
     if args.method == "sparse2m":
         if args.M is None or args.size is None:
             raise GrasspackError("sparse2m requires -M and --size")
+        if args.T not in (None, 2 * args.M):
+            raise InvalidArgument(f"sparse2m builds T = 2M = {2 * args.M}, got -T {args.T}")
         book = build_sparse_2M(args.M, args.size, cfg)
     elif args.method == "sparse-general":
         if None in (args.T, args.M, args.sparsity, args.size):
@@ -265,12 +261,10 @@ def cmd_gain_cdf(args):
     books = [load_codebook(p) for p in args.codebooks]
     names = _distinct([_stem(p) for p in args.codebooks], args.codebooks)
     kfactors = [_check_k(k) for k in _parse_floats(args.k_factors, "--k-factors")]
+    # shortest round-trip text, integral values without ".0": 0.1 -> 0p1, 1 -> 1, inf -> inf
+    ktags = _distinct([repr(k).removesuffix(".0").replace(".", "p") for k in kfactors], args.k_factors.split(","))
     gains = gain_cdf(books, args.N, kfactors, args.trials, args.seed)
-    header = ["rank"]
-    for k in kfactors:
-        # shortest round-trip text, integral values without ".0": 0.1 -> 0p1, 1 -> 1, inf -> inf
-        ktag = repr(k).removesuffix(".0").replace(".", "p")
-        header += [f"gain_{name}_K{ktag}" for name in names]
+    header = ["rank"] + [f"gain_{name}_K{ktag}" for ktag in ktags for name in names]
     columns = gains.reshape(-1, args.trials).tolist()
     _write_csv(args.out, header, zip(range(1, args.trials + 1), *columns))
     print(f"wrote {args.out}: {args.trials} sorted gains per column")
@@ -359,7 +353,6 @@ def _build_parser():
     p.add_argument("--grid", default=None, help="'quarter', 'none', or comma-separated radians")
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--iters", type=int, default=300)
-    p.add_argument("--scale", type=float, default=0.5, help="exp-map QAM spread factor")
     p.add_argument("--indices", default=None, help="keep 1-based entries, e.g. '15-22'")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_design)

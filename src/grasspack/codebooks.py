@@ -35,7 +35,7 @@ from .grassmann import (
     pairwise_gram_sq,
     validate_stiefel,
 )
-from .linalg import _check_bytes, _qr_positive, as_real_array, is_int, is_real, matexp_skew_hermitian
+from .linalg import _check_bytes, _qr_positive, as_real_array, is_int, matexp_skew_hermitian
 from .rng import substream
 from .schubert import _fill, _layout, enumerate_patterns, matching_patterns, pair_codeword
 
@@ -69,21 +69,18 @@ class OptimizerConfig:
     substreams derive from ``seed``. Each optimizer keeps the first iterate
     of highest score seen over all restarts: the MCD, or the closest-pair
     separation in the phase search. ``phase_grid`` switches the phase
-    searches to a discrete alphabet; ``expmap_scale`` spreads the QAM blocks
-    of :func:`build_expmap`. The smoothing schedule (``EPS_SCHEDULE``) and
-    the line-search constants are fixed.
+    searches to a discrete alphabet. The smoothing schedule
+    (``EPS_SCHEDULE``) and the line-search constants are fixed.
     """
 
     max_iters: int = 300
     restarts: int = 4
     seed: int = 0
     phase_grid: tuple | None = None
-    expmap_scale: float = 0.5
 
     def __post_init__(self):
-        counts, scale = (self.max_iters, self.restarts), self.expmap_scale
-        if not all(is_int(v) and v >= 1 for v in counts) or not (is_real(scale) and 0 < scale < np.inf):
-            raise InvalidArgument("max_iters and restarts must be integers >= 1, expmap_scale positive and finite")
+        if not all(is_int(v) and v >= 1 for v in (self.max_iters, self.restarts)):
+            raise InvalidArgument("max_iters and restarts must be integers >= 1")
         grid = self.phase_grid
         if grid is not None:
             if not np.all(np.isfinite(as_real_array(grid, "phase_grid"))):
@@ -549,6 +546,10 @@ def _snap_to_grid(phases, grid, free, exact_mcd):
 # exponential-map baseline
 # ---------------------------------------------------------------------------
 
+#: spread of the QAM blocks of :func:`build_expmap`, written to its meta as "scale"
+_EXPMAP_SCALE = 0.5
+
+
 def expmap_codeword(theta: np.ndarray) -> np.ndarray:
     """Point exp([[0, Theta], [-Theta^H, 0]]) I_{T,M} for an M x (T-M) block."""
     th = np.asarray(theta, dtype=np.complex128)
@@ -581,7 +582,7 @@ def build_expmap(t: int, m: int, size: int, cfg: OptimizerConfig) -> Codebook:
         q = rng.integers(0, 4, size=(m, t - m))
         re = 1.0 - 2.0 * (q % 2)
         im = 1.0 - 2.0 * (q // 2)
-        theta = cfg.expmap_scale * (re + 1j * im) / np.sqrt(2.0)
+        theta = _EXPMAP_SCALE * (re + 1j * im) / np.sqrt(2.0)
         words[count] = expmap_codeword(theta)
         d = pairwise_chordal(words[: count + 1])
         if not np.any(d[-1, :-1] < _DUPLICATE_TOL):
@@ -592,7 +593,7 @@ def build_expmap(t: int, m: int, size: int, cfg: OptimizerConfig) -> Codebook:
         "M": m,
         "size": size,
         "seed": cfg.seed,
-        "scale": cfg.expmap_scale,
+        "scale": _EXPMAP_SCALE,
     }
     return Codebook(words, meta)
 
@@ -677,10 +678,6 @@ def proposed_codebook_4_2() -> Codebook:
 # JSON persistence
 # ---------------------------------------------------------------------------
 
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _json_safe(obj):
     if isinstance(obj, (np.integer, np.floating, np.ndarray)):
         return obj.tolist()
@@ -698,8 +695,10 @@ def save_codebook(b: Codebook, path) -> None:
         meta = json.dumps(b.meta, sort_keys=True, default=_json_safe)
     except (TypeError, ValueError) as exc:  # a value or key json cannot write, or a cycle
         raise InvalidArgument(f"codebook meta is not JSON-serializable: {exc}") from None
-    words = (",".join(f"[{_fmt17(z.real)},{_fmt17(z.imag)}]" for z in w.reshape(-1)) for w in b.codewords)
-    text = '{"T": %d, "M": %d, "codewords": [%s], "meta": %s}\n' % (b.T, b.M, ",".join(f"[{w}]" for w in words), meta)
+    record = "[%s]" % ",".join(["[%.17g,%.17g]"] * (b.T * b.M))
+    # each codeword's float64 view holds its entries as re, im in row-major order
+    words = (record % tuple(w.reshape(-1).tolist()) for w in np.ascontiguousarray(b.codewords).view(np.float64))
+    text = '{"T": %d, "M": %d, "codewords": [%s], "meta": %s}\n' % (b.T, b.M, ",".join(words), meta)
     Path(path).write_text(text, encoding="utf-8")
 
 
@@ -707,7 +706,8 @@ def load_codebook(path) -> Codebook:
     """Read a codebook written by :func:`save_codebook`, validating shapes
     and Stiefel membership at tolerance 1e-8."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        # save_codebook writes -0.0 as "-0", which json alone reads as the integer 0
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=lambda s: -0.0 if s == "-0" else int(s))
     except ValueError as exc:  # bad JSON or UTF-8, or an integer over json's digit limit
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict) or not {"T", "M", "codewords"} <= set(doc):
@@ -729,7 +729,7 @@ def load_codebook(path) -> Codebook:
         if len(flat) != t * m or any(len(pair) != 2 for pair in flat):
             raise DimensionMismatch(f"codeword {i + 1} does not hold {t}x{m} entries")
         try:
-            arr = np.array([complex(re, im) for re, im in flat]).reshape(t, m)
+            arr = np.array(flat, dtype=np.float64).view(np.complex128).reshape(t, m)
         except OverflowError:
             raise ParseError(f"{path}: codeword {i + 1} has an entry too large for a double") from None
         if not np.all(np.isfinite(arr)):

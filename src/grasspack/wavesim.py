@@ -264,7 +264,10 @@ def papr_experiment(sources, cfg: WaveformConfig, trials: int, seed: int, antenn
                 vals = vals.mean(keepdims=True) if antenna_mean and vals.size else vals
                 samples[count[i] : count[i] + vals.size] = vals
                 count[i] += vals.size
-    return [np.sort(samples[a:b]) for a, b in zip([0] + ends[:-1], count)]
+    runs = [samples[a:b] for a, b in zip([0] + ends[:-1], count)]
+    for run in runs:
+        run.sort()  # in place: a sorted copy would hold the samples twice
+    return runs
 
 
 def constellation_samples(source, cfg: WaveformConfig, frames: int, seed: int) -> np.ndarray:

@@ -14,10 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import grasspack.cli
-from grasspack.cli import _fmt, _write_csv, main
+from grasspack.cli import _write_csv, main
 from grasspack.codebooks import load_codebook, proposed_codebook_4_2, save_codebook
 from grasspack.grassmann import Codebook
-from grasspack.wavesim import WaveformConfig, constellation_samples
+from grasspack.wavesim import WaveformConfig, ccdf, constellation_samples, papr_experiment, row_sparse_precoder
 
 
 def run(args):
@@ -25,12 +25,13 @@ def run(args):
 
 
 def reference_csv(path, header, rows):
-    """The CSV of ``header`` and ``rows`` through ``csv.writer``, one ``_fmt`` per cell."""
+    """The CSV of ``header`` and ``rows`` through ``csv.writer``, each float
+    cell as ``format(v, ".17g")`` and every other cell as ``str``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([format(v, ".17g") if isinstance(v, float) else str(v) for v in row])
 
 
 def test_write_csv_matches_csv_writer(tmp_path):
@@ -52,7 +53,7 @@ def test_write_csv_matches_csv_writer(tmp_path):
 
 
 # SHA-256 of the CSVs the commands below write, as csv.writer wrote them with
-# one _fmt per cell
+# one format(v, ".17g") per float cell
 CSV_SHA256 = {
     "rate.csv": "72ede3d3dd61f818a12db286589f131b5e4ddb2d08d70fc6e41c705ba1694553",
     "papr.csv": "2f7ffecb3b6d7ae4bff5ded78a0ec3881fcecbe3d77ab338471553b14687df12",
@@ -332,6 +333,28 @@ class TestPapr:
         assert err.startswith("error: PAPR thresholds must be finite, got [2.0, nan]")
         assert not out.exists()
 
+    def test_antenna_mean_columns_match_the_library(self, tmp_path):
+        out = tmp_path / "papr.csv"
+        assert run(
+            ["papr", "--row-sparse", "4,2,1", "4,2,2", "--antenna-mean", "--subcarriers", 12, "--fft", 16,
+             "--oversample", 2, "--trials", 25, "--thresholds", "0:6:0.5", "--seed", 8, "--out", out]
+        ) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        columns = np.array(rows, dtype=float).T
+        thresholds = np.arange(13) * 0.5
+        np.testing.assert_array_equal(columns[0], thresholds)
+        sources = [row_sparse_precoder(4, 2, ell, seed=8) for ell in (1, 2)]
+        want = []
+        for waveform in ("ofdm", "dft-s-ofdm"):
+            cfg = WaveformConfig(12, 16, 2, waveform)
+            for ell, samples in zip((1, 2), papr_experiment(sources, cfg, 25, 8, antenna_mean=True)):
+                assert samples.size == 25  # one average per frame, not one sample per antenna
+                want.append((f"ccdf_rows_T4M2l{ell}_{waveform.replace('-', '')}", ccdf(samples, thresholds)))
+        assert header[1:] == [name for name, _ in want]
+        for got, (_, expected) in zip(columns[1:], want):
+            np.testing.assert_array_equal(got, expected)
+
     def test_requires_some_scheme(self, tmp_path, capsys):
         assert run(["papr", "--out", tmp_path / "x.csv"]) != 0
 
@@ -365,8 +388,9 @@ class TestPapr:
         ["papr", "--row-sparse", "4,2,1", "--thetas", "a,b"],
         ["papr", "--row-sparse", "0,2,1"],
         ["papr", "--row-sparse=-1,2,1"],
-        ["design", "--method", "expmap", "-T", "4", "-M", "2", "--size", "3", "--scale", "nan"],
-        ["design", "--method", "expmap", "-T", "4", "-M", "2", "--size", "3", "--scale", "inf"],
+        # flags that once wrote a different book: a T = 4 book, and a dense book off the grid
+        ["design", "--method", "sparse2m", "-T", "7", "-M", "2", "--size", "8"],
+        ["design", "--method", "manopt", "-T", "4", "-M", "2", "--size", "4", "--grid", "quarter"],
         ["design", "--method", "sparse2m", "-M", "2", "--size", "4", "--grid", "nan"],
         ["audit", "-T", "4", "-M", "2", "--sweep", "nan"],
         ["audit", "-T", "4", "-M", "2", "--sweep", "inf"],
@@ -404,12 +428,16 @@ def test_bad_argument_exits_2_without_traceback(tmp_path, capsys, argv):
     [
         (["rate", "--codebooks", "d1/b.json", "d2/b.json"], ("d1/b.json", "d2/b.json")),
         (["gain-cdf", "--codebooks", "d1/b.json", "d2/b.json"], ("d1/b.json", "d2/b.json")),
+        # Rician factors with one column tag
+        (["gain-cdf", "--codebooks", "a-b.json", "--k-factors", "0,0"], ("0", "0")),
+        (["gain-cdf", "--codebooks", "a-b.json", "--k-factors", "1,1.0"], ("1", "1.0")),
+        (["gain-cdf", "--codebooks", "a-b.json", "--k-factors=-0,0"], ("-0", "0")),
         (["rate", "--codebooks", "a-b.json", "a_b.json"], ("a-b.json", "a_b.json")),
         (["papr", "--codebooks", "d1/b.json", "a-b.json", "d2/b.json"], ("d1/b.json", "d2/b.json")),
         (["papr", "--row-sparse", "4,2,1", "4,2,2", "4,2,1"], ("4,2,1", "4,2,1")),
         (["papr", "--codebooks", "rows_T4M2l1.json", "--row-sparse", "4,2,1"], ("rows_T4M2l1.json", "4,2,1")),
     ],
-    ids=["rate", "gain-cdf", "stem", "papr-codebooks", "papr-row-sparse", "papr-mixed"],
+    ids=["rate", "gain-cdf", "k-0,0", "k-1,1.0", "k--0,0", "stem", "papr-codebooks", "papr-row-sparse", "papr-mixed"],
 )
 def test_colliding_scheme_names_exit_2_before_any_trial(tmp_path, capsys, monkeypatch, argv, inputs):
     def no_trials(*args, **kwargs):
@@ -570,13 +598,21 @@ class TestAudit:
             run(["design", "--method", "fancy"])
 
 
+def test_scale_flag_is_refused(capsys):
+    # the exp-map spread is a constant of build_expmap, so argparse refuses the flag
+    with pytest.raises(SystemExit) as exc:
+        run(["design", "--method", "expmap", "-T", 4, "-M", 2, "--size", 3, "--scale", 0.5])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --scale 0.5" in capsys.readouterr().err
+
+
 # one small valid command per subcommand (and per design method); BOOK is a
 # codebook file written next to the outputs
 FUZZ_COMMANDS = (
     ("design", "--method", "sparse2m", "-M", "2", "--size", "4", "--iters", "2", "--restarts", "1", "--grid", "quarter"),
     ("design", "--method", "sparse-general", "-T", "4", "-M", "2", "-s", "4", "--size", "3", "--iters", "2", "--restarts", "1"),
     ("design", "--method", "manopt", "-T", "4", "-M", "2", "--size", "3", "--iters", "2", "--restarts", "1", "--seed", "1"),
-    ("design", "--method", "expmap", "-T", "4", "-M", "2", "--size", "3", "--scale", "0.5"),
+    ("design", "--method", "expmap", "-T", "4", "-M", "2", "--size", "3"),
     ("design", "--method", "nr42", "--indices", "15-22", "--out", "nr.json"),
     ("mcd", "BOOK", "--out", "mcd.csv"),
     ("rate", "--codebooks", "BOOK", "-N", "2", "--snr-db", "0:10:5", "--trials", "4", "--seed", "1", "--out", "r.csv"),
@@ -615,9 +651,8 @@ def mutated_argv(draw):
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
 @given(mutated_argv())
-# once tracebacks: a zero antenna count, a NaN exp-map scale, a NaN sweep size
+# once tracebacks: a zero antenna count, a NaN sweep size
 @example(["papr", "--row-sparse", "0,2,1", "--subcarriers", "12", "--fft", "16", "--trials", "2", "--out", "p.csv"])
-@example(["design", "--method", "expmap", "-T", "4", "-M", "2", "--size", "3", "--scale", "nan"])
 @example(["audit", "-T", "4", "-M", "2", "--sweep", "nan", "--out", "s.csv"])
 def test_fuzzed_argument_exits_0_or_2_without_traceback(argv):
     err = io.StringIO()

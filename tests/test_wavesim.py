@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -538,6 +539,20 @@ class TestPaprExperiment:
         cfg = WaveformConfig(n_used=32, n_fft=32)
         with pytest.raises(InvalidArgument):
             papr_experiment([row_sparse_precoder(4, 2, 1, thetas=[0.5, 0.5])], cfg, 0, seed=0)
+
+    def test_samples_are_sorted_in_place(self):
+        # sorted copies of the shared sample array once held the samples twice at the peak
+        cfg = WaveformConfig(n_used=4, n_fft=4)
+        source = row_sparse_precoder(256, 1, 1, seed=3)  # 256 antennas of one class row, so 256 samples a frame
+        buffers = sum(b.nbytes for b in _buffers(cfg, 1)) + 2 * cfg.n_fft * 8  # and the two power rows
+        tracemalloc.start()
+        try:
+            (samples,) = papr_experiment([source], cfg, 1000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert samples.nbytes == 1000 * 256 * 8 and np.all(np.diff(samples) >= 0)
+        assert peak < 1.5 * samples.nbytes + buffers
 
     def test_reproducible(self):
         cfg = WaveformConfig(n_used=64, n_fft=64, oversample=2, waveform="dft-s-ofdm")
